@@ -14,13 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DrainedPool, DuplicatePool, UnknownPool, ZeroInput
-from .ledger import AccountRole, Registry, TokenKind, TokenMeta, check_amount
-
-BPS = 10_000
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
 
 
 class SwapDirection(str, Enum):
@@ -34,9 +28,6 @@ class SwapQuote:
     amount_in: int
     amount_out: int
     fee_paid: int
-    spot_price_before: Fraction
-    spot_price_after: Fraction
-    price_impact_bps: int
 
 
 @dataclass
@@ -98,9 +89,7 @@ class AmmVenues:
     # --- views ---
 
     def reserves(self, pool_id: str) -> tuple[int, int]:
-        pool = self.get(pool_id)
-        return (self.registry.balance_of(pool.base, pool.account),
-                self.registry.balance_of(self.numeraire, pool.account))
+        return self._oriented(pool_id, SwapDirection.BASE_IN)[1:]
 
     def lp_supply(self, pool_id: str) -> int:
         return self.registry.total_supply(self.get(pool_id).lp_token)
@@ -111,32 +100,30 @@ class AmmVenues:
 
     # --- swaps ---
 
+    def _oriented(self, pool_id: str, direction: SwapDirection) -> tuple[Pool, int, int]:
+        """The pool and its reserves (x, y) of the token going in and coming out."""
+        pool = self.get(pool_id)
+        rb = self.registry.balance_of(pool.base, pool.account)
+        rn = self.registry.balance_of(self.numeraire, pool.account)
+        x, y = (rb, rn) if direction == SwapDirection.BASE_IN else (rn, rb)
+        return pool, x, y
+
     def quote_exact_in(self, pool_id: str, direction: SwapDirection,
                        amount_in: int) -> SwapQuote:
-        pool = self.get(pool_id)
+        pool, x, y = self._oriented(pool_id, direction)
         if check_amount(amount_in) == 0:
             raise ZeroInput(pool_id)
-        rb, rn = self.reserves(pool_id)
-        x, y = (rb, rn) if direction == SwapDirection.BASE_IN else (rn, rb)
         e = amount_in * (BPS - pool.fee_bps) // BPS
         out = y * e // (x + e)
         if out >= y:
             raise DrainedPool(pool_id)
-        before = Fraction(rn, rb)
-        if direction == SwapDirection.BASE_IN:
-            after = Fraction(rn - out, rb + amount_in)
-        else:
-            after = Fraction(rn + amount_in, rb - out)
-        impact = abs(after - before) / before * BPS
         return SwapQuote(direction=direction, amount_in=amount_in, amount_out=out,
-                         fee_paid=amount_in - e, spot_price_before=before,
-                         spot_price_after=after,
-                         price_impact_bps=int(impact))
+                         fee_paid=amount_in - e)
 
     def swap_exact_in(self, pool_id: str, direction: SwapDirection, amount_in: int,
                       trader: str) -> SwapQuote:
         quote = self.quote_exact_in(pool_id, direction, amount_in)
-        pool = self.get(pool_id)
+        pool = self.pools[pool_id]
         tok_in, tok_out = ((pool.base, self.numeraire)
                            if direction == SwapDirection.BASE_IN
                            else (self.numeraire, pool.base))
@@ -148,11 +135,9 @@ class AmmVenues:
     def required_in_for_out(self, pool_id: str, direction: SwapDirection,
                             amount_out: int) -> int:
         """Smallest input such that swap_exact_in delivers >= amount_out."""
-        pool = self.get(pool_id)
+        pool, x, y = self._oriented(pool_id, direction)
         if check_amount(amount_out) == 0:
             raise ZeroInput(pool_id)
-        rb, rn = self.reserves(pool_id)
-        x, y = (rb, rn) if direction == SwapDirection.BASE_IN else (rn, rb)
         if amount_out >= y:
             raise DrainedPool(pool_id)
         e_min = ceil_div(amount_out * x, y - amount_out)

@@ -12,8 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .amm import SwapDirection
-from .errors import AmmError, CompositeError, MissingPrice, NoExecutablePath, StalePlan
+from .amm import SwapDirection, SwapQuote
+from .errors import (
+    AmmError,
+    CompositeError,
+    InsufficientBalance,
+    InvariantViolation,
+    MissingPrice,
+    NoExecutablePath,
+    StalePlan,
+)
 from .market import Market
 from .pricing import nav_report
 
@@ -59,19 +67,41 @@ class ExecutionResult:
 
 # --- route simulation (pure, state-dependent quotes only) ---
 
-def _acquire_direct(market: Market, asset, q: int) -> Route | None:
-    pool = market.venues.pool_for(asset.composite)
+def _swap_leg(pool_id: str, quote: SwapQuote) -> Leg:
+    return Leg("swap", {"pool": pool_id, "direction": quote.direction,
+                        "amount_in": quote.amount_in},
+               {"amount_out": quote.amount_out})
+
+
+def _buy(market: Market, token: str, amount_out: int) -> Leg | None:
+    """Swap leg buying at least amount_out of token with numeraire, or None."""
+    pool = market.venues.pool_for(token)
+    if pool is None:
+        return None
+    direction = SwapDirection.NUMERAIRE_IN
+    try:
+        d = market.venues.required_in_for_out(pool.pool_id, direction, amount_out)
+        quote = market.venues.quote_exact_in(pool.pool_id, direction, d)
+    except AmmError:
+        return None
+    return _swap_leg(pool.pool_id, quote)
+
+
+def _sell(market: Market, token: str, amount_in: int) -> Leg | None:
+    """Swap leg selling amount_in of token for numeraire, or None."""
+    pool = market.venues.pool_for(token)
     if pool is None:
         return None
     try:
-        d = market.venues.required_in_for_out(pool.pool_id, SwapDirection.NUMERAIRE_IN, q)
-        quote = market.venues.quote_exact_in(pool.pool_id, SwapDirection.NUMERAIRE_IN, d)
+        quote = market.venues.quote_exact_in(pool.pool_id, SwapDirection.BASE_IN, amount_in)
     except AmmError:
         return None
-    leg = Leg("swap", {"pool": pool.pool_id, "direction": SwapDirection.NUMERAIRE_IN,
-                       "amount_in": d},
-              {"amount_out": quote.amount_out})
-    return Route(RouteKind.DIRECT_W, [leg])
+    return _swap_leg(pool.pool_id, quote)
+
+
+def _acquire_direct(market: Market, asset, q: int) -> Route | None:
+    leg = _buy(market, asset.composite, q)
+    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
 
 
 def _acquire_via_elements(market: Market, asset, q: int) -> Route | None:
@@ -81,61 +111,34 @@ def _acquire_via_elements(market: Market, asset, q: int) -> Route | None:
         return None
     legs = []
     for element, need in needs:
-        pool = market.venues.pool_for(element)
-        if pool is None:
+        leg = _buy(market, element, need)
+        if leg is None:
             return None
-        try:
-            d = market.venues.required_in_for_out(
-                pool.pool_id, SwapDirection.NUMERAIRE_IN, need)
-            quote = market.venues.quote_exact_in(
-                pool.pool_id, SwapDirection.NUMERAIRE_IN, d)
-        except AmmError:
-            return None
-        legs.append(Leg("swap", {"pool": pool.pool_id,
-                                 "direction": SwapDirection.NUMERAIRE_IN,
-                                 "amount_in": d},
-                        {"amount_out": quote.amount_out}))
+        legs.append(leg)
     legs.append(Leg("mint_composite", {"asset": asset.composite, "q": q},
                     {"deposits": needs}))
     return Route(RouteKind.BUY_ELEMENTS_THEN_MINT_W, legs)
 
 
 def _dispose_direct(market: Market, asset, q: int) -> Route | None:
-    pool = market.venues.pool_for(asset.composite)
-    if pool is None:
-        return None
-    try:
-        quote = market.venues.quote_exact_in(pool.pool_id, SwapDirection.BASE_IN, q)
-    except AmmError:
-        return None
-    leg = Leg("swap", {"pool": pool.pool_id, "direction": SwapDirection.BASE_IN,
-                       "amount_in": q},
-              {"amount_out": quote.amount_out})
-    return Route(RouteKind.DIRECT_W, [leg])
+    leg = _sell(market, asset.composite, q)
+    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
 
 
 def _dispose_via_elements(market: Market, asset, q: int) -> Route | None:
     try:
         payouts = market.composites.redemption_value(asset.composite, q)
-    except CompositeError:
+    except (CompositeError, InsufficientBalance):
         return None
     legs = [Leg("redeem_composite", {"asset": asset.composite, "q": q},
                 {"basket_out": payouts})]
     for element, payout in payouts:
         if payout == 0:
             continue
-        pool = market.venues.pool_for(element)
-        if pool is None:
+        leg = _sell(market, element, payout)
+        if leg is None:
             return None
-        try:
-            quote = market.venues.quote_exact_in(
-                pool.pool_id, SwapDirection.BASE_IN, payout)
-        except AmmError:
-            return None
-        legs.append(Leg("swap", {"pool": pool.pool_id,
-                                 "direction": SwapDirection.BASE_IN,
-                                 "amount_in": payout},
-                        {"amount_out": quote.amount_out}))
+        legs.append(leg)
     return Route(RouteKind.REDEEM_THEN_SELL_ELEMENTS, legs)
 
 
@@ -154,22 +157,13 @@ def simulate_routes(market: Market, asset_id: str, side: Side,
                     quantity_w: int) -> list[ExecutionPlan]:
     """All executable route plans for the request, in route-kind order."""
     asset = market.composites.get(asset_id)
-    plans = []
     if side == Side.ACQUIRE_W:
-        candidates = [_acquire_direct(market, asset, quantity_w),
-                      _acquire_via_elements(market, asset, quantity_w)]
-        for route in candidates:
-            if route is not None:
-                plans.append(ExecutionPlan(route, side, quantity_w,
-                                           _route_cost(route)))
+        builders, value = (_acquire_direct, _acquire_via_elements), _route_cost
     else:
-        candidates = [_dispose_direct(market, asset, quantity_w),
-                      _dispose_via_elements(market, asset, quantity_w)]
-        for route in candidates:
-            if route is not None:
-                plans.append(ExecutionPlan(route, side, quantity_w,
-                                           _route_proceeds(route)))
-    return plans
+        builders, value = (_dispose_direct, _dispose_via_elements), _route_proceeds
+    routes = [build(market, asset, quantity_w) for build in builders]
+    return [ExecutionPlan(route, side, quantity_w, value(route))
+            for route in routes if route is not None]
 
 
 def best_route(market: Market, asset_id: str, side: Side,
@@ -193,25 +187,15 @@ def _cycle_plan(market: Market, asset_id: str, q: int,
     """One round trip sized q: element route on one side, direct trade on the other."""
     asset = market.composites.get(asset_id)
     if positive_premium:
-        acquire = _acquire_via_elements(market, asset, q)
-        dispose = _dispose_direct(market, asset, q)
-        if acquire is None or dispose is None:
-            return None
-        legs = acquire.legs + dispose.legs
-        kind = RouteKind.BUY_ELEMENTS_THEN_MINT_W
-        profit = _route_proceeds(dispose) - _route_cost(acquire)
-        proceeds = _route_proceeds(dispose)
+        acquire, dispose = _acquire_via_elements(market, asset, q), _dispose_direct(market, asset, q)
     else:
-        acquire = _acquire_direct(market, asset, q)
-        dispose = _dispose_via_elements(market, asset, q)
-        if acquire is None or dispose is None:
-            return None
-        legs = acquire.legs + dispose.legs
-        kind = RouteKind.REDEEM_THEN_SELL_ELEMENTS
-        profit = _route_proceeds(dispose) - _route_cost(acquire)
-        proceeds = _route_proceeds(dispose)
-    return ExecutionPlan(Route(kind, legs), Side.DISPOSE_W, q, proceeds,
-                         expected_profit=profit)
+        acquire, dispose = _acquire_direct(market, asset, q), _dispose_via_elements(market, asset, q)
+    if acquire is None or dispose is None:
+        return None
+    kind = acquire.kind if positive_premium else dispose.kind  # the element-side route's
+    proceeds = _route_proceeds(dispose)
+    return ExecutionPlan(Route(kind, acquire.legs + dispose.legs), Side.DISPOSE_W, q,
+                         proceeds, expected_profit=proceeds - _route_cost(acquire))
 
 
 def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
@@ -296,7 +280,7 @@ def execute_plan(market: Market, plan: ExecutionPlan | None, account: str) -> Ex
                         raise StalePlan(f"redeem {leg.params['asset']}: basket changed")
                 else:
                     raise StalePlan(f"unknown leg op {leg.op!r}")
-            except StalePlan:
+            except (StalePlan, InvariantViolation):
                 raise
             except Exception as exc:
                 raise StalePlan(f"leg failed: {exc}") from exc

@@ -20,13 +20,7 @@ from .errors import (
     UnknownElement,
     ZeroQuantity,
 )
-from .ledger import AccountRole, Registry, TokenKind, TokenMeta, check_amount
-
-BPS = 10_000
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
 
 
 @dataclass
@@ -113,58 +107,71 @@ class CompositeEngine:
         except KeyError:
             raise UnknownAsset(asset_id) from None
 
-    # --- quotes ---
+    # --- per-element moves (shared by quotes and execution) ---
 
     def _backing(self, asset: AssetDefinition, supply: int, per_unit: int) -> int:
         # exact escrow requirement for a given composite supply
         return ceil_div(per_unit * supply, asset.unit)
 
+    def _mint_moves(self, asset: AssetDefinition, q: int) -> list[tuple[str, int, int]]:
+        """(element, deposit, fee) owed to create q units at the current supply."""
+        if check_amount(q) == 0:
+            raise ZeroQuantity(asset.composite)
+        s = self.registry.total_supply(asset.composite)
+        return [(element,
+                 self._backing(asset, s + q, a) - self._backing(asset, s, a),
+                 ceil_div(a * q * asset.mint_fee_bps, BPS * asset.unit))
+                for element, a in asset.composition]
+
+    def _redeem_moves(self, asset: AssetDefinition, q: int,
+                      holder: str | None) -> list[tuple[str, int, int]]:
+        """(element, payout, fee + residue) released by burning q units.
+
+        The q units come from `holder`, or from the whole supply if None;
+        burning more than that raises InsufficientBalance.
+        """
+        if check_amount(q) == 0:
+            raise ZeroQuantity(asset.composite)
+        s = self.registry.total_supply(asset.composite)
+        have = s if holder is None else self.registry.balance_of(asset.composite, holder)
+        if have < q:
+            raise InsufficientBalance(
+                f"redeem {asset.composite}: need {q} composite, have {have}",
+                token=asset.composite, shortfall=q - have)
+        moves = []
+        for element, a in asset.composition:
+            released = self._backing(asset, s, a) - self._backing(asset, s - q, a)
+            payout = released * (BPS - asset.redeem_fee_bps) // BPS
+            moves.append((element, payout, released - payout))
+        return moves
+
+    # --- quotes ---
+
     def required_deposit(self, asset_id: str, q: int) -> list[tuple[str, int]]:
         """Element amounts owed (deposit + mint fee) to create q composite units."""
-        asset = self.get(asset_id)
-        if check_amount(q) == 0:
-            raise ZeroQuantity(asset_id)
-        s = self.registry.total_supply(asset.composite)
-        out = []
-        for element, a in asset.composition:
-            deposit = self._backing(asset, s + q, a) - self._backing(asset, s, a)
-            fee = ceil_div(a * q * asset.mint_fee_bps, BPS * asset.unit)
-            out.append((element, deposit + fee))
-        return out
+        return [(e, deposit + fee)
+                for e, deposit, fee in self._mint_moves(self.get(asset_id), q)]
 
     def redemption_value(self, asset_id: str, q: int) -> list[tuple[str, int]]:
-        """Element amounts paid out (net of redeem fee) for burning q units."""
-        asset = self.get(asset_id)
-        if check_amount(q) == 0:
-            raise ZeroQuantity(asset_id)
-        s = self.registry.total_supply(asset.composite)
-        out = []
-        for element, a in asset.composition:
-            released = self._backing(asset, s, a) - self._backing(asset, s - q, a) \
-                if s >= q else ceil_div(a * q, asset.unit)
-            payout = released * (BPS - asset.redeem_fee_bps) // BPS
-            out.append((element, payout))
-        return out
+        """Element amounts paid out (net of redeem fee) for burning q units.
+
+        Raises InsufficientBalance if q exceeds the supply, as redeeming would.
+        """
+        return [(e, payout)
+                for e, payout, _ in self._redeem_moves(self.get(asset_id), q, None)]
 
     # --- state transitions ---
 
     def mint_composite(self, asset_id: str, caller: str, q: int) -> MintReceipt:
         asset = self.get(asset_id)
-        if check_amount(q) == 0:
-            raise ZeroQuantity(asset_id)
+        moves = self._mint_moves(asset, q)
         reg = self.registry
-        s = reg.total_supply(asset.composite)
-
-        moves = []  # (element, deposit, fee)
-        for element, a in asset.composition:
-            deposit = self._backing(asset, s + q, a) - self._backing(asset, s, a)
-            fee = ceil_div(a * q * asset.mint_fee_bps, BPS * asset.unit)
+        for element, deposit, fee in moves:
             have = reg.balance_of(element, caller)
             if have < deposit + fee:
                 raise InsufficientBalance(
                     f"mint {asset_id}: need {deposit + fee} of {element}, have {have}",
                     token=element, shortfall=deposit + fee - have)
-            moves.append((element, deposit, fee))
 
         with reg.transaction():
             for element, deposit, fee in moves:
@@ -179,22 +186,8 @@ class CompositeEngine:
 
     def redeem_composite(self, asset_id: str, caller: str, q: int) -> RedeemReceipt:
         asset = self.get(asset_id)
-        if check_amount(q) == 0:
-            raise ZeroQuantity(asset_id)
+        moves = self._redeem_moves(asset, q, caller)
         reg = self.registry
-        have = reg.balance_of(asset.composite, caller)
-        if have < q:
-            raise InsufficientBalance(
-                f"redeem {asset_id}: need {q} composite, have {have}",
-                token=asset.composite, shortfall=q - have)
-        s = reg.total_supply(asset.composite)
-
-        moves = []  # (element, payout, fee_and_residue)
-        for element, a in asset.composition:
-            released = self._backing(asset, s, a) - self._backing(asset, s - q, a)
-            payout = released * (BPS - asset.redeem_fee_bps) // BPS
-            moves.append((element, payout, released - payout))
-
         with reg.transaction():
             reg.burn(asset.composite, caller, q, self.authority_for(asset.composite))
             for element, payout, fee in moves:

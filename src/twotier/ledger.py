@@ -44,6 +44,11 @@ class AccountRole(str, Enum):
 
 
 MAX_DECIMALS = 18
+BPS = 10_000  # basis points per whole
+
+
+def ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def check_amount(qty) -> int:

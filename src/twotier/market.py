@@ -1,13 +1,10 @@
 """Aggregate wiring of one market universe: ledger + engines over it.
 
 A Market owns a single Registry plus the composite, oracle, AMM and yield
-engines bound to it. Cloning a Market deep-copies the whole universe, which
-is how planners simulate trades without touching live state.
+engines bound to it.
 """
 
 from __future__ import annotations
-
-import copy
 
 from .amm import AmmVenues
 from .composite import CompositeEngine
@@ -35,6 +32,3 @@ class Market:
         """Scenario bootstrap: conjure numeraire for an account."""
         self.registry.ensure_account(account)
         self.registry.mint(self.numeraire, account, qty, BOOTSTRAP_AUTHORITY)
-
-    def clone(self) -> "Market":
-        return copy.deepcopy(self)

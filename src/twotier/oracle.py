@@ -18,9 +18,7 @@ from .errors import (
     ExceedsVerifiedOutput,
     NoAttestations,
 )
-from .ledger import Registry, check_amount
-
-BPS = 10_000
+from .ledger import BPS, Registry, check_amount
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     UnknownReference,
 )
-from .ledger import TokenKind, TokenMeta
+from .ledger import BPS, TokenKind, TokenMeta
 from .market import Market
 from .oracle import Attestation, OraclePolicy
 from .pricing import nav_report
@@ -97,6 +97,9 @@ class AgentSpec:
     kind: str
     id: str
     params: dict
+
+    def amount(self, key: str, default: int = 0) -> int:
+        return _amt(self.params.get(key, default), f"agents.{self.id}.{key}")
 
 
 @dataclass
@@ -223,8 +226,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
             accounts=accounts, pools=pools, agents=agents, shocks=shocks,
             yield_schedule=yield_schedule,
             auto_claim=list(doc.get("auto_claim", [])))
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scenario config: {exc}") from exc
 
@@ -279,16 +280,24 @@ def _validate_references(cfg: ScenarioConfig):
             raise UnknownReference(f"agents.{ag.id}: unknown pool token")
         if ag.kind not in ("noise_trader", "arbitrageur", "liquidity_provider"):
             raise ParseError(f"agents.{ag.id}: unknown kind {ag.kind!r}")
-    for s in cfg.shocks:
+    for i, s in enumerate(cfg.shocks):
         if s.pool not in tradable:
             raise UnknownReference(f"shocks: unknown pool token {s.pool!r}")
         if s.account not in account_ids:
             raise UnknownReference(f"shocks: unknown account {s.account!r}")
-    for y in cfg.yield_schedule:
+        if s.magnitude_bps <= -BPS:
+            raise ParseError(f"shocks[{i}].magnitude_bps: {s.magnitude_bps} targets a "
+                             f"price <= 0 (must be > -{BPS})")
+        if not 0 <= s.epoch < cfg.epochs:
+            raise ParseError(f"shocks[{i}].epoch: {s.epoch} is outside [0, {cfg.epochs})")
+    for i, y in enumerate(cfg.yield_schedule):
         if y.asset not in asset_ids:
             raise UnknownReference(f"yield_schedule: unknown asset {y.asset!r}")
         if y.payer not in account_ids:
             raise UnknownReference(f"yield_schedule: unknown payer {y.payer!r}")
+        if not 0 <= y.epoch < cfg.epochs:
+            raise ParseError(f"yield_schedule[{i}].epoch: {y.epoch} is outside "
+                             f"[0, {cfg.epochs})")
     for acct in cfg.auto_claim:
         if acct not in account_ids:
             raise UnknownReference(f"auto_claim: unknown account {acct!r}")
@@ -318,8 +327,7 @@ class NoiseTrader:
         self.sigma = float(spec.params.get("sigma", 1.0))
         self.rng = rng
         self.account = f"agent:{spec.id}"
-        market.fund_numeraire(self.account,
-                              _amt(spec.params.get("budget", 0), f"agents.{spec.id}.budget"))
+        market.fund_numeraire(self.account, spec.amount("budget"))
 
     def act(self, market: Market, epoch: int):
         if self.rng.random() >= self.intensity:
@@ -338,9 +346,8 @@ class NoiseTrader:
                 market.venues.swap_exact_in(pool.pool_id, SwapDirection.NUMERAIRE_IN,
                                             spend, self.account)
         else:
-            spot = market.venues.spot_price(pool.pool_id)
-            want = int(Fraction(size) / spot)
-            sell = min(want, reg.balance_of(self.pool_base, self.account))
+            rb, rn = market.venues.reserves(pool.pool_id)
+            sell = min(size * rb // rn, reg.balance_of(self.pool_base, self.account))
             if sell > 0:
                 market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
                                             sell, self.account)
@@ -350,14 +357,12 @@ class LiquidityProvider:
     def __init__(self, spec: AgentSpec, market: Market, rng: np.random.Generator):
         self.id = spec.id
         self.pool_base = spec.params["pool"]
-        self.base_amount = _amt(spec.params.get("base", 0), f"agents.{spec.id}.base")
-        self.num_amount = _amt(spec.params.get("numeraire", 0),
-                               f"agents.{spec.id}.numeraire")
+        self.base_amount = spec.amount("base")
+        self.num_amount = spec.amount("numeraire")
         self.join_epoch = int(spec.params.get("join_epoch", 0))
         self.exit_epoch = spec.params.get("exit_epoch")
         self.account = f"agent:{spec.id}"
-        market.fund_numeraire(self.account,
-                              _amt(spec.params.get("budget", 0), f"agents.{spec.id}.budget"))
+        market.fund_numeraire(self.account, spec.amount("budget"))
 
     def act(self, market: Market, epoch: int):
         pool = market.venues.pool_for(self.pool_base)
@@ -390,16 +395,12 @@ class Arbitrageur:
     def __init__(self, spec: AgentSpec, market: Market, rng: np.random.Generator):
         self.id = spec.id
         self.asset = spec.params["asset"]
-        self.min_profit = _amt(spec.params.get("min_profit", 1),
-                               f"agents.{spec.id}.min_profit")
-        self.max_size = _amt(spec.params.get("max_size", 1 << 30),
-                             f"agents.{spec.id}.max_size")
+        self.min_profit = spec.amount("min_profit", 1)
+        self.max_size = spec.amount("max_size", 1 << 30)
         self.enabled = bool(spec.params.get("enabled", True))
         self.account = f"agent:{spec.id}"
         # unconstrained capital by default; configurable budget
-        market.fund_numeraire(self.account,
-                              _amt(spec.params.get("budget", 10 ** 30),
-                                   f"agents.{spec.id}.budget"))
+        market.fund_numeraire(self.account, spec.amount("budget", 10 ** 30))
 
     def act(self, market: Market, epoch: int) -> tuple[int, int]:
         """Returns (trades, profit) realized this epoch."""
@@ -427,18 +428,16 @@ def apply_demand_shock(market: Market, shock: ShockSpec):
     pool = market.venues.pool_for(shock.pool)
     if pool is None or shock.magnitude_bps == 0:
         return
-    spot = market.venues.spot_price(pool.pool_id)
-    target = spot * (10_000 + shock.magnitude_bps) / 10_000
-    direction = (SwapDirection.NUMERAIRE_IN if shock.magnitude_bps > 0
-                 else SwapDirection.BASE_IN)
-
-    def spot_after(amount_in: int) -> Fraction:
-        return market.venues.quote_exact_in(pool.pool_id, direction,
-                                            amount_in).spot_price_after
+    up = shock.magnitude_bps > 0
+    rb, rn = market.venues.reserves(pool.pool_id)
+    direction = SwapDirection.NUMERAIRE_IN if up else SwapDirection.BASE_IN
 
     def past_target(amount_in: int) -> bool:
-        after = spot_after(amount_in)
-        return after >= target if shock.magnitude_bps > 0 else after <= target
+        out = market.venues.quote_exact_in(pool.pool_id, direction, amount_in).amount_out
+        # post-trade spot n/d against target rn/rb * (BPS + magnitude)/BPS, cross-multiplied
+        n, d = (rn + amount_in, rb - out) if up else (rn - out, rb + amount_in)
+        after, target = n * rb * BPS, rn * (BPS + shock.magnitude_bps) * d
+        return after >= target if up else after <= target
 
     hi = 1
     while not past_target(hi):
@@ -453,14 +452,13 @@ def apply_demand_shock(market: Market, shock: ShockSpec):
         else:
             lo = mid + 1
     reg = market.registry
-    token_in = market.numeraire if shock.magnitude_bps > 0 else shock.pool
-    if shock.magnitude_bps > 0:
+    if up:
         # bootstrap the shock account so the push always lands
-        need = lo - reg.balance_of(token_in, shock.account)
+        need = lo - reg.balance_of(market.numeraire, shock.account)
         if need > 0:
             market.fund_numeraire(shock.account, need)
     else:
-        lo = min(lo, reg.balance_of(token_in, shock.account))
+        lo = min(lo, reg.balance_of(shock.pool, shock.account))
         if lo == 0:
             return
     market.venues.swap_exact_in(pool.pool_id, direction, lo, shock.account)
@@ -554,7 +552,6 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
 def run(cfg: ScenarioConfig) -> SimResult:
     market = build_market(cfg)
     reg = market.registry
-    numeraire_supply0 = reg.total_supply(cfg.numeraire_id)
     bootstrap_minted = 0  # shocks and arbitrageur top-ups count as bootstrap
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.agents) + 1)
@@ -629,7 +626,8 @@ def run(cfg: ScenarioConfig) -> SimResult:
                     f"numeraire supply changed outside bootstrap at epoch {epoch}")
             rows.append(_metrics_row(cfg, market, epoch, arb_stats))
         except EngineError as exc:
-            raise type(exc)(f"epoch {epoch} (event seq {reg._seq}): {exc}") from exc
+            exc.args = (f"epoch {epoch} (event seq {reg._seq}): {exc}",)
+            raise
 
     return SimResult(header=header, rows=rows, market=market, config=cfg)
 

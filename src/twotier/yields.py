@@ -51,13 +51,16 @@ class YieldVault:
         except KeyError:
             raise UnknownAsset(composite) from None
 
+    def _entitlement_scaled(self, pool: YieldPool, account: str) -> int:
+        """Settled accrual plus what the account's balance earned since."""
+        bal = self.registry.balance_of(pool.composite, account)
+        return (pool.accrued_scaled.get(account, 0)
+                + bal * (pool.index - pool.last_index.get(account, 0)))
+
     def _settle(self, composite: str, account: str):
         pool = self.pools[composite]
-        bal = self.registry.balance_of(composite, account)
-        last = pool.last_index.get(account, 0)
-        if pool.index != last:
-            pool.accrued_scaled[account] = (
-                pool.accrued_scaled.get(account, 0) + bal * (pool.index - last))
+        if pool.index != pool.last_index.get(account, 0):
+            pool.accrued_scaled[account] = self._entitlement_scaled(pool, account)
         pool.last_index[account] = pool.index
 
     # --- operations ---
@@ -75,11 +78,7 @@ class YieldVault:
         pool.total_deposited += amount
 
     def claimable(self, composite: str, account: str) -> int:
-        pool = self.get(composite)
-        bal = self.registry.balance_of(composite, account)
-        last = pool.last_index.get(account, 0)
-        entitlement = pool.accrued_scaled.get(account, 0) + bal * (pool.index - last)
-        return entitlement // INDEX_SCALE
+        return self._entitlement_scaled(self.get(composite), account) // INDEX_SCALE
 
     def claim(self, composite: str, account: str) -> int:
         pool = self.get(composite)
@@ -104,7 +103,5 @@ class YieldVault:
         total = pool.dust_scaled
         seen = set(pool.last_index) | set(pool.accrued_scaled)
         for acct in seen | set(self.registry.holders(composite)):
-            bal = self.registry.balance_of(composite, acct)
-            last = pool.last_index.get(acct, 0)
-            total += pool.accrued_scaled.get(acct, 0) + bal * (pool.index - last)
+            total += self._entitlement_scaled(pool, acct)
         return total

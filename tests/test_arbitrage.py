@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import grant_elements, make_solar_market, seed_solar_pools
+from twotier import sim
 from twotier.amm import BPS, SwapDirection
 from twotier.arbitrage import (RouteKind, Side, best_route, detect_arbitrage,
                                execute_plan, simulate_routes)
-from twotier.errors import NoExecutablePath, StalePlan
+from twotier.cli import main
+from twotier.composite import CompositeEngine
+from twotier.errors import InsufficientBalance, InvariantViolation, NoExecutablePath, StalePlan
 from twotier.pricing import nav_report
 
 
@@ -231,3 +235,45 @@ def test_detect_respects_max_size():
     assert plan is not None and plan.quantity_w <= cap
     # tiny caps where every cycle loses to fee truncation yield no plan
     assert detect_arbitrage(market, cid, min_profit=1, max_size=7) is None
+
+def test_redeem_beyond_supply_is_not_quoted():
+    market, cid = arb_market()
+    too_many = market.registry.total_supply(cid) + 1
+    with pytest.raises(InsufficientBalance):
+        market.composites.redemption_value(cid, too_many)
+    plans = simulate_routes(market, cid, Side.DISPOSE_W, too_many)
+    assert [plan.route.kind for plan in plans] == [RouteKind.DIRECT_W]
+
+
+def break_backing_check(monkeypatch):
+    def broken(self, asset):
+        raise InvariantViolation(f"full backing broken for {asset.composite}")
+    monkeypatch.setattr(CompositeEngine, "_assert_backing", broken)
+
+
+@pytest.mark.parametrize("premium_bps", [1000, -1000])
+def test_invariant_violation_passes_through_execute_plan(monkeypatch, premium_bps):
+    market, cid = arb_market(w_premium_bps=premium_bps)
+    plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
+    assert plan is not None
+    state = market.registry.state_hash()
+    break_backing_check(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        execute_plan(market, plan, "arb")
+    assert market.registry.state_hash() == state
+
+
+def test_invariant_violation_in_arbitrage_cycle_exits_2(monkeypatch, tmp_path, capsys):
+    solar = str(Path(sim.__file__).parent / "scenarios" / "solar.json")
+    executed = []
+    real_execute = sim.execute_plan
+
+    def execute_with_broken_backing(market, plan, account):
+        executed.append(plan.route.kind)
+        break_backing_check(monkeypatch)
+        return real_execute(market, plan, account)
+
+    monkeypatch.setattr(sim, "execute_plan", execute_with_broken_backing)
+    assert main(["run", solar, "--out", str(tmp_path)]) == 2
+    assert executed  # the failure came from a detected cycle
+    assert "invariant violation: epoch" in capsys.readouterr().err

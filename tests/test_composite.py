@@ -189,12 +189,18 @@ def test_full_backing_invariant_fuzz(qs, mint_fee, redeem_fee, decimals):
     grant_elements(market, "ap", {"energy": 10 ** 9, "land": 10 ** 10, "carbon": 10 ** 9})
     held = 0
     for i, q in enumerate(qs):
+        # quotes taken before each operation match what it then moves
         if i % 3 == 2 and held > 0:
             q = min(q, held)
-            market.composites.redeem_composite(cid, "ap", q)
+            quoted = market.composites.redemption_value(cid, q)
+            receipt = market.composites.redeem_composite(cid, "ap", q)
+            assert receipt.basket_out == quoted
             held -= q
         else:
-            market.composites.mint_composite(cid, "ap", q)
+            quoted = market.composites.required_deposit(cid, q)
+            receipt = market.composites.mint_composite(cid, "ap", q)
+            assert quoted == [(e, d + f) for (e, d), (_, f)
+                              in zip(receipt.deposits, receipt.fees)]
             held += q
         s = reg.total_supply(cid)
         for e, a in SOLAR_COMPOSITION:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import twotier
-from twotier.errors import ParseError, UnknownReference
+from twotier.errors import InsufficientBalance, ParseError, UnknownReference
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
@@ -107,6 +107,23 @@ def test_non_integer_amount_rejected():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("section,entry,path", [
+    ("shocks", {"pool": "W", "epoch": 1, "magnitude_bps": -10000},
+     "shocks[0].magnitude_bps"),
+    ("shocks", {"pool": "W", "epoch": 5, "magnitude_bps": 500}, "shocks[0].epoch"),
+    ("yield_schedule", {"asset": "W", "epoch": 5, "amount": "100", "payer": "issuer"},
+     "yield_schedule[0].epoch"),
+    ("yield_schedule", {"asset": "W", "epoch": -1, "amount": "100", "payer": "issuer"},
+     "yield_schedule[0].epoch"),
+])
+def test_schedule_entries_that_never_act_rejected(section, entry, path):
+    doc = mini_doc(epochs=5)
+    doc[section] = [entry]
+    with pytest.raises(ParseError) as exc:
+        parse_config(doc)
+    assert str(exc.value).startswith(path)
+
+
 def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,\n  "epochs": }')
@@ -191,3 +208,13 @@ def test_yield_schedule_pays_holders():
     vault_pool = result.market.yields.get("W")
     assert vault_pool.total_deposited == 50000
     assert vault_pool.total_paid > 0
+
+def test_run_error_keeps_attributes_and_adds_epoch():
+    doc = mini_doc(epochs=3)
+    doc["yield_schedule"] = [
+        {"epoch": 1, "asset": "W", "amount": str(10 ** 12), "payer": "issuer"}]
+    with pytest.raises(InsufficientBalance) as exc:
+        run(parse_config(doc))
+    assert exc.value.token == "NUM"
+    assert exc.value.shortfall > 0
+    assert "epoch 1" in str(exc.value)
