@@ -2,8 +2,8 @@
 
 Subcommands: validate, run, report, routes. Machine-readable output goes to
 files under --out; human summaries go to stdout; diagnostics to stderr.
-Exit codes: 0 success, 1 validation/user error, 2 internal invariant
-violation.
+Exit codes: 0 success, 1 usage, validation or other user error, 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .arbitrage import Side, best_route, simulate_routes
-from .errors import EngineError, InvariantViolation
+from .errors import EngineError, InvariantViolation, ParseError
 from .pricing import nav_report
 from .sim import build_market, export_csv, export_events, frac_str, load_config, run
 
@@ -25,6 +25,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ParseError(f"--seed: expected an integer >= 0, got {args.seed}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -85,8 +87,13 @@ def _cmd_routes(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1: 2 means an invariant violation
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twotier",
         description="Two-tier tokenization engine: validate and run scenarios, "
                     "inspect NAV and execution routes.")

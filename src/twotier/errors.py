@@ -156,7 +156,9 @@ class ZeroSupply(YieldError):
 # --- config / sim ---
 
 class ConfigError(EngineError):
-    pass
+    def __init__(self, msg="", path=()):
+        super().__init__(msg)
+        self.path = path  # keys of the rejected field, outermost first
 
 
 class ParseError(ConfigError):

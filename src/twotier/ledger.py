@@ -321,17 +321,11 @@ def replay_events(events: list[dict]) -> Registry:
         elif op == "transfer":
             reg.transfer(token, accounts[0], accounts[1], qty)
         elif op == "set_paused":
-            reg.meta(token).paused = meta["flag"]
-            reg._log("set_paused", token=token, accounts=[], qty=0, meta=meta)
+            reg.set_paused(token, meta["flag"])
         elif op == "set_allowlist_enabled":
-            reg.meta(token).allowlist_enabled = meta["flag"]
-            reg._log("set_allowlist_enabled", token=token, accounts=[], qty=0, meta=meta)
+            reg.set_allowlist_enabled(token, meta["flag"])
         elif op == "set_allowlist":
-            if meta["flag"]:
-                reg.meta(token).allowlist.add(accounts[0])
-            else:
-                reg.meta(token).allowlist.discard(accounts[0])
-            reg._log("set_allowlist", token=token, accounts=accounts, qty=0, meta=meta)
+            reg.set_allowlist(token, accounts[0], meta["flag"])
         else:
             raise ValueError(f"unknown event op {op!r}")
     return reg

@@ -9,7 +9,7 @@ than was verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AlreadyFinalized,
@@ -56,7 +56,6 @@ class EpochResult:
 
 @dataclass
 class ProductionLedger:
-    accepted_per_epoch: dict[int, int] = field(default_factory=dict)
     cumulative_accepted: int = 0
     cumulative_minted: int = 0
 
@@ -118,7 +117,6 @@ class OracleHub:
                                  rejected_sources=rejected, failed=False)
 
         ledger = self._ledger(element)
-        ledger.accepted_per_epoch[epoch] = result.accepted
         ledger.cumulative_accepted += result.accepted
         self._finalized.setdefault(element, {})[epoch] = result
         return result
@@ -150,7 +148,7 @@ class OracleHub:
         total = sum(finalized[e].accepted for e in window)
         return total // policy.twa_window
 
-    def record_verified_output(self, element: str, amount: int, epoch: int = -1):
+    def record_verified_output(self, element: str, amount: int):
         """Bootstrap helper: credit pre-verified production without attestations.
 
         Used by scenario setup to model output verified before the simulated
@@ -159,4 +157,3 @@ class OracleHub:
         check_amount(amount)
         ledger = self._ledger(element)
         ledger.cumulative_accepted += amount
-        ledger.accepted_per_epoch[epoch] = ledger.accepted_per_epoch.get(epoch, 0) + amount

@@ -16,27 +16,24 @@ Randomness comes from numpy Philox generators spawned off one SeedSequence
 per scenario, one independent substream per agent plus one for the epoch
 shuffle, so runs are reproducible bit-for-bit on a platform.
 
-All amounts in the config are integer strings at token decimals. Metrics
-rationals are rendered as decimal strings with 12 fractional digits.
+Metrics rationals are rendered as decimal strings with 12 fractional digits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .amm import SwapDirection
 from .arbitrage import detect_arbitrage, execute_plan
-from .errors import (
-    EngineError,
-    InvariantViolation,
-    ParseError,
-    UnknownReference,
-)
-from .ledger import BPS, TokenKind, TokenMeta
+from .errors import ConfigError, EngineError, InvariantViolation, ParseError, UnknownReference
+from .ledger import BPS, MAX_DECIMALS, TokenKind, TokenMeta
 from .market import Market
 from .oracle import Attestation, OraclePolicy
 from .pricing import nav_report
@@ -53,261 +50,271 @@ def frac_str(x: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{FRACTION_DIGITS}d}"
 
 
-# --- config model ---
+# --- config schema ---
+#
+# The dataclasses below are the scenario schema, one `_row(reader, default)`
+# per field. `parse_config` reads each key once, in field order (so an id is
+# declared before it is referenced), and rejects unknown keys. A missing key
+# takes its default, read as if given (None stays None), or is an error.
+# Errors carry their path (`agents[0].sigma: ...`), added on the way out.
+
+_REQUIRED = object()
+
+
+def _row(read, default=_REQUIRED):
+    return field(metadata={"read": read, "default": default})
+
+
+def _num(lo=0, hi=float("inf"), kind=int):
+    """A `kind` (int or float) in [lo, hi] or its string; no bools, NaN, or floats for ints."""
+    rejected, what = ((bool, float), "an integer") if kind is int else (bool, "a number")
+
+    def read(raw, walk):
+        try:
+            value = None if isinstance(raw, rejected) else kind(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or not lo <= value <= hi:  # NaN fails the comparison
+            raise ParseError(f"expected {what} in [{lo}, {hi}], got {raw!r}")
+        return value
+    return read
+
+
+_AMOUNT = _num()
+_DECIMALS = _num(0, MAX_DECIMALS)
+
+
+def _check(read, ok, why):
+    """`read` (None: take the raw value), then reject values for which `ok` is false."""
+    def checked(raw, walk):
+        value = raw if read is None else read(raw, walk)
+        if not ok(value):
+            raise ParseError(f"{value!r} {why}")
+        return value
+    return checked
+
+
+_bool = _check(None, lambda v: isinstance(v, bool), "is not true or false")
+_text = _check(None, lambda v: isinstance(v, str), "is not a string")
+
+
+def _new(space, *also, of=None):
+    """A fresh id, unique in `space`, also recorded in `also`; no ':' (engine ids use it)."""
+    def read(raw, walk):
+        ident = raw if of is None else of(raw, walk)
+        if not isinstance(ident, str) or not ident or ":" in ident:
+            raise ParseError(f"{ident!r} is not a non-empty string without ':'")
+        if ident in walk.ids[space]:
+            raise ParseError(f"duplicate {space} id {ident!r}")
+        for s in (space, *also):
+            walk.ids[s].add(ident)
+        return ident
+    return read
+
+
+def _ref(space):
+    """The id of something already declared in `space`."""
+    def read(raw, walk):
+        if not isinstance(raw, str) or raw not in walk.ids[space]:
+            raise UnknownReference(f"unknown {space} {raw!r}")
+        return raw
+    return read
+
+
+def _each(read_value, read_key=None):
+    """A list or, with `read_key`, an object read as (key, value) pairs."""
+    kind, what = (list, "a list") if read_key is None else (dict, "an object")
+
+    def read(raw, walk):
+        if not isinstance(raw, kind):
+            raise ParseError(f"{raw!r} is not {what}")
+        out = []
+        try:
+            for key, value in (enumerate(raw) if read_key is None else raw.items()):
+                out.append(read_value(value, walk) if read_key is None
+                           else (read_key(key, walk), read_value(value, walk)))
+        except ConfigError as exc:
+            exc.path = (key, *exc.path)
+            raise
+        return out
+    return read
+
+
+@cache
+def _object(cls, **rows):
+    """Reads a JSON object into `cls`, one row per field (`rows` override)."""
+    meta = {f.name: f.metadata for f in fields(cls)} | {k: r.metadata for k, r in rows.items()}
+    table = [(name, m["read"], m["default"]) for name, m in meta.items()]
+
+    def read(raw, walk):
+        if not isinstance(raw, dict):
+            raise ParseError(f"{raw!r} is not an object")
+        if not raw.keys() <= meta.keys():
+            raise ParseError("unknown key", path=(next(k for k in raw if k not in meta),))
+        walk.objects.append(values := {})
+        try:
+            for name, reader, default in table:
+                value = raw.get(name, default)
+                if value is _REQUIRED:
+                    raise ParseError("missing")
+                values[name] = (None if value is None and default is None
+                                else reader(value, walk))
+        except ConfigError as exc:
+            exc.path = (name, *exc.path)
+            raise
+        walk.objects.pop()
+        return cls(*values.values())  # the table is in field order
+    return read
+
+
+def _epoch(after=None):
+    """An epoch in [0, epochs); with `after`, no earlier than that sibling field."""
+    def read(raw, walk):
+        lo = walk.objects[-1][after] if after else 0
+        value, epochs = _AMOUNT(raw, walk), walk.objects[0]["epochs"]
+        if not lo <= value < epochs:
+            raise ParseError(f"{value} is outside [{lo}, {epochs})")
+        return value
+    return read
+
+
+def _per_epoch(raw, walk):
+    """One amount for every epoch, or a list of exactly `epochs` amounts."""
+    if not isinstance(raw, list):
+        return _AMOUNT(raw, walk)
+    epochs = walk.objects[0]["epochs"]
+    if len(raw) != epochs:
+        raise ParseError(f"{len(raw)} entries for {epochs} epochs")
+    return _each(_AMOUNT)(raw, walk)
+
+
+def _agent(raw, walk):
+    """An agent: its `kind` picks the agent class whose Spec reads the rest."""
+    # a non-object goes to the base Spec, which rejects it
+    agent = AGENT_KINDS.get(str(raw.get("kind"))) if isinstance(raw, dict) else Agent
+    if agent is None:
+        raise ParseError(f"expected one of {', '.join(AGENT_KINDS)}", path=("kind",))
+    return _object(agent.Spec)(raw, walk)
+
+
+@dataclass
+class NumeraireSpec:
+    id: str = _row(_new("token"), "NUM")
+    decimals: int = _row(_DECIMALS, 6)
+
 
 @dataclass
 class TokenSpec:
-    id: str
-    kind: str
-    unit_label: str = ""
-    decimals: int = 0
+    id: str = _row(_new("token", "element", "tradable"))
+    kind: str = _row(_check(None, lambda k: k == "element", "is not 'element'"), "element")
+    unit_label: str = _row(_text, "")
+    decimals: int = _row(_DECIMALS, 0)
+
+
+@dataclass
+class AccountSpec:
+    id: str = _row(_new("account"))
+    numeraire: int = _row(_AMOUNT, 0)   # funding
+
+
+@dataclass
+class GenesisMint:
+    account: str = _row(_ref("account"))
+    q: int = _row(_num(1))
 
 
 @dataclass
 class AssetSpec:
-    composite: str
-    composition: list[tuple[str, int]]
-    mint_fee_bps: int = 0
-    redeem_fee_bps: int = 0
-    decimals: int = 0
-    unit_label: str = ""
-    genesis_mint: list[tuple[str, int]] = field(default_factory=list)  # (account, q)
+    composite: str = _row(_new("token", "composite", "tradable"))
+    composition: list[tuple[str, int]] = _row(_check(
+        _each(_num(1), _ref("element")), bool, "is empty"))
+    mint_fee_bps: int = _row(_num(0, BPS), 0)
+    redeem_fee_bps: int = _row(_num(0, BPS), 0)
+    decimals: int = _row(_DECIMALS, 0)
+    unit_label: str = _row(_text, "")
+    genesis_mint: list[GenesisMint] = _row(_each(_object(GenesisMint)), [])
+
+
+@dataclass
+class GenesisCredit:
+    account: str = _row(_ref("account"))
+    amount: int = _row(_AMOUNT)
 
 
 @dataclass
 class OracleElementSpec:
-    element: str
-    sources: list[str]
-    per_epoch: int | list[int] = 0
-    mint_to: str = ""
-    genesis: list[tuple[str, int]] = field(default_factory=list)  # (account, amount)
+    sources: list[str] = _row(_check(_each(_text), lambda v: len(set(v)) == len(v),
+                                     "repeats a source"), [])
+    per_epoch: int | list[int] = _row(_per_epoch, 0)
+    mint_to: str | None = _row(_ref("account"), None)
+    genesis: list[GenesisCredit] = _row(_each(_object(GenesisCredit)), [])
+
+
+@dataclass
+class OracleSpec:
+    policy: OraclePolicy = _row(_object(OraclePolicy, min_sources=_row(_num(1), 1),
+        max_deviation_bps=_row(_num(1), 500), twa_window=_row(_num(1), 1)), {})
+    elements: list[tuple[str, OracleElementSpec]] = _row(
+        _each(_object(OracleElementSpec), _ref("element")), {})
 
 
 @dataclass
 class PoolSpec:
-    base: str
-    fee_bps: int
-    seed_base: int
-    seed_numeraire: int
-    provider: str
-
-
-@dataclass
-class AgentSpec:
-    kind: str
-    id: str
-    params: dict
-
-    def amount(self, key: str, default: int = 0) -> int:
-        return _amt(self.params.get(key, default), f"agents.{self.id}.{key}")
+    base: str = _row(_new("pool", of=_ref("tradable")))
+    fee_bps: int = _row(_num(0, BPS - 1), 0)
+    seed_base: int = _row(_num(1))
+    seed_numeraire: int = _row(_num(1))
+    provider: str = _row(_ref("account"))
 
 
 @dataclass
 class ShockSpec:
-    pool: str            # base token of the pool to shock
-    epoch: int
-    magnitude_bps: int   # signed target move of the spot price
-    account: str = "issuer"
+    pool: str = _row(_ref("pool"))           # base token of the pool to shock
+    epoch: int = _row(_epoch())
+    # signed target move of the spot price; above -BPS keeps the target price > 0
+    magnitude_bps: int = _row(_check(_num(1 - BPS), bool, "does nothing"))
+    account: str = _row(_ref("account"), "issuer")
 
 
 @dataclass
 class YieldEventSpec:
-    asset: str
-    epoch: int
-    amount: int
-    payer: str
+    asset: str = _row(_ref("composite"))
+    epoch: int = _row(_epoch())
+    amount: int = _row(_AMOUNT)
+    payer: str = _row(_ref("account"))
 
 
 @dataclass
 class ScenarioConfig:
-    seed: int
-    epochs: int
-    numeraire_id: str
-    numeraire_decimals: int
-    tokens: list[TokenSpec]
-    assets: list[AssetSpec]
-    oracle_policy: OraclePolicy
-    oracle_elements: list[OracleElementSpec]
-    accounts: list[tuple[str, int]]          # (account, numeraire funding)
-    pools: list[PoolSpec]
-    agents: list[AgentSpec]
-    shocks: list[ShockSpec]
-    yield_schedule: list[YieldEventSpec]
-    auto_claim: list[str] = field(default_factory=list)
+    seed: int = _row(_AMOUNT, 0)
+    epochs: int = _row(_AMOUNT, 0)
+    numeraire: NumeraireSpec = _row(_object(NumeraireSpec), {})
+    tokens: list[TokenSpec] = _row(_each(_object(TokenSpec)), [])
+    accounts: list[AccountSpec] = _row(_each(_object(AccountSpec)), [])
+    assets: list[AssetSpec] = _row(_each(_object(AssetSpec)), [])
+    oracle: OracleSpec = _row(_object(OracleSpec), {})
+    pools: list[PoolSpec] = _row(_each(_object(PoolSpec)), [])
+    agents: list[Agent.Spec] = _row(_each(_agent), [])
+    shocks: list[ShockSpec] = _row(_each(_object(ShockSpec)), [])
+    yield_schedule: list[YieldEventSpec] = _row(_each(_object(YieldEventSpec)), [])
+    auto_claim: list[str] = _row(_each(_ref("account")), [])
 
 
-def _amt(raw, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise ParseError(f"{path}: amount must be an integer string")
+def parse_config(doc) -> ScenarioConfig:
+    """Parse and check a scenario document; the only gate before `run`."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"{path}: not an integer: {raw!r}") from None
-    if value < 0:
-        raise ParseError(f"{path}: negative amount {value}")
-    return value
-
-
-def parse_config(doc: dict) -> ScenarioConfig:
-    try:
-        seed = int(doc.get("seed", 0))
-        epochs = int(doc.get("epochs", 0))
-        num = doc.get("numeraire", {"id": "NUM", "decimals": 6})
-
-        tokens = [TokenSpec(id=t["id"], kind=t.get("kind", "element"),
-                            unit_label=t.get("unit_label", ""),
-                            decimals=int(t.get("decimals", 0)))
-                  for t in doc.get("tokens", [])]
-
-        assets = []
-        for a in doc.get("assets", []):
-            comp = [(e, _amt(v, f"assets.{a['composite']}.composition.{e}"))
-                    for e, v in a["composition"].items()]
-            genesis = [(g["account"], _amt(g["q"], f"assets.{a['composite']}.genesis_mint"))
-                       for g in a.get("genesis_mint", [])]
-            assets.append(AssetSpec(
-                composite=a["composite"], composition=comp,
-                mint_fee_bps=int(a.get("mint_fee_bps", 0)),
-                redeem_fee_bps=int(a.get("redeem_fee_bps", 0)),
-                decimals=int(a.get("decimals", 0)),
-                unit_label=a.get("unit_label", ""),
-                genesis_mint=genesis))
-
-        odoc = doc.get("oracle", {})
-        pdoc = odoc.get("policy", {})
-        policy = OraclePolicy(min_sources=int(pdoc.get("min_sources", 1)),
-                              max_deviation_bps=int(pdoc.get("max_deviation_bps", 500)),
-                              twa_window=int(pdoc.get("twa_window", 1)))
-        oracle_elements = []
-        for el, spec in odoc.get("elements", {}).items():
-            per_epoch = spec.get("per_epoch", 0)
-            if isinstance(per_epoch, list):
-                per_epoch = [_amt(v, f"oracle.elements.{el}.per_epoch[{i}]")
-                             for i, v in enumerate(per_epoch)]
-            else:
-                per_epoch = _amt(per_epoch, f"oracle.elements.{el}.per_epoch")
-            genesis = [(g["account"], _amt(g["amount"], f"oracle.elements.{el}.genesis"))
-                       for g in spec.get("genesis", [])]
-            oracle_elements.append(OracleElementSpec(
-                element=el, sources=list(spec.get("sources", [])),
-                per_epoch=per_epoch, mint_to=spec.get("mint_to", ""),
-                genesis=genesis))
-
-        accounts = [(a["id"], _amt(a.get("numeraire", 0), f"accounts.{a['id']}.numeraire"))
-                    for a in doc.get("accounts", [])]
-
-        pools = [PoolSpec(base=p["base"], fee_bps=int(p.get("fee_bps", 0)),
-                          seed_base=_amt(p["seed_base"], f"pools.{p['base']}.seed_base"),
-                          seed_numeraire=_amt(p["seed_numeraire"],
-                                              f"pools.{p['base']}.seed_numeraire"),
-                          provider=p["provider"])
-                 for p in doc.get("pools", [])]
-
-        agents = [AgentSpec(kind=a["kind"], id=a["id"],
-                            params={k: v for k, v in a.items() if k not in ("kind", "id")})
-                  for a in doc.get("agents", [])]
-
-        shocks = [ShockSpec(pool=s["pool"], epoch=int(s["epoch"]),
-                            magnitude_bps=int(s["magnitude_bps"]),
-                            account=s.get("account", "issuer"))
-                  for s in doc.get("shocks", [])]
-
-        yield_schedule = [YieldEventSpec(asset=y["asset"], epoch=int(y["epoch"]),
-                                         amount=_amt(y["amount"], "yield_schedule.amount"),
-                                         payer=y["payer"])
-                          for y in doc.get("yield_schedule", [])]
-
-        cfg = ScenarioConfig(
-            seed=seed, epochs=epochs,
-            numeraire_id=num.get("id", "NUM"),
-            numeraire_decimals=int(num.get("decimals", 6)),
-            tokens=tokens, assets=assets,
-            oracle_policy=policy, oracle_elements=oracle_elements,
-            accounts=accounts, pools=pools, agents=agents, shocks=shocks,
-            yield_schedule=yield_schedule,
-            auto_claim=list(doc.get("auto_claim", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed scenario config: {exc}") from exc
-
-    _validate_references(cfg)
-    return cfg
-
-
-def _validate_references(cfg: ScenarioConfig):
-    token_ids = {t.id for t in cfg.tokens}
-    element_ids = {t.id for t in cfg.tokens if t.kind == "element"}
-    asset_ids = {a.composite for a in cfg.assets}
-    account_ids = {a for a, _ in cfg.accounts}
-    tradable = token_ids | asset_ids
-
-    if cfg.epochs < 0:
-        raise ParseError("epochs must be >= 0")
-    for t in cfg.tokens:
-        if t.kind not in ("element",):
-            raise ParseError(f"tokens.{t.id}: kind must be 'element' "
-                             "(composites are declared under assets)")
-    for a in cfg.assets:
-        for e, _ in a.composition:
-            if e not in element_ids:
-                raise UnknownReference(f"assets.{a.composite}.composition: "
-                                       f"unknown element {e!r}")
-        for acct, _ in a.genesis_mint:
-            if acct not in account_ids:
-                raise UnknownReference(f"assets.{a.composite}.genesis_mint: "
-                                       f"unknown account {acct!r}")
-    for oe in cfg.oracle_elements:
-        if oe.element not in element_ids:
-            raise UnknownReference(f"oracle.elements: unknown element {oe.element!r}")
-        if oe.mint_to and oe.mint_to not in account_ids:
-            raise UnknownReference(f"oracle.elements.{oe.element}.mint_to: "
-                                   f"unknown account {oe.mint_to!r}")
-        for acct, _ in oe.genesis:
-            if acct not in account_ids:
-                raise UnknownReference(f"oracle.elements.{oe.element}.genesis: "
-                                       f"unknown account {acct!r}")
-    for p in cfg.pools:
-        if p.base not in tradable:
-            raise UnknownReference(f"pools: unknown base token {p.base!r}")
-        if p.provider not in account_ids:
-            raise UnknownReference(f"pools.{p.base}.provider: unknown account "
-                                   f"{p.provider!r}")
-    for ag in cfg.agents:
-        if ag.kind == "noise_trader" and ag.params.get("pool") not in tradable:
-            raise UnknownReference(f"agents.{ag.id}: unknown pool token")
-        if ag.kind == "arbitrageur" and ag.params.get("asset") not in asset_ids:
-            raise UnknownReference(f"agents.{ag.id}: unknown asset")
-        if ag.kind == "liquidity_provider" and ag.params.get("pool") not in tradable:
-            raise UnknownReference(f"agents.{ag.id}: unknown pool token")
-        if ag.kind not in ("noise_trader", "arbitrageur", "liquidity_provider"):
-            raise ParseError(f"agents.{ag.id}: unknown kind {ag.kind!r}")
-    for i, s in enumerate(cfg.shocks):
-        if s.pool not in tradable:
-            raise UnknownReference(f"shocks: unknown pool token {s.pool!r}")
-        if s.account not in account_ids:
-            raise UnknownReference(f"shocks: unknown account {s.account!r}")
-        if s.magnitude_bps <= -BPS:
-            raise ParseError(f"shocks[{i}].magnitude_bps: {s.magnitude_bps} targets a "
-                             f"price <= 0 (must be > -{BPS})")
-        if not 0 <= s.epoch < cfg.epochs:
-            raise ParseError(f"shocks[{i}].epoch: {s.epoch} is outside [0, {cfg.epochs})")
-    for i, y in enumerate(cfg.yield_schedule):
-        if y.asset not in asset_ids:
-            raise UnknownReference(f"yield_schedule: unknown asset {y.asset!r}")
-        if y.payer not in account_ids:
-            raise UnknownReference(f"yield_schedule: unknown payer {y.payer!r}")
-        if not 0 <= y.epoch < cfg.epochs:
-            raise ParseError(f"yield_schedule[{i}].epoch: {y.epoch} is outside "
-                             f"[0, {cfg.epochs})")
-    for acct in cfg.auto_claim:
-        if acct not in account_ids:
-            raise UnknownReference(f"auto_claim: unknown account {acct!r}")
+        return _object(ScenarioConfig)(doc, SimpleNamespace(ids=defaultdict(set), objects=[]))
+    except ConfigError as exc:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
+        exc.args = (f"{path.lstrip('.') or 'scenario'}: {exc}",)
+        raise
 
 
 def load_config(path: str) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json detects the encoding of the bytes
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -316,26 +323,36 @@ def load_config(path: str) -> ScenarioConfig:
 
 # --- agents ---
 
-class NoiseTrader:
+class Agent:
+    """Trades from account `agent:<id>`, funded with `budget`; its parameters are `Spec` fields."""
+
+    @dataclass
+    class Spec:
+        kind: str = _row(_text)
+        id: str = _row(_new("agent"))
+        budget: int = _row(_AMOUNT, 0)
+
+    def __init__(self, spec: Spec, market: Market, rng: np.random.Generator):
+        self.spec, self.rng, self.account = spec, rng, f"agent:{spec.id}"
+        market.fund_numeraire(self.account, spec.budget)
+
+
+class NoiseTrader(Agent):
     """Random buy/sell flow on one pool; sizes are log-normal in numeraire terms."""
 
-    def __init__(self, spec: AgentSpec, market: Market, rng: np.random.Generator):
-        self.id = spec.id
-        self.pool_base = spec.params["pool"]
-        self.intensity = float(spec.params.get("intensity", 0.5))
-        self.mu = float(spec.params.get("mu", 0.0))
-        self.sigma = float(spec.params.get("sigma", 1.0))
-        self.rng = rng
-        self.account = f"agent:{spec.id}"
-        market.fund_numeraire(self.account, spec.amount("budget"))
+    @dataclass
+    class Spec(Agent.Spec):
+        pool: str = _row(_ref("pool"))
+        intensity: float = _row(_num(0, 1, float), 0.5)
+        # these bounds keep the log-normal draw finite
+        mu: float = _row(_num(-100, 100, float), 0.0)
+        sigma: float = _row(_num(0, 10, float), 1.0)
 
     def act(self, market: Market, epoch: int):
-        if self.rng.random() >= self.intensity:
+        if self.rng.random() >= self.spec.intensity:
             return
-        pool = market.venues.pool_for(self.pool_base)
-        if pool is None:
-            return
-        size = int(self.rng.lognormal(self.mu, self.sigma))
+        pool = market.venues.pool_for(self.spec.pool)
+        size = int(self.rng.lognormal(self.spec.mu, self.spec.sigma))
         if size <= 0:
             return
         buy = bool(self.rng.random() < 0.5)
@@ -347,31 +364,28 @@ class NoiseTrader:
                                             spend, self.account)
         else:
             rb, rn = market.venues.reserves(pool.pool_id)
-            sell = min(size * rb // rn, reg.balance_of(self.pool_base, self.account))
+            sell = min(size * rb // rn, reg.balance_of(self.spec.pool, self.account))
             if sell > 0:
                 market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
                                             sell, self.account)
 
 
-class LiquidityProvider:
-    def __init__(self, spec: AgentSpec, market: Market, rng: np.random.Generator):
-        self.id = spec.id
-        self.pool_base = spec.params["pool"]
-        self.base_amount = spec.amount("base")
-        self.num_amount = spec.amount("numeraire")
-        self.join_epoch = int(spec.params.get("join_epoch", 0))
-        self.exit_epoch = spec.params.get("exit_epoch")
-        self.account = f"agent:{spec.id}"
-        market.fund_numeraire(self.account, spec.amount("budget"))
+class LiquidityProvider(Agent):
+    @dataclass
+    class Spec(Agent.Spec):
+        pool: str = _row(_ref("pool"))
+        base: int = _row(_AMOUNT, 0)
+        numeraire: int = _row(_AMOUNT, 0)
+        join_epoch: int = _row(_epoch(), 0)
+        exit_epoch: int | None = _row(_epoch(after="join_epoch"), None)
 
     def act(self, market: Market, epoch: int):
-        pool = market.venues.pool_for(self.pool_base)
-        if pool is None:
-            return
+        spec = self.spec
+        pool = market.venues.pool_for(spec.pool)
         reg = market.registry
-        if epoch == self.join_epoch:
+        if epoch == spec.join_epoch:
             # acquire the base side from the pool itself if not already held
-            short = self.base_amount - reg.balance_of(self.pool_base, self.account)
+            short = spec.base - reg.balance_of(spec.pool, self.account)
             if short > 0:
                 need = market.venues.required_in_for_out(
                     pool.pool_id, SwapDirection.NUMERAIRE_IN, short)
@@ -379,44 +393,46 @@ class LiquidityProvider:
                     market.venues.swap_exact_in(pool.pool_id,
                                                 SwapDirection.NUMERAIRE_IN,
                                                 need, self.account)
-            base = min(self.base_amount, reg.balance_of(self.pool_base, self.account))
-            num = min(self.num_amount, reg.balance_of(market.numeraire, self.account))
+            base = min(spec.base, reg.balance_of(spec.pool, self.account))
+            num = min(spec.numeraire, reg.balance_of(market.numeraire, self.account))
             if base > 0 and num > 0:
                 market.venues.add_liquidity(pool.pool_id, base, num, self.account)
-        if self.exit_epoch is not None and epoch == int(self.exit_epoch):
+        if epoch == spec.exit_epoch:
             held = reg.balance_of(pool.lp_token, self.account)
             if held > 0:
                 market.venues.remove_liquidity(pool.pool_id, held, self.account)
 
 
-class Arbitrageur:
+class Arbitrageur(Agent):
     MAX_PASSES = 16
 
-    def __init__(self, spec: AgentSpec, market: Market, rng: np.random.Generator):
-        self.id = spec.id
-        self.asset = spec.params["asset"]
-        self.min_profit = spec.amount("min_profit", 1)
-        self.max_size = spec.amount("max_size", 1 << 30)
-        self.enabled = bool(spec.params.get("enabled", True))
-        self.account = f"agent:{spec.id}"
-        # unconstrained capital by default; configurable budget
-        market.fund_numeraire(self.account, spec.amount("budget", 10 ** 30))
+    @dataclass
+    class Spec(Agent.Spec):
+        budget: int = _row(_AMOUNT, 10 ** 30)   # unconstrained capital by default
+        asset: str = _row(_ref("composite"))
+        min_profit: int = _row(_AMOUNT, 1)
+        max_size: int = _row(_AMOUNT, 1 << 30)
+        enabled: bool = _row(_bool, True)
 
     def act(self, market: Market, epoch: int) -> tuple[int, int]:
         """Returns (trades, profit) realized this epoch."""
-        if not self.enabled:
+        if not self.spec.enabled:
             return (0, 0)
         trades = profit = 0
         for _ in range(self.MAX_PASSES):
-            plan = detect_arbitrage(market, self.asset,
-                                    min_profit=max(1, self.min_profit),
-                                    max_size=self.max_size)
+            plan = detect_arbitrage(market, self.spec.asset,
+                                    min_profit=max(1, self.spec.min_profit),
+                                    max_size=self.spec.max_size)
             if plan is None:
                 break
             result = execute_plan(market, plan, self.account)
             trades += 1
             profit += result.realized_profit
         return (trades, profit)
+
+
+AGENT_KINDS = {"noise_trader": NoiseTrader, "liquidity_provider": LiquidityProvider,
+               "arbitrageur": Arbitrageur}
 
 
 def apply_demand_shock(market: Market, shock: ShockSpec):
@@ -426,8 +442,6 @@ def apply_demand_shock(market: Market, shock: ShockSpec):
     target, so the shock lands just past the requested move.
     """
     pool = market.venues.pool_for(shock.pool)
-    if pool is None or shock.magnitude_bps == 0:
-        return
     up = shock.magnitude_bps > 0
     rb, rn = market.venues.reserves(pool.pool_id)
     direction = SwapDirection.NUMERAIRE_IN if up else SwapDirection.BASE_IN
@@ -476,8 +490,8 @@ class SimResult:
 
 def build_market(cfg: ScenarioConfig) -> Market:
     """Construct and bootstrap the market for epoch 0 (no agent activity yet)."""
-    market = Market(numeraire=cfg.numeraire_id,
-                    numeraire_decimals=cfg.numeraire_decimals)
+    market = Market(numeraire=cfg.numeraire.id,
+                    numeraire_decimals=cfg.numeraire.decimals)
     reg = market.registry
 
     for t in cfg.tokens:
@@ -491,20 +505,20 @@ def build_market(cfg: ScenarioConfig) -> Market:
             a.composition, a.mint_fee_bps, a.redeem_fee_bps)
         market.yields.register_asset(a.composite)
 
-    for acct, funding in cfg.accounts:
-        reg.ensure_account(acct)
-        if funding:
-            market.fund_numeraire(acct, funding)
+    for acct in cfg.accounts:
+        reg.ensure_account(acct.id)
+        if acct.numeraire:
+            market.fund_numeraire(acct.id, acct.numeraire)
 
     # pre-verified production credited before the simulated window
-    for oe in cfg.oracle_elements:
-        for acct, amount in oe.genesis:
-            market.oracle.record_verified_output(oe.element, amount)
-            market.oracle.mint_verified(oe.element, acct, amount)
+    for element, oe in cfg.oracle.elements:
+        for g in oe.genesis:
+            market.oracle.record_verified_output(element, g.amount)
+            market.oracle.mint_verified(element, g.account, g.amount)
 
     for a in cfg.assets:
-        for acct, q in a.genesis_mint:
-            market.composites.mint_composite(a.composite, acct, q)
+        for g in a.genesis_mint:
+            market.composites.mint_composite(a.composite, g.account, g.q)
 
     for p in cfg.pools:
         market.venues.create_pool(p.base, p.fee_bps, p.seed_base,
@@ -559,69 +573,55 @@ def run(cfg: ScenarioConfig) -> SimResult:
 
     traders, arbs = [], []
     for spec, child in zip(cfg.agents, seeds):
-        rng = np.random.Generator(np.random.Philox(child))
-        if spec.kind == "noise_trader":
-            traders.append(NoiseTrader(spec, market, rng))
-        elif spec.kind == "liquidity_provider":
-            traders.append(LiquidityProvider(spec, market, rng))
-        elif spec.kind == "arbitrageur":
-            arbs.append(Arbitrageur(spec, market, rng))
-    numeraire_supply0 = reg.total_supply(cfg.numeraire_id)
-
-    shocks_by_epoch: dict[int, list[ShockSpec]] = {}
-    for s in cfg.shocks:
-        shocks_by_epoch.setdefault(s.epoch, []).append(s)
-    yields_by_epoch: dict[int, list[YieldEventSpec]] = {}
-    for y in cfg.yield_schedule:
-        yields_by_epoch.setdefault(y.epoch, []).append(y)
+        agent = AGENT_KINDS[spec.kind](spec, market, np.random.Generator(np.random.Philox(child)))
+        (arbs if isinstance(agent, Arbitrageur) else traders).append(agent)
+    numeraire_supply0 = reg.total_supply(cfg.numeraire.id)
 
     header = _metrics_header(cfg)
     rows = []
     for epoch in range(cfg.epochs):
         try:
             # (1) oracle attestations
-            for oe in cfg.oracle_elements:
-                if not oe.sources:
-                    continue
-                value = (oe.per_epoch[epoch] if isinstance(oe.per_epoch, list)
-                         and epoch < len(oe.per_epoch) else
-                         oe.per_epoch if isinstance(oe.per_epoch, int) else 0)
-                if value == 0:
+            for element, oe in cfg.oracle.elements:
+                value = oe.per_epoch[epoch] if isinstance(oe.per_epoch, list) else oe.per_epoch
+                if not oe.sources or value == 0:
                     continue
                 for src in oe.sources:
                     market.oracle.submit_attestation(
-                        Attestation(source=src, element=oe.element,
+                        Attestation(source=src, element=element,
                                     epoch=epoch, measured=value))
-                market.oracle.finalize_epoch(oe.element, epoch, cfg.oracle_policy)
+                market.oracle.finalize_epoch(element, epoch, cfg.oracle.policy)
             # (2) verified mints
-            for oe in cfg.oracle_elements:
-                if not oe.mint_to:
+            for element, oe in cfg.oracle.elements:
+                if oe.mint_to is None:
                     continue
-                capacity = market.oracle.mintable_capacity(oe.element)
+                capacity = market.oracle.mintable_capacity(element)
                 if capacity > 0:
-                    market.oracle.mint_verified(oe.element, oe.mint_to, capacity)
+                    market.oracle.mint_verified(element, oe.mint_to, capacity)
             # (3) trading agents, seed-shuffled; shocks fire after the shuffle
             order = shuffle_rng.permutation(len(traders)) if traders else []
             for i in order:
                 traders[i].act(market, epoch)
-            supply_before = reg.total_supply(cfg.numeraire_id)
-            for s in shocks_by_epoch.get(epoch, ()):
-                apply_demand_shock(market, s)
-            bootstrap_minted += reg.total_supply(cfg.numeraire_id) - supply_before
+            supply_before = reg.total_supply(cfg.numeraire.id)
+            for s in cfg.shocks:
+                if s.epoch == epoch:
+                    apply_demand_shock(market, s)
+            bootstrap_minted += reg.total_supply(cfg.numeraire.id) - supply_before
             # (4) arbitrageur pass
             arb_stats: dict[str, tuple[int, int]] = {}
             for arb in arbs:
                 trades, profit = arb.act(market, epoch)
-                t0, p0 = arb_stats.get(arb.asset, (0, 0))
-                arb_stats[arb.asset] = (t0 + trades, p0 + profit)
+                t0, p0 = arb_stats.get(arb.spec.asset, (0, 0))
+                arb_stats[arb.spec.asset] = (t0 + trades, p0 + profit)
             # (5) yield
-            for y in yields_by_epoch.get(epoch, ()):
-                market.yields.deposit_yield(y.asset, y.amount, y.payer)
+            for y in cfg.yield_schedule:
+                if y.epoch == epoch:
+                    market.yields.deposit_yield(y.asset, y.amount, y.payer)
             for acct in cfg.auto_claim:
                 for a in cfg.assets:
                     market.yields.claim(a.composite, acct)
             # (6) metrics + conservation check
-            if reg.total_supply(cfg.numeraire_id) != numeraire_supply0 + bootstrap_minted:
+            if reg.total_supply(cfg.numeraire.id) != numeraire_supply0 + bootstrap_minted:
                 raise InvariantViolation(
                     f"numeraire supply changed outside bootstrap at epoch {epoch}")
             rows.append(_metrics_row(cfg, market, epoch, arb_stats))

@@ -108,3 +108,28 @@ def test_other_scenarios_run(tmp_path):
         out = tmp_path / name
         assert main(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", SOLAR],  # --out missing
+    ["routes", SOLAR, "--asset", "W_SOLAR", "--side", "acquire", "--qty", "abc"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for invariant violations
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", SOLAR, "--out", str(out), "--seed", "-1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0

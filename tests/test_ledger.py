@@ -176,7 +176,7 @@ def test_event_log_replay_reproduces_state(rng):
     reg.create_account("carol")
     accounts = ["alice", "bob", "carol"]
     for _ in range(300):
-        op = rng.randrange(4)
+        op = rng.randrange(6)
         a, b = rng.choice(accounts), rng.choice(accounts)
         qty = rng.randrange(0, 50)
         try:
@@ -186,13 +186,17 @@ def test_event_log_replay_reproduces_state(rng):
                 reg.burn("MWh", a, qty, MINTER)
             elif op == 2:
                 reg.transfer("MWh", a, b, qty)
-            else:
+            elif op == 3:
                 reg.set_paused("MWh", rng.random() < 0.2)
-        except InsufficientBalance:
-            pass
-        except TokenPaused:
+            elif op == 4:
+                reg.set_allowlist_enabled("MWh", rng.random() < 0.3)
+            else:
+                reg.set_allowlist("MWh", a, rng.random() < 0.7)
+        except (InsufficientBalance, TokenPaused, NotAllowlisted):
             pass
     events = [json.loads(line) for line in reg.export_events()]
+    ops = {ev["op"] for ev in events}
+    assert {"set_paused", "set_allowlist_enabled", "set_allowlist"} <= ops
     assert replay_events(events).state_hash() == reg.state_hash()
 
 

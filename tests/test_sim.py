@@ -3,9 +3,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twotier
-from twotier.errors import InsufficientBalance, ParseError, UnknownReference
+from twotier.errors import (
+    ConfigError,
+    EngineError,
+    InsufficientBalance,
+    ParseError,
+    UnknownReference,
+)
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
@@ -124,12 +132,173 @@ def test_schedule_entries_that_never_act_rejected(section, entry, path):
     assert str(exc.value).startswith(path)
 
 
+LP = {"kind": "liquidity_provider", "id": "lp", "pool": "energy", "base": "100",
+      "numeraire": "1000", "join_epoch": 1, "exit_epoch": 3, "budget": "10000"}
+SHOCK = {"pool": "W", "epoch": 2, "magnitude_bps": 500}
+DROP = object()
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def edited(doc, *edits):
+    """`doc` with each (path, value) edit applied; DROP deletes the key, an
+    index one past the end appends, and the empty path replaces the root."""
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        node, last = value_at(doc, path[:-1]), path[-1]
+        if value is DROP:
+            del node[last]
+        elif isinstance(node, list) and last == len(node):
+            node.append(value)
+        else:
+            node[last] = value
+    return doc
+
+
+def rejected(label, path, error, *edits):
+    return pytest.param(edits, error, path, id=label)
+
+
+@pytest.mark.parametrize("edits,error,path", [
+    # raised a raw exception in run, or in parsing itself
+    rejected("sigma-900", "agents[0].sigma", ParseError, (("agents", 0, "sigma"), 900)),
+    rejected("intensity-text", "agents[0].intensity", ParseError,
+             (("agents", 0, "intensity"), "abc")),
+    rejected("mu-text", "agents[0].mu", ParseError, (("agents", 0, "mu"), "x")),
+    rejected("pool-fee-10000", "pools[0].fee_bps", ParseError,
+             (("pools", 0, "fee_bps"), 10000)),
+    rejected("pool-fee-negative", "pools[1].fee_bps", ParseError,
+             (("pools", 1, "fee_bps"), -1)),
+    rejected("mint-fee-20000", "assets[0].mint_fee_bps", ParseError,
+             (("assets", 0, "mint_fee_bps"), 20000)),
+    rejected("token-decimals-40", "tokens[0].decimals", ParseError,
+             (("tokens", 0, "decimals"), 40)),
+    rejected("asset-decimals-40", "assets[0].decimals", ParseError,
+             (("assets", 0, "decimals"), 40)),
+    rejected("numeraire-decimals-40", "numeraire.decimals", ParseError,
+             (("numeraire", "decimals"), 40)),
+    rejected("sigma-negative", "agents[0].sigma", ParseError, (("agents", 0, "sigma"), -1)),
+    rejected("seed-negative", "seed", ParseError, (("seed",), -1)),
+    rejected("join-epoch-text", "agents[2].join_epoch", ParseError,
+             (("agents", 2), dict(LP, join_epoch="abc"))),
+    rejected("top-level-list", "scenario", ParseError, ((), [])),
+    # passed validation, then failed in run
+    rejected("composition-zero", "assets[0].composition.energy", ParseError,
+             (("assets", 0, "composition", "energy"), "0")),
+    rejected("duplicate-token", "tokens[1].id", ParseError, (("tokens", 1), {"id": "energy"})),
+    rejected("duplicate-pool", "pools[2].base", ParseError,
+             (("pools", 2), {"base": "energy", "seed_base": "1", "seed_numeraire": "1",
+                             "provider": "issuer"})),
+    rejected("pool-seed-zero", "pools[1].seed_base", ParseError,
+             (("pools", 1, "seed_base"), "0")),
+    # accepted silently
+    rejected("duplicate-account", "accounts[1].id", ParseError,
+             (("accounts", 1), {"id": "issuer"})),
+    rejected("duplicate-agent", "agents[2].id", ParseError,
+             (("agents", 2), {"kind": "noise_trader", "id": "n1", "pool": "W"})),
+    rejected("per-epoch-short", "oracle.elements.energy.per_epoch", ParseError,
+             (("oracle", "elements", "energy", "per_epoch"), ["1000"] * 4)),
+    rejected("enabled-string", "agents[1].enabled", ParseError,
+             (("agents", 1, "enabled"), "false")),
+    rejected("epochs-float", "epochs", ParseError, (("epochs",), 1.5)),
+    rejected("intensity-5", "agents[0].intensity", ParseError,
+             (("agents", 0, "intensity"), 5)),
+    rejected("unknown-key", "agents[0].sgima", ParseError, (("agents", 0, "sgima"), "1.0")),
+    # reported without a path
+    rejected("missing-key", "assets[0].composite", ParseError,
+             (("assets", 0, "composite"), DROP)),
+    # agents and shocks that could never act, and ids the engine owns
+    rejected("shock-zero", "shocks[0].magnitude_bps", ParseError,
+             (("shocks", 0), dict(SHOCK, magnitude_bps=0))),
+    rejected("agent-pool-without-pool", "agents[0].pool", UnknownReference,
+             (("pools", 0), DROP)),
+    rejected("shock-pool-without-pool", "shocks[0].pool", UnknownReference,
+             (("agents", 0, "pool"), "W"), (("pools", 0), DROP),
+             (("shocks", 0), dict(SHOCK, pool="energy"))),
+    rejected("exit-before-join", "agents[2].exit_epoch", ParseError,
+             (("agents", 2), dict(LP, exit_epoch=0))),
+    rejected("unknown-agent-kind", "agents[0].kind", ParseError,
+             (("agents", 0, "kind"), "market_maker")),
+    rejected("duplicate-source", "oracle.elements.energy.sources", ParseError,
+             (("oracle", "elements", "energy", "sources"), ["s1", "s1"])),
+    rejected("engine-account-id", "accounts[1].id", ParseError,
+             (("accounts", 1), {"id": "escrow:W"})),
+])
+def test_validate_rejects_with_path(edits, error, path):
+    with pytest.raises(error) as exc:
+        parse_config(edited(mini_doc(), *edits))
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def lp_shock_doc():
+    return edited(mini_doc(), (("agents", 2), dict(LP)), (("shocks", 0), dict(SHOCK)))
+
+
+HOSTILE = [None, True, False, -1, 0, 1.5, "abc", 10 ** 40, float("nan"), float("inf"),
+           [], {}]
+
+
+def positions(node, path=()):
+    """Paths of every value inside a document."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from positions(child, path + (key,))
+
+
+@st.composite
+def hostile_documents(draw):
+    """mini_doc, or its variant with an LP and a shock, with one leaf set to a
+    hostile value, one key deleted or one unknown key added."""
+    doc = draw(st.sampled_from([mini_doc, lp_shock_doc]))()
+    paths = list(positions(doc))
+    action = draw(st.sampled_from(["set", "delete", "add"]))
+    if action == "add":
+        objects = [()] + [p for p in paths if isinstance(value_at(doc, p), dict)]
+        return edited(doc, (draw(st.sampled_from(objects)) + ("bogus",), 1))
+    if action == "delete":
+        return edited(doc, (draw(st.sampled_from(paths)), DROP))
+    leaves = [p for p in paths if not isinstance(value_at(doc, p), (dict, list))]
+    return edited(doc, (draw(st.sampled_from(leaves)), draw(st.sampled_from(HOSTILE))))
+
+
+@given(hostile_documents())
+@settings(max_examples=200, deadline=None)
+def test_hostile_documents_are_rejected_or_run(doc):
+    """A document either fails validation with a ConfigError or runs to the
+    end or to an EngineError; nothing else escapes."""
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    if cfg.epochs <= 20:
+        try:
+            run(cfg)
+        except EngineError:
+            pass
+
+
 def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,\n  "epochs": }')
     with pytest.raises(ParseError) as exc:
         load_config(str(bad))
     assert ":2:" in str(exc.value)  # file:line:col diagnostic
+
+
+def test_load_config_rejects_undecodable_bytes(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\xe9"}')
+    with pytest.raises(ParseError) as exc:
+        load_config(str(bad))
+    assert str(exc.value).startswith(f"cannot read {bad}")
 
 
 def test_zero_epochs_produces_no_rows():
