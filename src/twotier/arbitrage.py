@@ -212,12 +212,12 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     if report.premium_bps == 0:
         return None
     positive = report.premium_bps > 0
+    plans: dict[int, ExecutionPlan | None] = {}  # each size is planned once
 
     def profit(q: int) -> int:
-        if q < 1 or q > max_size:
-            return -(1 << 62)
-        plan = _cycle_plan(market, asset_id, q, positive)
-        return plan.expected_profit if plan is not None else -(1 << 62)
+        if q not in plans:
+            plans[q] = _cycle_plan(market, asset_id, q, positive)
+        return plans[q].expected_profit if plans[q] is not None else -(1 << 62)
 
     best_q, best_p = 0, -(1 << 62)
     q = 1
@@ -244,7 +244,7 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 
     if best_p < min_profit:
         return None
-    return _cycle_plan(market, asset_id, best_q, positive)
+    return plans[best_q]
 
 
 # --- execution ---

@@ -60,6 +60,11 @@ def check_amount(qty) -> int:
     return qty
 
 
+# move op -> (frm, to) from its logged accounts; None stands for the supply
+_ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
+         "transfer": lambda acc: (acc[0], acc[1])}
+
+
 @dataclass
 class TokenMeta:
     token: str
@@ -91,7 +96,6 @@ class Registry:
         self._balances: dict[str, dict[str, int]] = {}
         self._supply: dict[str, int] = {}
         self.events: list[dict] = []
-        self._seq = 0
         # token -> list of fn(account) called just before a balance change
         self._balance_listeners: dict[str, list] = {}
 
@@ -109,10 +113,6 @@ class Registry:
         if account_id not in self.accounts:
             self.create_account(account_id, role)
         return account_id
-
-    def _require_account(self, account_id: str):
-        if account_id not in self.accounts:
-            raise UnknownAccount(account_id)
 
     # --- token admin ---
 
@@ -174,98 +174,88 @@ class Registry:
     # --- mutations ---
 
     def mint(self, token: str, to: str, qty: int, authority: str):
-        qty = check_amount(qty)
-        meta = self.meta(token)
-        self._require_account(to)
-        if self._authority[token] != authority:
-            raise Unauthorized(f"{authority!r} is not the minter of {token}")
-        if meta.paused:
-            raise TokenPaused(token)
-        self._check_allowlist(meta, to)
-        self._touch(token, to)
-        self._balances[token][to] = self.balance_of(token, to) + qty
-        self._supply[token] += qty
-        self._log("mint", token=token, accounts=[to], qty=qty)
-        self._check_conservation(token)
+        self._move("mint", token, None, to, qty, authority)
 
     def burn(self, token: str, frm: str, qty: int, authority: str):
+        self._move("burn", token, frm, None, qty, authority)
+
+    def transfer(self, token: str, frm: str, to: str, qty: int):
+        self._move("transfer", token, frm, to, qty)
+
+    def _move(self, op: str, token: str, frm: str | None, to: str | None, qty: int,
+              authority: str | None = None):
+        """The one write path: `frm=None` mints, `to=None` burns.
+
+        Every check runs before any write, in one order: amount, token,
+        accounts, authority (mint/burn only), pause, allowlist, balance.
+        """
         qty = check_amount(qty)
         meta = self.meta(token)
-        self._require_account(frm)
-        if self._authority[token] != authority:
+        # exact-size literals: a comprehension over-allocates every logged list
+        accounts = [to] if frm is None else [frm] if to is None else [frm, to]
+        for account in accounts:
+            if account not in self.accounts:
+                raise UnknownAccount(account)
+        if (frm is None or to is None) and self._authority[token] != authority:
             raise Unauthorized(f"{authority!r} is not the minter of {token}")
         if meta.paused:
             raise TokenPaused(token)
-        self._check_allowlist(meta, frm)
-        bal = self.balance_of(token, frm)
-        if bal < qty:
-            raise InsufficientBalance(f"burn {qty} of {token}, balance {bal}",
-                                      token=token, shortfall=qty - bal)
-        self._touch(token, frm)
-        self._balances[token][frm] = bal - qty
-        self._supply[token] -= qty
-        self._log("burn", token=token, accounts=[frm], qty=qty)
-        self._check_conservation(token)
-
-    def transfer(self, token: str, frm: str, to: str, qty: int):
-        qty = check_amount(qty)
-        meta = self.meta(token)
-        self._require_account(frm)
-        self._require_account(to)
-        if meta.paused:
-            raise TokenPaused(token)
-        self._check_allowlist(meta, frm)
-        self._check_allowlist(meta, to)
-        bal = self.balance_of(token, frm)
-        if bal < qty:
-            raise InsufficientBalance(f"transfer {qty} of {token}, balance {bal}",
-                                      token=token, shortfall=qty - bal)
-        self._touch(token, frm)
-        self._touch(token, to)
-        self._balances[token][frm] = bal - qty
-        self._balances[token][to] = self.balance_of(token, to) + qty
-        self._log("transfer", token=token, accounts=[frm, to], qty=qty)
+        for account in accounts:
+            if meta.allowlist_enabled and account not in meta.allowlist:
+                raise NotAllowlisted(f"{account} not allowlisted for {meta.token}")
+        if frm is not None:
+            bal = self._balances[token].get(frm, 0)
+            if bal < qty:
+                raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
+                                          token=token, shortfall=qty - bal)
+        for account in accounts:
+            for fn in self._balance_listeners.get(token, ()):
+                fn(account)
+        self._write(token, frm, to, qty)
+        self._log(op, token=token, accounts=accounts, qty=qty)
         self._check_conservation(token)
 
     # --- transactions ---
 
     @contextmanager
     def transaction(self):
-        """Roll back balances, supplies and the event log on any exception.
+        """Undo the block's moves on any exception, keeping multi-step operations atomic.
 
-        Used by multi-step operations (composite mint/redeem, pool swaps,
-        plan execution) to keep them atomic. Token metadata flags are not
-        mutated inside such operations, so they are not snapshotted.
+        The event log is the undo journal: moves logged since entry are reversed
+        newest-first, calling no balance listener, and dropped from the log.
+        Other events (accounts, tokens, flags) are dropped but their state stays.
         """
-        balances = {t: dict(b) for t, b in self._balances.items()}
-        supply = dict(self._supply)
-        n_events, seq = len(self.events), self._seq
+        start = len(self.events)
         try:
             yield
         except BaseException:
-            self._balances = balances
-            self._supply = supply
-            del self.events[n_events:]
-            self._seq = seq
+            for ev in reversed(self.events[start:]):
+                if ev["op"] in _ENDS:
+                    frm, to = _ENDS[ev["op"]](ev["accounts"])
+                    self._write(ev["token"], to, frm, ev["qty"])
+            del self.events[start:]
             raise
 
     # --- internals ---
 
-    def _check_allowlist(self, meta: TokenMeta, account: str):
-        if meta.allowlist_enabled and account not in meta.allowlist:
-            raise NotAllowlisted(f"{account} not allowlisted for {meta.token}")
-
-    def _touch(self, token: str, account: str):
-        for fn in self._balance_listeners.get(token, ()):
-            fn(account)
+    def _write(self, token: str, frm: str | None, to: str | None, qty: int):
+        """Move qty from frm to to, unchecked; None on either side is the supply."""
+        balances = self._balances[token]
+        if frm is None:
+            self._supply[token] += qty
+        else:
+            balances[frm] = balances.get(frm, 0) - qty
+        if to is None:
+            self._supply[token] -= qty
+        else:
+            balances[to] = balances.get(to, 0) + qty
 
     def _log(self, op: str, token: str, accounts: list, qty: int, meta: dict | None = None):
-        ev = {"seq": self._seq, "op": op, "token": token,
+        ev = {"seq": len(self.events), "op": op, "token": token,
               "accounts": accounts, "qty": qty}
         if meta:
             ev["meta"] = meta
         self.events.append(ev)
-        self._seq += 1
 
     def _check_conservation(self, token: str):
         total = sum(self._balances[token].values())
@@ -314,12 +304,8 @@ def replay_events(events: list[dict]) -> Registry:
                           unit_label=meta.get("unit_label", ""),
                           decimals=meta["decimals"]),
                 authority=meta["authority"])
-        elif op == "mint":
-            reg.mint(token, accounts[0], qty, reg._authority[token])
-        elif op == "burn":
-            reg.burn(token, accounts[0], qty, reg._authority[token])
-        elif op == "transfer":
-            reg.transfer(token, accounts[0], accounts[1], qty)
+        elif op in _ENDS:
+            reg._move(op, token, *_ENDS[op](accounts), qty, reg._authority[token])
         elif op == "set_paused":
             reg.set_paused(token, meta["flag"])
         elif op == "set_allowlist_enabled":

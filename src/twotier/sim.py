@@ -241,10 +241,18 @@ class GenesisCredit:
     amount: int = _row(_AMOUNT)
 
 
+def _sources(raw, walk):
+    """Distinct source names: none, or enough for `oracle.policy` to finalize an epoch."""
+    sources = _check(_each(_text), lambda v: len(set(v)) == len(v), "repeats a source")(raw, walk)
+    need = walk.objects[-2]["policy"].min_sources  # [-2]: the enclosing OracleSpec
+    if 0 < len(sources) < need:
+        raise ParseError(f"{len(sources)} given, policy.min_sources needs {need}")
+    return sources
+
+
 @dataclass
 class OracleElementSpec:
-    sources: list[str] = _row(_check(_each(_text), lambda v: len(set(v)) == len(v),
-                                     "repeats a source"), [])
+    sources: list[str] = _row(_sources, [])
     per_epoch: int | list[int] = _row(_per_epoch, 0)
     mint_to: str | None = _row(_ref("account"), None)
     genesis: list[GenesisCredit] = _row(_each(_object(GenesisCredit)), [])
@@ -626,7 +634,7 @@ def run(cfg: ScenarioConfig) -> SimResult:
                     f"numeraire supply changed outside bootstrap at epoch {epoch}")
             rows.append(_metrics_row(cfg, market, epoch, arb_stats))
         except EngineError as exc:
-            exc.args = (f"epoch {epoch} (event seq {reg._seq}): {exc}",)
+            exc.args = (f"epoch {epoch} (event seq {len(reg.events)}): {exc}",)
             raise
 
     return SimResult(header=header, rows=rows, market=market, config=cfg)

@@ -216,3 +216,75 @@ def test_conservation_property(ops):
             pass
         total = reg.balance_of("MWh", "alice") + reg.balance_of("MWh", "bob")
         assert total == reg.total_supply("MWh")
+
+
+class Abort(Exception):
+    pass
+
+
+MOVE = st.tuples(st.sampled_from(["mint", "burn", "transfer"]),
+                 st.sampled_from(["alice", "bob"]), st.sampled_from(["alice", "bob"]),
+                 st.integers(0, 60))
+# a step is a move or ("block", steps, raise at the end, caught by the enclosing block)
+STEP = st.recursive(MOVE, lambda step: st.tuples(
+    st.just("block"), st.lists(step, max_size=4), st.booleans(), st.booleans()),
+    max_leaves=16)
+
+
+def _run(reg, step, committed):
+    """Apply one step; `committed` mirrors the moves that should survive."""
+    if step[0] != "block":
+        op, a, b, qty = step
+        if op == "mint":
+            reg.mint("MWh", a, qty, MINTER)
+        elif op == "burn":
+            reg.burn("MWh", a, qty, MINTER)
+        else:
+            reg.transfer("MWh", a, b, qty)
+        committed.append(step)
+        return
+    _, steps, fail, caught = step
+    mark = len(committed)
+    try:
+        with reg.transaction():
+            for inner in steps:
+                _run(reg, inner, committed)
+            if fail:
+                raise Abort
+    except (Abort, InsufficientBalance):
+        del committed[mark:]
+        if not caught:
+            raise
+
+
+@given(st.lists(STEP, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_transaction_rollback_matches_replay_of_committed_moves(steps):
+    reg, committed = fresh(), []
+    for step in steps:
+        try:
+            _run(reg, step, committed)
+        except (Abort, InsufficientBalance):
+            pass
+        ref = fresh()
+        for op, a, b, qty in committed:
+            _run(ref, (op, a, b, qty), [])
+        replayed = replay_events(ref.events)
+        assert reg.state_hash() == replayed.state_hash()
+        assert reg.export_events() == replayed.export_events()
+        assert [ev["seq"] for ev in reg.events] == list(range(len(reg.events)))
+
+
+def test_rollback_keeps_non_move_state_and_reraises():
+    reg = fresh()
+    reg.mint("MWh", "alice", 10, MINTER)
+    n_events = len(reg.events)
+    with pytest.raises(Abort):
+        with reg.transaction():
+            reg.transfer("MWh", "alice", "bob", 4)
+            reg.create_account("carol")
+            reg.set_paused("MWh", True)
+            raise Abort
+    assert (reg.balance_of("MWh", "alice"), reg.balance_of("MWh", "bob")) == (10, 0)
+    assert "carol" in reg.accounts and reg.meta("MWh").paused   # state stays
+    assert len(reg.events) == n_events                           # events are dropped

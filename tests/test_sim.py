@@ -227,6 +227,8 @@ def rejected(label, path, error, *edits):
              (("agents", 0, "kind"), "market_maker")),
     rejected("duplicate-source", "oracle.elements.energy.sources", ParseError,
              (("oracle", "elements", "energy", "sources"), ["s1", "s1"])),
+    rejected("too-few-sources", "oracle.elements.energy.sources", ParseError,
+             (("oracle", "policy", "min_sources"), 2)),
     rejected("engine-account-id", "accounts[1].id", ParseError,
              (("accounts", 1), {"id": "escrow:W"})),
 ])
