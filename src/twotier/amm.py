@@ -24,6 +24,7 @@ class SwapDirection(str, Enum):
 
 @dataclass
 class SwapQuote:
+    base: str                    # the pool's base token
     direction: SwapDirection
     amount_in: int
     amount_out: int
@@ -32,7 +33,6 @@ class SwapQuote:
 
 @dataclass
 class Pool:
-    pool_id: str
     base: str
     fee_bps: int
     lp_token: str
@@ -40,7 +40,7 @@ class Pool:
 
 
 class AmmVenues:
-    """All pools of one market; every pool quotes base against the numeraire."""
+    """All pools of one market, keyed by base token; each quotes base against the numeraire."""
 
     AUTHORITY = "amm-venues"
 
@@ -48,82 +48,74 @@ class AmmVenues:
         self.registry = registry
         self.numeraire = numeraire
         self.pools: dict[str, Pool] = {}
-        self._by_base: dict[str, str] = {}
 
     # --- admin ---
 
     def create_pool(self, base: str, fee_bps: int, seed_base: int, seed_numeraire: int,
                     provider: str) -> Pool:
-        if base in self._by_base:
+        if base in self.pools:
             raise DuplicatePool(base)
         if not (0 <= fee_bps < BPS):
             raise ValueError(f"fee_bps out of range: {fee_bps}")
         if check_amount(seed_base) == 0 or check_amount(seed_numeraire) == 0:
             raise ZeroInput("pool seeds must be positive")
-        pool_id = f"pool:{base}"
         lp_token = self.registry.create_token(
             TokenMeta(token=f"lp:{base}", kind=TokenKind.LP_SHARE, decimals=0),
             authority=self.AUTHORITY)
         account = self.registry.create_account(f"pool_account:{base}", AccountRole.USER)
-        pool = Pool(pool_id=pool_id, base=base, fee_bps=fee_bps,
-                    lp_token=lp_token, account=account)
+        pool = Pool(base=base, fee_bps=fee_bps, lp_token=lp_token, account=account)
         with self.registry.transaction():
             self.registry.transfer(base, provider, account, seed_base)
             self.registry.transfer(self.numeraire, provider, account, seed_numeraire)
             self.registry.mint(lp_token, provider,
                                math.isqrt(seed_base * seed_numeraire), self.AUTHORITY)
-        self.pools[pool_id] = pool
-        self._by_base[base] = pool_id
+        self.pools[base] = pool
         return pool
 
-    def get(self, pool_id: str) -> Pool:
+    def get(self, base: str) -> Pool:
         try:
-            return self.pools[pool_id]
+            return self.pools[base]
         except KeyError:
-            raise UnknownPool(pool_id) from None
-
-    def pool_for(self, base: str) -> Pool | None:
-        pid = self._by_base.get(base)
-        return self.pools[pid] if pid else None
+            raise UnknownPool(base) from None
 
     # --- views ---
 
-    def reserves(self, pool_id: str) -> tuple[int, int]:
-        return self._oriented(pool_id, SwapDirection.BASE_IN)[1:]
+    def reserves(self, base: str) -> tuple[int, int]:
+        return self._oriented(base, SwapDirection.BASE_IN)[1:]
 
-    def lp_supply(self, pool_id: str) -> int:
-        return self.registry.total_supply(self.get(pool_id).lp_token)
+    def lp_supply(self, base: str) -> int:
+        return self.registry.total_supply(self.get(base).lp_token)
 
-    def spot_price(self, pool_id: str) -> Fraction:
-        rb, rn = self.reserves(pool_id)
+    def spot_price(self, base: str) -> Fraction:
+        rb, rn = self.reserves(base)
         return Fraction(rn, rb)
 
     # --- swaps ---
 
-    def _oriented(self, pool_id: str, direction: SwapDirection) -> tuple[Pool, int, int]:
+    def _oriented(self, base: str, direction: SwapDirection) -> tuple[Pool, int, int]:
         """The pool and its reserves (x, y) of the token going in and coming out."""
-        pool = self.get(pool_id)
+        pool = self.get(base)
         rb = self.registry.balance_of(pool.base, pool.account)
         rn = self.registry.balance_of(self.numeraire, pool.account)
         x, y = (rb, rn) if direction == SwapDirection.BASE_IN else (rn, rb)
         return pool, x, y
 
-    def quote_exact_in(self, pool_id: str, direction: SwapDirection,
+    def quote_exact_in(self, base: str, direction: SwapDirection,
                        amount_in: int) -> SwapQuote:
-        pool, x, y = self._oriented(pool_id, direction)
+        pool, x, y = self._oriented(base, direction)
         if check_amount(amount_in) == 0:
-            raise ZeroInput(pool_id)
+            raise ZeroInput(base)
         e = amount_in * (BPS - pool.fee_bps) // BPS
         out = y * e // (x + e)
         if out >= y:
-            raise DrainedPool(pool_id)
-        return SwapQuote(direction=direction, amount_in=amount_in, amount_out=out,
-                         fee_paid=amount_in - e)
+            raise DrainedPool(base)
+        return SwapQuote(base=base, direction=direction, amount_in=amount_in,
+                         amount_out=out, fee_paid=amount_in - e)
 
-    def swap_exact_in(self, pool_id: str, direction: SwapDirection, amount_in: int,
+    def swap_exact_in(self, base: str, direction: SwapDirection, amount_in: int,
                       trader: str) -> SwapQuote:
-        quote = self.quote_exact_in(pool_id, direction, amount_in)
-        pool = self.pools[pool_id]
+        quote = self.quote_exact_in(base, direction, amount_in)
+        pool = self.pools[base]
         tok_in, tok_out = ((pool.base, self.numeraire)
                            if direction == SwapDirection.BASE_IN
                            else (self.numeraire, pool.base))
@@ -132,26 +124,26 @@ class AmmVenues:
             self.registry.transfer(tok_out, pool.account, trader, quote.amount_out)
         return quote
 
-    def required_in_for_out(self, pool_id: str, direction: SwapDirection,
+    def required_in_for_out(self, base: str, direction: SwapDirection,
                             amount_out: int) -> int:
         """Smallest input such that swap_exact_in delivers >= amount_out."""
-        pool, x, y = self._oriented(pool_id, direction)
+        pool, x, y = self._oriented(base, direction)
         if check_amount(amount_out) == 0:
-            raise ZeroInput(pool_id)
+            raise ZeroInput(base)
         if amount_out >= y:
-            raise DrainedPool(pool_id)
+            raise DrainedPool(base)
         e_min = ceil_div(amount_out * x, y - amount_out)
         return ceil_div(e_min * BPS, BPS - pool.fee_bps)
 
     # --- liquidity ---
 
-    def add_liquidity(self, pool_id: str, max_base: int, max_numeraire: int,
+    def add_liquidity(self, base: str, max_base: int, max_numeraire: int,
                       provider: str) -> int:
-        pool = self.get(pool_id)
+        pool = self.get(base)
         check_amount(max_base)
         check_amount(max_numeraire)
-        rb, rn = self.reserves(pool_id)
-        supply = self.lp_supply(pool_id)
+        rb, rn = self.reserves(base)
+        supply = self.lp_supply(base)
         minted = min(max_base * supply // rb, max_numeraire * supply // rn)
         if minted == 0:
             return 0
@@ -163,14 +155,14 @@ class AmmVenues:
             self.registry.mint(pool.lp_token, provider, minted, self.AUTHORITY)
         return minted
 
-    def remove_liquidity(self, pool_id: str, lp_burned: int,
+    def remove_liquidity(self, base: str, lp_burned: int,
                          provider: str) -> tuple[int, int]:
-        pool = self.get(pool_id)
+        pool = self.get(base)
         check_amount(lp_burned)
         if lp_burned == 0:
             return (0, 0)
-        rb, rn = self.reserves(pool_id)
-        supply = self.lp_supply(pool_id)
+        rb, rn = self.reserves(base)
+        supply = self.lp_supply(base)
         base_out = lp_burned * rb // supply
         num_out = lp_burned * rn // supply
         with self.registry.transaction():

@@ -37,11 +37,23 @@ class Side(str, Enum):
     DISPOSE_W = "dispose"
 
 
+# Leg records stay plain (non-frozen) dataclasses: the planner builds one
+# per candidate size, and frozen construction costs more.
 @dataclass
-class Leg:
-    op: str                      # "swap" | "mint_composite" | "redeem_composite"
-    params: dict
-    expected: dict
+class MintLeg:
+    asset: str
+    q: int
+
+
+@dataclass
+class RedeemLeg:
+    asset: str
+    q: int
+    basket_out: list[tuple[str, int]]
+
+
+# a swap leg is the quote it executes
+Leg = SwapQuote | MintLeg | RedeemLeg
 
 
 @dataclass
@@ -67,36 +79,22 @@ class ExecutionResult:
 
 # --- route simulation (pure, state-dependent quotes only) ---
 
-def _swap_leg(pool_id: str, quote: SwapQuote) -> Leg:
-    return Leg("swap", {"pool": pool_id, "direction": quote.direction,
-                        "amount_in": quote.amount_in},
-               {"amount_out": quote.amount_out})
-
-
-def _buy(market: Market, token: str, amount_out: int) -> Leg | None:
+def _buy(market: Market, token: str, amount_out: int) -> SwapQuote | None:
     """Swap leg buying at least amount_out of token with numeraire, or None."""
-    pool = market.venues.pool_for(token)
-    if pool is None:
-        return None
     direction = SwapDirection.NUMERAIRE_IN
     try:
-        d = market.venues.required_in_for_out(pool.pool_id, direction, amount_out)
-        quote = market.venues.quote_exact_in(pool.pool_id, direction, d)
-    except AmmError:
+        d = market.venues.required_in_for_out(token, direction, amount_out)
+        return market.venues.quote_exact_in(token, direction, d)
+    except AmmError:  # UnknownPool included
         return None
-    return _swap_leg(pool.pool_id, quote)
 
 
-def _sell(market: Market, token: str, amount_in: int) -> Leg | None:
+def _sell(market: Market, token: str, amount_in: int) -> SwapQuote | None:
     """Swap leg selling amount_in of token for numeraire, or None."""
-    pool = market.venues.pool_for(token)
-    if pool is None:
-        return None
     try:
-        quote = market.venues.quote_exact_in(pool.pool_id, SwapDirection.BASE_IN, amount_in)
+        return market.venues.quote_exact_in(token, SwapDirection.BASE_IN, amount_in)
     except AmmError:
         return None
-    return _swap_leg(pool.pool_id, quote)
 
 
 def _acquire_direct(market: Market, asset, q: int) -> Route | None:
@@ -115,8 +113,7 @@ def _acquire_via_elements(market: Market, asset, q: int) -> Route | None:
         if leg is None:
             return None
         legs.append(leg)
-    legs.append(Leg("mint_composite", {"asset": asset.composite, "q": q},
-                    {"deposits": needs}))
+    legs.append(MintLeg(asset.composite, q))
     return Route(RouteKind.BUY_ELEMENTS_THEN_MINT_W, legs)
 
 
@@ -130,8 +127,7 @@ def _dispose_via_elements(market: Market, asset, q: int) -> Route | None:
         payouts = market.composites.redemption_value(asset.composite, q)
     except (CompositeError, InsufficientBalance):
         return None
-    legs = [Leg("redeem_composite", {"asset": asset.composite, "q": q},
-                {"basket_out": payouts})]
+    legs = [RedeemLeg(asset.composite, q, payouts)]
     for element, payout in payouts:
         if payout == 0:
             continue
@@ -144,13 +140,12 @@ def _dispose_via_elements(market: Market, asset, q: int) -> Route | None:
 
 def _route_cost(route: Route) -> int:
     """Numeraire spent on swaps (acquire routes only buy with numeraire)."""
-    return sum(leg.params["amount_in"] for leg in route.legs
-               if leg.op == "swap" and leg.params["direction"] == SwapDirection.NUMERAIRE_IN)
+    return sum(leg.amount_in for leg in route.legs if isinstance(leg, SwapQuote))
 
 
 def _route_proceeds(route: Route) -> int:
-    return sum(leg.expected["amount_out"] for leg in route.legs
-               if leg.op == "swap" and leg.params["direction"] == SwapDirection.BASE_IN)
+    """Numeraire received from swaps (dispose routes only sell for numeraire)."""
+    return sum(leg.amount_out for leg in route.legs if isinstance(leg, SwapQuote))
 
 
 def simulate_routes(market: Market, asset_id: str, side: Side,
@@ -182,9 +177,12 @@ def best_route(market: Market, asset_id: str, side: Side,
 
 # --- arbitrage ---
 
-def _cycle_plan(market: Market, asset_id: str, q: int,
-                positive_premium: bool) -> ExecutionPlan | None:
-    """One round trip sized q: element route on one side, direct trade on the other."""
+def _cycle_plan(market: Market, asset_id: str, q: int, positive_premium: bool,
+                budget: int | None) -> ExecutionPlan | None:
+    """One round trip sized q: element route on one side, direct trade on the other.
+
+    None if a route is missing or its numeraire cost exceeds `budget`.
+    """
     asset = market.composites.get(asset_id)
     if positive_premium:
         acquire, dispose = _acquire_via_elements(market, asset, q), _dispose_direct(market, asset, q)
@@ -192,15 +190,22 @@ def _cycle_plan(market: Market, asset_id: str, q: int,
         acquire, dispose = _acquire_direct(market, asset, q), _dispose_via_elements(market, asset, q)
     if acquire is None or dispose is None:
         return None
+    cost = _route_cost(acquire)
+    if budget is not None and cost > budget:
+        return None
     kind = acquire.kind if positive_premium else dispose.kind  # the element-side route's
     proceeds = _route_proceeds(dispose)
     return ExecutionPlan(Route(kind, acquire.legs + dispose.legs), Side.DISPOSE_W, q,
-                         proceeds, expected_profit=proceeds - _route_cost(acquire))
+                         proceeds, expected_profit=proceeds - cost)
 
 
 def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
-                     max_size: int = 1 << 30) -> ExecutionPlan | None:
+                     max_size: int = 1 << 30,
+                     budget: int | None = None) -> ExecutionPlan | None:
     """Best profitable premium/discount round trip, or None.
+
+    Only cycles whose numeraire cost (bought before anything is sold) is at
+    most `budget` are sized; None means unbounded capital.
 
     Size search: geometric sweep to bracket the unimodal profit curve, then
     ternary refinement on the bracket.
@@ -216,7 +221,7 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 
     def profit(q: int) -> int:
         if q not in plans:
-            plans[q] = _cycle_plan(market, asset_id, q, positive)
+            plans[q] = _cycle_plan(market, asset_id, q, positive, budget)
         return plans[q].expected_profit if plans[q] is not None else -(1 << 62)
 
     best_q, best_p = 0, -(1 << 62)
@@ -249,6 +254,17 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 
 # --- execution ---
 
+def _execute_leg(market: Market, leg: Leg, account: str) -> Leg:
+    """Run one leg for account and return it as executed."""
+    if isinstance(leg, SwapQuote):
+        return market.venues.swap_exact_in(leg.base, leg.direction, leg.amount_in, account)
+    if isinstance(leg, MintLeg):
+        receipt = market.composites.mint_composite(leg.asset, account, leg.q)
+        return MintLeg(receipt.asset, receipt.minted)
+    receipt = market.composites.redeem_composite(leg.asset, account, leg.q)
+    return RedeemLeg(receipt.asset, receipt.burned, receipt.basket_out)
+
+
 def execute_plan(market: Market, plan: ExecutionPlan | None, account: str) -> ExecutionResult:
     """Run every leg atomically; any deviation from the simulation aborts.
 
@@ -262,28 +278,13 @@ def execute_plan(market: Market, plan: ExecutionPlan | None, account: str) -> Ex
     with reg.transaction():
         for leg in plan.route.legs:
             try:
-                if leg.op == "swap":
-                    quote = market.venues.swap_exact_in(
-                        leg.params["pool"], leg.params["direction"],
-                        leg.params["amount_in"], account)
-                    if quote.amount_out != leg.expected["amount_out"]:
-                        raise StalePlan(
-                            f"swap {leg.params['pool']}: expected "
-                            f"{leg.expected['amount_out']}, got {quote.amount_out}")
-                elif leg.op == "mint_composite":
-                    market.composites.mint_composite(
-                        leg.params["asset"], account, leg.params["q"])
-                elif leg.op == "redeem_composite":
-                    receipt = market.composites.redeem_composite(
-                        leg.params["asset"], account, leg.params["q"])
-                    if receipt.basket_out != leg.expected["basket_out"]:
-                        raise StalePlan(f"redeem {leg.params['asset']}: basket changed")
-                else:
-                    raise StalePlan(f"unknown leg op {leg.op!r}")
-            except (StalePlan, InvariantViolation):
+                done = _execute_leg(market, leg, account)
+            except InvariantViolation:
                 raise
             except Exception as exc:
                 raise StalePlan(f"leg failed: {exc}") from exc
+            if done != leg:
+                raise StalePlan(f"leg changed: planned {leg}, got {done}")
         after = reg.balance_of(market.numeraire, account)
         realized = after - before
         if plan.expected_profit is not None and realized != plan.expected_profit:

@@ -223,17 +223,21 @@ class Registry:
 
         The event log is the undo journal: moves logged since entry are reversed
         newest-first, calling no balance listener, and dropped from the log.
-        Other events (accounts, tokens, flags) are dropped but their state stays.
+        Other events (accounts, tokens, flags) keep their state, so they stay in
+        the log, renumbered to keep `seq` contiguous, and the log still replays.
         """
         start = len(self.events)
         try:
             yield
         except BaseException:
-            for ev in reversed(self.events[start:]):
+            block = self.events[start:]
+            for ev in reversed(block):
                 if ev["op"] in _ENDS:
                     frm, to = _ENDS[ev["op"]](ev["accounts"])
                     self._write(ev["token"], to, frm, ev["qty"])
-            del self.events[start:]
+            self.events[start:] = [ev for ev in block if ev["op"] not in _ENDS]
+            for seq, ev in enumerate(self.events[start:], start):
+                ev["seq"] = seq
             raise
 
     # --- internals ---

@@ -42,10 +42,9 @@ def pool_prices(asset: AssetDefinition, venues: AmmVenues) -> dict[str, Fraction
     """Spot price per element base unit, read from each element's pool."""
     prices = {}
     for element, _ in asset.composition:
-        pool = venues.pool_for(element)
-        if pool is None:
+        if element not in venues.pools:
             raise MissingPrice(f"no pool for {element}")
-        prices[element] = venues.spot_price(pool.pool_id)
+        prices[element] = venues.spot_price(element)
     return prices
 
 
@@ -58,9 +57,8 @@ def nav_report(asset: AssetDefinition, venues: AmmVenues) -> NavReport:
     by the composite's unit to match.
     """
     nav_value = nav(asset, pool_prices(asset, venues))
-    w_pool = venues.pool_for(asset.composite)
-    if w_pool is None:
+    if asset.composite not in venues.pools:
         raise MissingPrice(f"no pool for {asset.composite}")
-    spot = venues.spot_price(w_pool.pool_id) * asset.unit
+    spot = venues.spot_price(asset.composite) * asset.unit
     return NavReport(asset=asset.composite, nav=nav_value, composite_spot=spot,
                      premium_bps=premium_bps(spot, nav_value))

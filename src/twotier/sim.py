@@ -42,7 +42,7 @@ FRACTION_DIGITS = 12
 
 
 def frac_str(x: Fraction) -> str:
-    """Decimal rendering with exactly FRACTION_DIGITS fractional digits (floored)."""
+    """Decimal rendering with exactly FRACTION_DIGITS fractional digits, truncated toward zero."""
     sign = "-" if x < 0 else ""
     n, d = abs(x).numerator, abs(x).denominator
     scaled = n * 10 ** FRACTION_DIGITS // d
@@ -359,7 +359,7 @@ class NoiseTrader(Agent):
     def act(self, market: Market, epoch: int):
         if self.rng.random() >= self.spec.intensity:
             return
-        pool = market.venues.pool_for(self.spec.pool)
+        base = self.spec.pool
         size = int(self.rng.lognormal(self.spec.mu, self.spec.sigma))
         if size <= 0:
             return
@@ -368,13 +368,13 @@ class NoiseTrader(Agent):
         if buy:
             spend = min(size, reg.balance_of(market.numeraire, self.account))
             if spend > 0:
-                market.venues.swap_exact_in(pool.pool_id, SwapDirection.NUMERAIRE_IN,
+                market.venues.swap_exact_in(base, SwapDirection.NUMERAIRE_IN,
                                             spend, self.account)
         else:
-            rb, rn = market.venues.reserves(pool.pool_id)
-            sell = min(size * rb // rn, reg.balance_of(self.spec.pool, self.account))
+            rb, rn = market.venues.reserves(base)
+            sell = min(size * rb // rn, reg.balance_of(base, self.account))
             if sell > 0:
-                market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
+                market.venues.swap_exact_in(base, SwapDirection.BASE_IN,
                                             sell, self.account)
 
 
@@ -388,27 +388,24 @@ class LiquidityProvider(Agent):
         exit_epoch: int | None = _row(_epoch(after="join_epoch"), None)
 
     def act(self, market: Market, epoch: int):
-        spec = self.spec
-        pool = market.venues.pool_for(spec.pool)
+        spec, venues = self.spec, market.venues
         reg = market.registry
         if epoch == spec.join_epoch:
             # acquire the base side from the pool itself if not already held
             short = spec.base - reg.balance_of(spec.pool, self.account)
             if short > 0:
-                need = market.venues.required_in_for_out(
-                    pool.pool_id, SwapDirection.NUMERAIRE_IN, short)
+                need = venues.required_in_for_out(spec.pool, SwapDirection.NUMERAIRE_IN, short)
                 if need <= reg.balance_of(market.numeraire, self.account):
-                    market.venues.swap_exact_in(pool.pool_id,
-                                                SwapDirection.NUMERAIRE_IN,
-                                                need, self.account)
+                    venues.swap_exact_in(spec.pool, SwapDirection.NUMERAIRE_IN,
+                                         need, self.account)
             base = min(spec.base, reg.balance_of(spec.pool, self.account))
             num = min(spec.numeraire, reg.balance_of(market.numeraire, self.account))
             if base > 0 and num > 0:
-                market.venues.add_liquidity(pool.pool_id, base, num, self.account)
+                venues.add_liquidity(spec.pool, base, num, self.account)
         if epoch == spec.exit_epoch:
-            held = reg.balance_of(pool.lp_token, self.account)
+            held = reg.balance_of(venues.get(spec.pool).lp_token, self.account)
             if held > 0:
-                market.venues.remove_liquidity(pool.pool_id, held, self.account)
+                venues.remove_liquidity(spec.pool, held, self.account)
 
 
 class Arbitrageur(Agent):
@@ -430,7 +427,9 @@ class Arbitrageur(Agent):
         for _ in range(self.MAX_PASSES):
             plan = detect_arbitrage(market, self.spec.asset,
                                     min_profit=max(1, self.spec.min_profit),
-                                    max_size=self.spec.max_size)
+                                    max_size=self.spec.max_size,
+                                    budget=market.registry.balance_of(market.numeraire,
+                                                                      self.account))
             if plan is None:
                 break
             result = execute_plan(market, plan, self.account)
@@ -449,13 +448,12 @@ def apply_demand_shock(market: Market, shock: ShockSpec):
     Binary-searches the smallest input whose post-trade spot crosses the
     target, so the shock lands just past the requested move.
     """
-    pool = market.venues.pool_for(shock.pool)
     up = shock.magnitude_bps > 0
-    rb, rn = market.venues.reserves(pool.pool_id)
+    rb, rn = market.venues.reserves(shock.pool)
     direction = SwapDirection.NUMERAIRE_IN if up else SwapDirection.BASE_IN
 
     def past_target(amount_in: int) -> bool:
-        out = market.venues.quote_exact_in(pool.pool_id, direction, amount_in).amount_out
+        out = market.venues.quote_exact_in(shock.pool, direction, amount_in).amount_out
         # post-trade spot n/d against target rn/rb * (BPS + magnitude)/BPS, cross-multiplied
         n, d = (rn + amount_in, rb - out) if up else (rn - out, rb + amount_in)
         after, target = n * rb * BPS, rn * (BPS + shock.magnitude_bps) * d
@@ -483,7 +481,7 @@ def apply_demand_shock(market: Market, shock: ShockSpec):
         lo = min(lo, reg.balance_of(shock.pool, shock.account))
         if lo == 0:
             return
-    market.venues.swap_exact_in(pool.pool_id, direction, lo, shock.account)
+    market.venues.swap_exact_in(shock.pool, direction, lo, shock.account)
 
 
 # --- engine ---
@@ -564,9 +562,8 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
                 str(reg.total_supply(cid)),
                 str(int(market.composites.full_backing_ok(cid)))]
         for element, _ in a.composition:
-            pool = market.venues.pool_for(element)
-            row.append(frac_str(market.venues.spot_price(pool.pool_id))
-                       if pool else "nan")
+            row.append(frac_str(market.venues.spot_price(element))
+                       if element in market.venues.pools else "nan")
             row.append(str(reg.total_supply(element)))
     return row
 

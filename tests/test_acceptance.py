@@ -55,10 +55,10 @@ def _fuzz_sequence(market, cid, rng, epoch_base):
                              rng.randint(1, 500))
             elif op == "swap":
                 base = rng.choice(["energy", "land", "carbon", cid])
-                pool = market.venues.pool_for(base)
+                pool = market.venues.get(base)
                 direction = rng.choice((SwapDirection.BASE_IN,
                                         SwapDirection.NUMERAIRE_IN))
-                market.venues.swap_exact_in(pool.pool_id, direction,
+                market.venues.swap_exact_in(pool.base, direction,
                                             rng.randint(1, 10_000), acct)
             elif op == "oracle":
                 epoch = epoch_base + step
@@ -188,14 +188,14 @@ def test_criterion_4_amm_closed_form():
         market.fund_numeraire("lp", 10 ** 16)
         grant_elements(market, "lp", {"b": 10 ** 16})
         pool = market.venues.create_pool("b", fee, x, y, "lp")
-        quote = market.venues.swap_exact_in(pool.pool_id,
+        quote = market.venues.swap_exact_in(pool.base,
                                             SwapDirection.BASE_IN, d, "lp")
         e = d * (BPS - fee) // BPS
         ok = ok and quote.amount_out == y * e // (x + e)
-        rb, rn = market.venues.reserves(pool.pool_id)
+        rb, rn = market.venues.reserves(pool.base)
         ok = ok and rb * rn >= x * y       # k never decreases
         if quote.amount_out > 0:
-            back = market.venues.swap_exact_in(pool.pool_id,
+            back = market.venues.swap_exact_in(pool.base,
                                                SwapDirection.NUMERAIRE_IN,
                                                quote.amount_out, "lp")
             ok = ok and back.amount_out <= d   # round trips never profit

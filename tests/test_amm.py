@@ -33,12 +33,12 @@ def oracle_out(x: int, y: int, d: int, fee_bps: int) -> int:
 
 def test_create_pool_lp_sqrt():
     market, pool = pool_market(1_000_000, 1_000_000)
-    assert market.venues.lp_supply(pool.pool_id) == 1_000_000
+    assert market.venues.lp_supply(pool.base) == 1_000_000
 
 
 def test_create_pool_exact_sqrt():
     market, pool = pool_market(4, 9)
-    assert market.venues.lp_supply(pool.pool_id) == 6
+    assert market.venues.lp_supply(pool.base) == 6
 
 
 def test_create_pool_zero_seed():
@@ -56,14 +56,14 @@ def test_create_pool_duplicate_base():
 
 def test_swap_no_fee_closed_form():
     market, pool = pool_market(1_000_000, 1_000_000, fee_bps=0)
-    quote = market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
+    quote = market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN,
                                         100_000, "trader")
     assert quote.amount_out == 90_909 == oracle_out(1_000_000, 1_000_000, 100_000, 0)
 
 
 def test_swap_30bps_closed_form():
     market, pool = pool_market(1_000_000, 1_000_000, fee_bps=30)
-    quote = market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
+    quote = market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN,
                                         100_000, "trader")
     assert quote.amount_out == oracle_out(1_000_000, 1_000_000, 100_000, 30)
     assert quote.fee_paid == 100_000 - 100_000 * (BPS - 30) // BPS
@@ -72,51 +72,51 @@ def test_swap_30bps_closed_form():
 def test_swap_zero_input():
     market, pool = pool_market()
     with pytest.raises(ZeroInput):
-        market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN, 0, "trader")
+        market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN, 0, "trader")
 
 
 def test_spot_price_examples():
     market, pool = pool_market(1000, 2000)
-    assert market.venues.spot_price(pool.pool_id) == 2
+    assert market.venues.spot_price(pool.base) == 2
     market2, pool2 = pool_market(5000, 5000)
-    assert market2.venues.spot_price(pool2.pool_id) == 1
+    assert market2.venues.spot_price(pool2.base) == 1
 
 
 def test_spot_price_decreases_on_base_in():
     market, pool = pool_market(1_000_000, 1_000_000, fee_bps=30)
-    before = market.venues.spot_price(pool.pool_id)
-    market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN, 1000, "trader")
-    assert market.venues.spot_price(pool.pool_id) < before
+    before = market.venues.spot_price(pool.base)
+    market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN, 1000, "trader")
+    assert market.venues.spot_price(pool.base) < before
 
 
 def test_required_in_for_out_is_sufficient_and_tight():
     market, pool = pool_market(1_000_000, 2_000_000, fee_bps=30)
     for want in (1, 17, 999, 123_456):
-        d = market.venues.required_in_for_out(pool.pool_id,
+        d = market.venues.required_in_for_out(pool.base,
                                               SwapDirection.NUMERAIRE_IN, want)
-        got = market.venues.quote_exact_in(pool.pool_id,
+        got = market.venues.quote_exact_in(pool.base,
                                            SwapDirection.NUMERAIRE_IN, d).amount_out
         assert got >= want
         if d > 1:
             less = market.venues.quote_exact_in(
-                pool.pool_id, SwapDirection.NUMERAIRE_IN, d - 1).amount_out
+                pool.base, SwapDirection.NUMERAIRE_IN, d - 1).amount_out
             assert less <= got
 
 
 def test_add_liquidity_doubling_doubles_lp():
     market, pool = pool_market(1_000_000, 3_000_000)
-    lp0 = market.venues.lp_supply(pool.pool_id)
-    minted = market.venues.add_liquidity(pool.pool_id, 1_000_000, 3_000_000, "trader")
+    lp0 = market.venues.lp_supply(pool.base)
+    minted = market.venues.add_liquidity(pool.base, 1_000_000, 3_000_000, "trader")
     assert minted == lp0
-    rb, rn = market.venues.reserves(pool.pool_id)
+    rb, rn = market.venues.reserves(pool.base)
     assert (rb, rn) == (2_000_000, 6_000_000)
 
 
 def test_remove_all_liquidity_residue_bound():
     market, pool = pool_market(999_983, 1_000_003)  # primes: forced rounding
-    lp = market.venues.lp_supply(pool.pool_id)
+    lp = market.venues.lp_supply(pool.base)
     held = market.registry.balance_of(pool.lp_token, "lp")
-    base_out, num_out = market.venues.remove_liquidity(pool.pool_id, held, "lp")
+    base_out, num_out = market.venues.remove_liquidity(pool.base, held, "lp")
     assert held == lp
     assert 999_983 - base_out <= 1 and base_out <= 999_983
     assert 1_000_003 - num_out <= 1 and num_out <= 1_000_003
@@ -124,7 +124,7 @@ def test_remove_all_liquidity_residue_bound():
 
 def test_remove_zero_liquidity():
     market, pool = pool_market()
-    assert market.venues.remove_liquidity(pool.pool_id, 0, "lp") == (0, 0)
+    assert market.venues.remove_liquidity(pool.base, 0, "lp") == (0, 0)
 
 
 def test_no_free_lp_value():
@@ -132,8 +132,8 @@ def test_no_free_lp_value():
     reg = market.registry
     b0 = reg.balance_of("energy", "trader")
     n0 = reg.balance_of("NUM", "trader")
-    minted = market.venues.add_liquidity(pool.pool_id, 33_333, 77_777, "trader")
-    market.venues.remove_liquidity(pool.pool_id, minted, "trader")
+    minted = market.venues.add_liquidity(pool.base, 33_333, 77_777, "trader")
+    market.venues.remove_liquidity(pool.base, minted, "trader")
     assert reg.balance_of("energy", "trader") <= b0
     assert reg.balance_of("NUM", "trader") <= n0
 
@@ -143,10 +143,10 @@ def test_no_free_lp_value():
 @settings(max_examples=300, deadline=None)
 def test_swap_oracle_equivalence_and_k(x, y, d, fee):
     market, pool = pool_market(x, y, fee_bps=fee)
-    quote = market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN,
+    quote = market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN,
                                         d, "trader")
     assert quote.amount_out == oracle_out(x, y, d, fee)
-    rb, rn = market.venues.reserves(pool.pool_id)
+    rb, rn = market.venues.reserves(pool.base)
     assert rb * rn >= x * y
 
 
@@ -155,10 +155,10 @@ def test_swap_oracle_equivalence_and_k(x, y, d, fee):
 @settings(max_examples=200, deadline=None)
 def test_round_trip_loss(x, y, d, fee):
     market, pool = pool_market(x, y, fee_bps=fee)
-    q1 = market.venues.swap_exact_in(pool.pool_id, SwapDirection.BASE_IN, d, "trader")
+    q1 = market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN, d, "trader")
     if q1.amount_out == 0:
         return
-    q2 = market.venues.swap_exact_in(pool.pool_id, SwapDirection.NUMERAIRE_IN,
+    q2 = market.venues.swap_exact_in(pool.base, SwapDirection.NUMERAIRE_IN,
                                      q1.amount_out, "trader")
     assert q2.amount_out <= d
     if fee > 0:
@@ -175,10 +175,10 @@ def test_split_swap_never_beats_single(x, y, d, split, fee):
         return
     single_market, pool = pool_market(x, y, fee_bps=fee)
     single = single_market.venues.swap_exact_in(
-        pool.pool_id, SwapDirection.BASE_IN, d, "trader").amount_out
+        pool.base, SwapDirection.BASE_IN, d, "trader").amount_out
     split_market, pool2 = pool_market(x, y, fee_bps=fee)
     out1 = split_market.venues.swap_exact_in(
-        pool2.pool_id, SwapDirection.BASE_IN, d1, "trader").amount_out
+        pool2.base, SwapDirection.BASE_IN, d1, "trader").amount_out
     out2 = split_market.venues.swap_exact_in(
-        pool2.pool_id, SwapDirection.BASE_IN, d2, "trader").amount_out
+        pool2.base, SwapDirection.BASE_IN, d2, "trader").amount_out
     assert out1 + out2 <= single

@@ -40,8 +40,8 @@ def brute_force_acquire(market, cid, q):
     """Exhaustive per-kind cost computation straight from reserves."""
     asset = market.composites.get(cid)
     venues = market.venues
-    wp = venues.pool_for(cid)
-    rb, rn = venues.reserves(wp.pool_id)
+    wp = venues.get(cid)
+    rb, rn = venues.reserves(wp.base)
     costs = {}
     if q < rb:
         costs[RouteKind.DIRECT_W] = swap_in_for_out(rn, rb, q, wp.fee_bps)
@@ -50,8 +50,8 @@ def brute_force_acquire(market, cid, q):
     owed = dict(market.composites.required_deposit(cid, q))
     for el, a in asset.composition:
         need = owed[el]
-        ep = venues.pool_for(el)
-        eb, en = venues.reserves(ep.pool_id)
+        ep = venues.get(el)
+        eb, en = venues.reserves(ep.base)
         if need >= eb:
             ok = False
             break
@@ -64,14 +64,14 @@ def brute_force_acquire(market, cid, q):
 def brute_force_dispose(market, cid, q):
     asset = market.composites.get(cid)
     venues = market.venues
-    wp = venues.pool_for(cid)
-    rb, rn = venues.reserves(wp.pool_id)
+    wp = venues.get(cid)
+    rb, rn = venues.reserves(wp.base)
     proceeds = {RouteKind.DIRECT_W: swap_out(rb, rn, q, wp.fee_bps)}
     basket = market.composites.redemption_value(cid, q)
     total = 0
     for el, out in basket:
-        ep = venues.pool_for(el)
-        eb, en = venues.reserves(ep.pool_id)
+        ep = venues.get(el)
+        eb, en = venues.reserves(ep.base)
         total += swap_out(eb, en, out, ep.fee_bps)
     proceeds[RouteKind.REDEEM_THEN_SELL_ELEMENTS] = total
     return proceeds
@@ -202,8 +202,8 @@ def test_stale_plan_rejected_atomically():
     # a front-running trade invalidates the simulated quotes
     market.registry.ensure_account("rival")
     market.fund_numeraire("rival", 10 ** 12)
-    wp = market.venues.pool_for(cid)
-    market.venues.swap_exact_in(wp.pool_id, SwapDirection.NUMERAIRE_IN,
+    wp = market.venues.get(cid)
+    market.venues.swap_exact_in(wp.base, SwapDirection.NUMERAIRE_IN,
                                 1_000_000, "rival")
     state = market.registry.state_hash()
     with pytest.raises(StalePlan):
@@ -235,6 +235,57 @@ def test_detect_respects_max_size():
     assert plan is not None and plan.quantity_w <= cap
     # tiny caps where every cycle loses to fee truncation yield no plan
     assert detect_arbitrage(market, cid, min_profit=1, max_size=7) is None
+
+@pytest.mark.parametrize("premium_bps", [-1000, 0, 1000])
+@pytest.mark.parametrize("side", list(Side))
+def test_one_sided_plans_execute_at_their_quote(side, premium_bps):
+    q = 5_000
+    probe, cid = arb_market(w_premium_bps=premium_bps)
+    kinds = [plan.route.kind for plan in simulate_routes(probe, cid, side, q)]
+    assert len(kinds) == 2
+    sign = -1 if side == Side.ACQUIRE_W else 1
+    for kind in kinds:
+        market, cid = arb_market(w_premium_bps=premium_bps)
+        reg = market.registry
+        reg.transfer(cid, "issuer", "arb", q)
+        plan, = [p for p in simulate_routes(market, cid, side, q) if p.route.kind == kind]
+        num0, w0 = reg.balance_of("NUM", "arb"), reg.balance_of(cid, "arb")
+        result = execute_plan(market, plan, "arb")
+        assert reg.balance_of("NUM", "arb") - num0 == sign * plan.simulated_cost_or_proceeds
+        assert result.realized_profit == sign * plan.simulated_cost_or_proceeds
+        assert reg.balance_of(cid, "arb") - w0 == -sign * q
+        assert result.legs_executed == len(plan.route.legs)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_one_sided_plans_go_stale_atomically(side):
+    market, cid = arb_market()
+    reg = market.registry
+    reg.transfer(cid, "issuer", "arb", 5_000)
+    plans = simulate_routes(market, cid, side, 5_000)
+    reg.ensure_account("rival")
+    market.fund_numeraire("rival", 10 ** 12)
+    for base in ("energy", cid):  # move a pool that every route trades
+        market.venues.swap_exact_in(base, SwapDirection.NUMERAIRE_IN, 1_000_000, "rival")
+    state = reg.state_hash()
+    for plan in plans:
+        with pytest.raises(StalePlan):
+            execute_plan(market, plan, "arb")
+        assert reg.state_hash() == state
+
+
+def test_detect_sizes_cycles_within_budget():
+    market, cid = arb_market(w_premium_bps=1000)
+    unbounded = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
+    budget = (unbounded.simulated_cost_or_proceeds - unbounded.expected_profit) // 10
+    plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000, budget=budget)
+    assert plan is not None
+    assert plan.simulated_cost_or_proceeds - plan.expected_profit <= budget
+    market.registry.ensure_account("small")
+    market.fund_numeraire("small", budget)
+    assert execute_plan(market, plan, "small").realized_profit == plan.expected_profit
+    assert detect_arbitrage(market, cid, min_profit=1, max_size=100_000, budget=0) is None
+
 
 def test_redeem_beyond_supply_is_not_quoted():
     market, cid = arb_market()

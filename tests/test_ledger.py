@@ -287,4 +287,18 @@ def test_rollback_keeps_non_move_state_and_reraises():
             raise Abort
     assert (reg.balance_of("MWh", "alice"), reg.balance_of("MWh", "bob")) == (10, 0)
     assert "carol" in reg.accounts and reg.meta("MWh").paused   # state stays
-    assert len(reg.events) == n_events                           # events are dropped
+    # and so do its events, renumbered after the dropped transfer
+    assert [(ev["seq"], ev["op"]) for ev in reg.events[n_events:]] == [
+        (n_events, "create_account"), (n_events + 1, "set_paused")]
+
+
+def test_rolled_back_non_move_events_still_replay():
+    reg = fresh()
+    with pytest.raises(Abort):
+        with reg.transaction():
+            reg.mint("MWh", "alice", 3, MINTER)
+            reg.create_account("b")
+            raise Abort
+    reg.mint("MWh", "b", 5, MINTER)
+    assert replay_events(reg.events).state_hash() == reg.state_hash()
+    assert [ev["seq"] for ev in reg.events] == list(range(len(reg.events)))

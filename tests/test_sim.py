@@ -370,6 +370,19 @@ def test_solar_disabled_arb_premium_persists():
     assert abs(int(result.rows[-1][col])) > 500
 
 
+@pytest.mark.parametrize("name", ["solar", "mine", "datacenter"])
+def test_arbitrageur_with_finite_budget_runs_to_the_end(name):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for agent in doc["agents"]:
+        if agent["kind"] == "arbitrageur":
+            agent["budget"] = "1000000"
+    result = run(parse_config(doc))
+    assert len(result.rows) == doc["epochs"]
+    numeraire = result.config.numeraire.id
+    # every executed cycle realizes its positive expected profit
+    assert result.market.registry.balance_of(numeraire, "agent:arb") >= 1_000_000
+
+
 def test_yield_schedule_pays_holders():
     doc = mini_doc(epochs=6)
     doc["yield_schedule"] = [
