@@ -30,8 +30,8 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the run
     result = run(cfg)
-    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     events_path = os.path.join(args.out, "events.jsonl")
     export_csv(result, metrics_path)
@@ -132,6 +132,9 @@ def main(argv=None) -> int:
         return 2
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # only `run` writes files; config reads raise ParseError
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -213,7 +213,6 @@ class Registry:
                 fn(account)
         self._write(token, frm, to, qty)
         self._log(op, token=token, accounts=accounts, qty=qty)
-        self._check_conservation(token)
 
     # --- transactions ---
 
@@ -261,13 +260,15 @@ class Registry:
             ev["meta"] = meta
         self.events.append(ev)
 
-    def _check_conservation(self, token: str):
-        total = sum(self._balances[token].values())
-        if total != self._supply[token]:
-            raise InvariantViolation(
-                f"conservation: sum(balances)={total} != supply={self._supply[token]} for {token}")
-
     # --- snapshots / audit ---
+
+    def audit(self):
+        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply."""
+        for token, balances in self._balances.items():
+            total = sum(balances.values())
+            if total != self._supply[token] or min(balances.values(), default=0) < 0:
+                raise InvariantViolation(f"conservation: {token} balances sum to {total}, "
+                                         f"supply {self._supply[token]}, or one is negative")
 
     def state_hash(self) -> str:
         """Deterministic digest of balances, supplies and token flags."""

@@ -1,16 +1,17 @@
 """Aggregate wiring of one market universe: ledger + engines over it.
 
 A Market owns a single Registry plus the composite, oracle, AMM and yield
-engines bound to it.
+engines bound to it, and `audit` checks the invariants that span them.
 """
 
 from __future__ import annotations
 
 from .amm import AmmVenues
 from .composite import CompositeEngine
-from .ledger import AccountRole, Registry, TokenKind, TokenMeta
+from .errors import InvariantViolation
+from .ledger import Registry, TokenKind, TokenMeta
 from .oracle import OracleHub
-from .yields import YieldVault
+from .yields import INDEX_SCALE, YieldVault
 
 BOOTSTRAP_AUTHORITY = "scenario-bootstrap"
 
@@ -27,8 +28,29 @@ class Market:
         self.oracle = OracleHub(self.registry)
         self.venues = AmmVenues(self.registry, numeraire)
         self.yields = YieldVault(self.registry, numeraire)
+        self.numeraire_minted = 0  # by fund_numeraire, the only numeraire mint path
 
     def fund_numeraire(self, account: str, qty: int):
         """Scenario bootstrap: conjure numeraire for an account."""
         self.registry.ensure_account(account)
         self.registry.mint(self.numeraire, account, qty, BOOTSTRAP_AUTHORITY)
+        self.numeraire_minted += qty
+
+    def audit(self):
+        """Raise InvariantViolation unless conservation, exact backing, minted <= accepted,
+        vault solvency and numeraire supply == `numeraire_minted` all hold."""
+        self.registry.audit()
+        for asset in self.composites.assets.values():
+            self.composites._assert_backing(asset)
+        for element, prod in self.oracle.production.items():
+            if prod.cumulative_minted > prod.cumulative_accepted:
+                raise InvariantViolation(f"minted > accepted for {element}: {prod}")
+        for cid, pool in self.yields.pools.items():
+            held = self.registry.balance_of(self.numeraire, pool.account)
+            owed = (pool.total_deposited - pool.total_paid, self.yields.undistributed_scaled(cid))
+            if owed != (held, held * INDEX_SCALE):
+                raise InvariantViolation(f"vault solvency: {cid} holds {held}, "
+                                         f"(deposited - paid, undistributed_scaled) = {owed}")
+        supply = self.registry.total_supply(self.numeraire)
+        if supply != self.numeraire_minted:
+            raise InvariantViolation(f"numeraire supply {supply} != minted {self.numeraire_minted}")

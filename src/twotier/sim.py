@@ -10,7 +10,7 @@ epochs in a fixed phase order:
      in a seed-shuffled order
   4. arbitrageur pass
   5. yield deposits (and optional auto-claims)
-  6. metrics row appended
+  6. invariant audit (`Market.audit`), then the metrics row appended
 
 Randomness comes from numpy Philox generators spawned off one SeedSequence
 per scenario, one independent substream per agent plus one for the epoch
@@ -32,7 +32,7 @@ import numpy as np
 
 from .amm import SwapDirection
 from .arbitrage import detect_arbitrage, execute_plan
-from .errors import ConfigError, EngineError, InvariantViolation, ParseError, UnknownReference
+from .errors import ConfigError, EngineError, ParseError, UnknownReference
 from .ledger import BPS, MAX_DECIMALS, TokenKind, TokenMeta
 from .market import Market
 from .oracle import Attestation, OraclePolicy
@@ -570,8 +570,7 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
 
 def run(cfg: ScenarioConfig) -> SimResult:
     market = build_market(cfg)
-    reg = market.registry
-    bootstrap_minted = 0  # shocks and arbitrageur top-ups count as bootstrap
+    market.audit()
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.agents) + 1)
     shuffle_rng = np.random.Generator(np.random.Philox(seeds[-1]))
@@ -580,7 +579,6 @@ def run(cfg: ScenarioConfig) -> SimResult:
     for spec, child in zip(cfg.agents, seeds):
         agent = AGENT_KINDS[spec.kind](spec, market, np.random.Generator(np.random.Philox(child)))
         (arbs if isinstance(agent, Arbitrageur) else traders).append(agent)
-    numeraire_supply0 = reg.total_supply(cfg.numeraire.id)
 
     header = _metrics_header(cfg)
     rows = []
@@ -607,11 +605,9 @@ def run(cfg: ScenarioConfig) -> SimResult:
             order = shuffle_rng.permutation(len(traders)) if traders else []
             for i in order:
                 traders[i].act(market, epoch)
-            supply_before = reg.total_supply(cfg.numeraire.id)
             for s in cfg.shocks:
                 if s.epoch == epoch:
                     apply_demand_shock(market, s)
-            bootstrap_minted += reg.total_supply(cfg.numeraire.id) - supply_before
             # (4) arbitrageur pass
             arb_stats: dict[str, tuple[int, int]] = {}
             for arb in arbs:
@@ -625,13 +621,11 @@ def run(cfg: ScenarioConfig) -> SimResult:
             for acct in cfg.auto_claim:
                 for a in cfg.assets:
                     market.yields.claim(a.composite, acct)
-            # (6) metrics + conservation check
-            if reg.total_supply(cfg.numeraire.id) != numeraire_supply0 + bootstrap_minted:
-                raise InvariantViolation(
-                    f"numeraire supply changed outside bootstrap at epoch {epoch}")
+            # (6) invariant audit + metrics
+            market.audit()
             rows.append(_metrics_row(cfg, market, epoch, arb_stats))
         except EngineError as exc:
-            exc.args = (f"epoch {epoch} (event seq {len(reg.events)}): {exc}",)
+            exc.args = (f"epoch {epoch} (event seq {len(market.registry.events)}): {exc}",)
             raise
 
     return SimResult(header=header, rows=rows, market=market, config=cfg)

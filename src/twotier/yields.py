@@ -94,10 +94,10 @@ class YieldVault:
     # --- audit ---
 
     def undistributed_scaled(self, composite: str) -> int:
-        """Entitlement not yet settled plus retained remainders plus dust.
+        """Every account's unpaid entitlement, settled or not, plus dust.
 
-        Equals (total_deposited - total_paid) * INDEX_SCALE minus settled
-        entitlement when the accounting is conservative; tests assert that.
+        Equals (total_deposited - total_paid) * INDEX_SCALE when the
+        accounting is conservative; `Market.audit` checks this.
         """
         pool = self.get(composite)
         total = pool.dust_scaled

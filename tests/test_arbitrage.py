@@ -7,7 +7,7 @@ import pytest
 from conftest import grant_elements, make_solar_market, seed_solar_pools
 from twotier import sim
 from twotier.amm import BPS, SwapDirection
-from twotier.arbitrage import (RouteKind, Side, best_route, detect_arbitrage,
+from twotier.arbitrage import (MintLeg, RouteKind, Side, best_route, detect_arbitrage,
                                execute_plan, simulate_routes)
 from twotier.cli import main
 from twotier.composite import CompositeEngine
@@ -272,6 +272,26 @@ def test_one_sided_plans_go_stale_atomically(side):
         with pytest.raises(StalePlan):
             execute_plan(market, plan, "arb")
         assert reg.state_hash() == state
+
+
+def test_rollback_after_the_mint_leg_keeps_yield_entitlements():
+    # yield state is not journaled: a settle inside the block records the
+    # entitlement at the pre-move balance, which the rollback restores
+    market, cid = arb_market(w_premium_bps=1000)
+    market.yields.register_asset(cid)
+    market.yields.deposit_yield(cid, 10 ** 9 + 7, "issuer")
+    plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
+    assert isinstance(plan.route.legs[-2], MintLeg)  # the W pool is traded last
+    reg = market.registry
+    reg.ensure_account("rival")
+    market.fund_numeraire("rival", 10 ** 12)
+    market.venues.swap_exact_in(cid, SwapDirection.NUMERAIRE_IN, 1_000_000, "rival")
+    holders = sorted(set(reg.holders(cid)) | {"arb"})
+    claimable = {acct: market.yields.claimable(cid, acct) for acct in holders}
+    with pytest.raises(StalePlan, match="leg changed"):
+        execute_plan(market, plan, "arb")
+    market.audit()
+    assert {acct: market.yields.claimable(cid, acct) for acct in holders} == claimable
 
 
 def test_detect_sizes_cycles_within_budget():

@@ -129,6 +129,23 @@ def test_negative_seed_rejected_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_run_into_unwritable_out_exits_1(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert main(["run", SOLAR, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert captured.out == ""  # refused before the run, not after it
+
+
+def test_run_export_failure_exits_1(tmp_path, capsys):
+    (tmp_path / "metrics.csv").mkdir()
+    assert main(["run", SOLAR, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'metrics.csv'}")
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotier
+from twotier import sim
+from twotier.cli import main as cli_main
 from twotier.errors import (
     ConfigError,
     EngineError,
     InsufficientBalance,
+    InvariantViolation,
     ParseError,
     UnknownReference,
 )
@@ -274,8 +277,9 @@ def hostile_documents(draw):
 @given(hostile_documents())
 @settings(max_examples=200, deadline=None)
 def test_hostile_documents_are_rejected_or_run(doc):
-    """A document either fails validation with a ConfigError or runs to the
-    end or to an EngineError; nothing else escapes."""
+    """A document either fails validation with a ConfigError or runs, with
+    every epoch's audit passing, to the end or to an EngineError; nothing
+    else escapes."""
     try:
         cfg = parse_config(doc)
     except ConfigError:
@@ -283,6 +287,8 @@ def test_hostile_documents_are_rejected_or_run(doc):
     if cfg.epochs <= 20:
         try:
             run(cfg)
+        except InvariantViolation:
+            raise
         except EngineError:
             pass
 
@@ -402,3 +408,66 @@ def test_run_error_keeps_attributes_and_adds_epoch():
     assert exc.value.token == "NUM"
     assert exc.value.shortfall > 0
     assert "epoch 1" in str(exc.value)
+
+
+# --- mid-run corruption is caught by the end of its epoch ----------------------
+#
+# Each row breaks one engine invariant by writing state directly, as a bug
+# that bypasses the ledger's checks would, right after the arbitrage pass of
+# epoch 3 of `solar`.
+
+def _corrupt_num_balance(market):
+    reg = market.registry
+    reg._balances["NUM"][reg.holders("NUM")[0]] += 1
+
+
+def _corrupt_element_supply(market):
+    market.registry._supply["energy"] += 1
+
+
+def _corrupt_escrow(market):
+    # a double-entry move keeps every sum right but leaves W_SOLAR underbacked
+    market.registry._write("energy", "escrow:W_SOLAR", "issuer", 1)
+
+
+def _corrupt_minted(market):
+    prod = market.oracle.production["energy"]
+    prod.cumulative_minted = prod.cumulative_accepted + 1
+
+
+def _corrupt_paid(market):
+    market.yields.get("W_SOLAR").total_paid += 1
+
+
+def _corrupt_num_mint(market):
+    market.registry._write("NUM", None, "issuer", 1)
+
+
+CORRUPTIONS = [_corrupt_num_balance, _corrupt_element_supply, _corrupt_escrow,
+               _corrupt_minted, _corrupt_paid, _corrupt_num_mint]
+
+
+def corrupt_at_epoch_3(monkeypatch, corrupt):
+    real_act = sim.Arbitrageur.act
+
+    def act(self, market, epoch):
+        done = real_act(self, market, epoch)
+        if epoch == 3:
+            corrupt(market)
+        return done
+
+    monkeypatch.setattr(sim.Arbitrageur, "act", act)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[len("_corrupt_"):])
+def test_mid_run_corruption_raises_at_its_epoch(monkeypatch, corrupt):
+    corrupt_at_epoch_3(monkeypatch, corrupt)
+    with pytest.raises(InvariantViolation) as exc:
+        run(parse_config(solar_doc()))
+    assert str(exc.value).startswith("epoch 3 "), str(exc.value)
+
+
+def test_mid_run_corruption_exits_2(monkeypatch, tmp_path, capsys):
+    corrupt_at_epoch_3(monkeypatch, _corrupt_paid)
+    assert cli_main(["run", str(SCENARIOS / "solar.json"), "--out", str(tmp_path)]) == 2
+    assert "invariant violation: epoch 3 " in capsys.readouterr().err
