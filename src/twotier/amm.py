@@ -17,6 +17,25 @@ from .errors import DrainedPool, DuplicatePool, UnknownPool, ZeroInput
 from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
 
 
+def cp_out(x: int, y: int, fee_bps: int, amount_in: int) -> int | None:
+    """Output of a constant-product swap of amount_in into reserves (x in, y out).
+
+    The fee, ceil(amount_in * fee_bps / BPS), is taken from the input and
+    stays in the pool. None if the output would drain y.
+    """
+    e = amount_in * (BPS - fee_bps) // BPS
+    out = y * e // (x + e)
+    return out if out < y else None
+
+
+def cp_in(x: int, y: int, fee_bps: int, amount_out: int) -> int | None:
+    """Smallest input whose cp_out is at least amount_out, or None if y cannot cover it."""
+    if amount_out >= y:
+        return None
+    e_min = ceil_div(amount_out * x, y - amount_out)
+    return ceil_div(e_min * BPS, BPS - fee_bps)
+
+
 class SwapDirection(str, Enum):
     BASE_IN = "base_in"
     NUMERAIRE_IN = "numeraire_in"
@@ -105,12 +124,11 @@ class AmmVenues:
         pool, x, y = self._oriented(base, direction)
         if check_amount(amount_in) == 0:
             raise ZeroInput(base)
-        e = amount_in * (BPS - pool.fee_bps) // BPS
-        out = y * e // (x + e)
-        if out >= y:
+        out = cp_out(x, y, pool.fee_bps, amount_in)
+        if out is None:
             raise DrainedPool(base)
         return SwapQuote(base=base, direction=direction, amount_in=amount_in,
-                         amount_out=out, fee_paid=amount_in - e)
+                         amount_out=out, fee_paid=ceil_div(amount_in * pool.fee_bps, BPS))
 
     def swap_exact_in(self, base: str, direction: SwapDirection, amount_in: int,
                       trader: str) -> SwapQuote:
@@ -130,10 +148,10 @@ class AmmVenues:
         pool, x, y = self._oriented(base, direction)
         if check_amount(amount_out) == 0:
             raise ZeroInput(base)
-        if amount_out >= y:
+        amount_in = cp_in(x, y, pool.fee_bps, amount_out)
+        if amount_in is None:
             raise DrainedPool(base)
-        e_min = ceil_div(amount_out * x, y - amount_out)
-        return ceil_div(e_min * BPS, BPS - pool.fee_bps)
+        return amount_in
 
     # --- liquidity ---
 

@@ -9,10 +9,11 @@ the trade on the unimodal profit curve that constant-product impact creates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .amm import SwapDirection, SwapQuote
+from .amm import SwapDirection, SwapQuote, cp_in, cp_out
 from .errors import (
     AmmError,
     CompositeError,
@@ -21,6 +22,7 @@ from .errors import (
     MissingPrice,
     NoExecutablePath,
     StalePlan,
+    UnknownPool,
 )
 from .market import Market
 from .pricing import nav_report
@@ -37,8 +39,6 @@ class Side(str, Enum):
     DISPOSE_W = "dispose"
 
 
-# Leg records stay plain (non-frozen) dataclasses: the planner builds one
-# per candidate size, and frozen construction costs more.
 @dataclass
 class MintLeg:
     asset: str
@@ -199,6 +199,71 @@ def _cycle_plan(market: Market, asset_id: str, q: int, positive_premium: bool,
                          proceeds, expected_profit=proceeds - cost)
 
 
+Venue = tuple[int, int, int]   # (x, y, fee_bps): a pool's reserves in -> out and its fee
+
+
+def _venue(market: Market, base: str, direction: SwapDirection) -> Venue | None:
+    try:
+        pool, x, y = market.venues._oriented(base, direction)
+    except UnknownPool:
+        return None
+    return x, y, pool.fee_bps
+
+
+def _buy_cost(venue: Venue | None, amount_out: int) -> int | None:
+    """Numeraire input of `_buy`'s leg, or None where `_buy` has no leg."""
+    if venue is None:
+        return None
+    # 0 (nothing to buy, or an empty numeraire reserve) is a zero input, which has no quote
+    return cp_in(*venue, amount_out) or None
+
+
+def _sell_proceeds(venue: Venue | None, amount_in: int) -> int | None:
+    """Numeraire output of `_sell`'s leg, or None where `_sell` has no leg."""
+    return None if venue is None else cp_out(*venue, amount_in)
+
+
+def _cycle_profit(market: Market, asset_id: str, positive_premium: bool,
+                  budget: int | None) -> Callable[[int], int | None]:
+    """`profit(q)`: `_cycle_plan(q).expected_profit`, or None where it is None.
+
+    The pools' fees and reserves and the composite supply are read once, so
+    each size is scored with integer arithmetic alone and no plan is built.
+    """
+    engine = market.composites
+    asset = engine.get(asset_id)
+    supply = market.registry.total_supply(asset.composite)
+    buy, sell = SwapDirection.NUMERAIRE_IN, SwapDirection.BASE_IN
+    elements = [_venue(market, element, buy if positive_premium else sell)
+                for element, _ in asset.composition]
+    w = _venue(market, asset.composite, sell if positive_premium else buy)
+
+    # the numeraire legs of the acquire and the dispose route, as `_cycle_plan` builds them
+    if positive_premium:
+        def costs(q):
+            return [_buy_cost(venue, deposit + fee) for (_, deposit, fee), venue
+                    in zip(engine._mint_moves(asset, supply, q), elements)]
+
+        def gains(q):
+            return [_sell_proceeds(w, q)]
+    else:
+        def costs(q):
+            return [_buy_cost(w, q)]
+
+        def gains(q):  # q <= supply: the pool delivered q, and its reserve is part of the supply
+            return [_sell_proceeds(venue, payout) for (_, payout, _), venue
+                    in zip(engine._redeem_moves(asset, supply, q, supply), elements) if payout]
+
+    def profit(q: int) -> int | None:
+        paid = costs(q)
+        if None in paid or (budget is not None and sum(paid) > budget):
+            return None
+        got = gains(q)
+        return None if None in got else sum(got) - sum(paid)
+
+    return profit
+
+
 def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
                      max_size: int = 1 << 30,
                      budget: int | None = None) -> ExecutionPlan | None:
@@ -208,7 +273,8 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     most `budget` are sized; None means unbounded capital.
 
     Size search: geometric sweep to bracket the unimodal profit curve, then
-    ternary refinement on the bracket.
+    ternary refinement on the bracket. Each size is scored by
+    `_cycle_profit` over one snapshot; only the winning size is planned.
     """
     try:
         report = nav_report(market.composites.get(asset_id), market.venues)
@@ -217,12 +283,14 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     if report.premium_bps == 0:
         return None
     positive = report.premium_bps > 0
-    plans: dict[int, ExecutionPlan | None] = {}  # each size is planned once
+    cycle_profit = _cycle_profit(market, asset_id, positive, budget)
+    scores: dict[int, int] = {}  # each size is scored once
 
     def profit(q: int) -> int:
-        if q not in plans:
-            plans[q] = _cycle_plan(market, asset_id, q, positive, budget)
-        return plans[q].expected_profit if plans[q] is not None else -(1 << 62)
+        if q not in scores:
+            p = cycle_profit(q)
+            scores[q] = -(1 << 62) if p is None else p
+        return scores[q]
 
     best_q, best_p = 0, -(1 << 62)
     q = 1
@@ -249,7 +317,7 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 
     if best_p < min_profit:
         return None
-    return plans[best_q]
+    return _cycle_plan(market, asset_id, best_q, positive, budget)
 
 
 # --- execution ---

@@ -113,27 +113,25 @@ class CompositeEngine:
         # exact escrow requirement for a given composite supply
         return ceil_div(per_unit * supply, asset.unit)
 
-    def _mint_moves(self, asset: AssetDefinition, q: int) -> list[tuple[str, int, int]]:
-        """(element, deposit, fee) owed to create q units at the current supply."""
+    def _mint_moves(self, asset: AssetDefinition, s: int,
+                    q: int) -> list[tuple[str, int, int]]:
+        """(element, deposit, fee) owed to create q units at composite supply s."""
         if check_amount(q) == 0:
             raise ZeroQuantity(asset.composite)
-        s = self.registry.total_supply(asset.composite)
         return [(element,
                  self._backing(asset, s + q, a) - self._backing(asset, s, a),
                  ceil_div(a * q * asset.mint_fee_bps, BPS * asset.unit))
                 for element, a in asset.composition]
 
-    def _redeem_moves(self, asset: AssetDefinition, q: int,
-                      holder: str | None) -> list[tuple[str, int, int]]:
-        """(element, payout, fee + residue) released by burning q units.
+    def _redeem_moves(self, asset: AssetDefinition, s: int, q: int,
+                      have: int) -> list[tuple[str, int, int]]:
+        """(element, payout, fee + residue) released by burning q units of supply s.
 
-        The q units come from `holder`, or from the whole supply if None;
-        burning more than that raises InsufficientBalance.
+        The q units come from a holding of `have` units (the whole supply s
+        for a quote); burning more than that raises InsufficientBalance.
         """
         if check_amount(q) == 0:
             raise ZeroQuantity(asset.composite)
-        s = self.registry.total_supply(asset.composite)
-        have = s if holder is None else self.registry.balance_of(asset.composite, holder)
         if have < q:
             raise InsufficientBalance(
                 f"redeem {asset.composite}: need {q} composite, have {have}",
@@ -149,23 +147,25 @@ class CompositeEngine:
 
     def required_deposit(self, asset_id: str, q: int) -> list[tuple[str, int]]:
         """Element amounts owed (deposit + mint fee) to create q composite units."""
-        return [(e, deposit + fee)
-                for e, deposit, fee in self._mint_moves(self.get(asset_id), q)]
+        asset = self.get(asset_id)
+        s = self.registry.total_supply(asset.composite)
+        return [(e, deposit + fee) for e, deposit, fee in self._mint_moves(asset, s, q)]
 
     def redemption_value(self, asset_id: str, q: int) -> list[tuple[str, int]]:
         """Element amounts paid out (net of redeem fee) for burning q units.
 
         Raises InsufficientBalance if q exceeds the supply, as redeeming would.
         """
-        return [(e, payout)
-                for e, payout, _ in self._redeem_moves(self.get(asset_id), q, None)]
+        asset = self.get(asset_id)
+        s = self.registry.total_supply(asset.composite)
+        return [(e, payout) for e, payout, _ in self._redeem_moves(asset, s, q, s)]
 
     # --- state transitions ---
 
     def mint_composite(self, asset_id: str, caller: str, q: int) -> MintReceipt:
         asset = self.get(asset_id)
-        moves = self._mint_moves(asset, q)
         reg = self.registry
+        moves = self._mint_moves(asset, reg.total_supply(asset.composite), q)
         for element, deposit, fee in moves:
             have = reg.balance_of(element, caller)
             if have < deposit + fee:
@@ -186,8 +186,9 @@ class CompositeEngine:
 
     def redeem_composite(self, asset_id: str, caller: str, q: int) -> RedeemReceipt:
         asset = self.get(asset_id)
-        moves = self._redeem_moves(asset, q, caller)
         reg = self.registry
+        moves = self._redeem_moves(asset, reg.total_supply(asset.composite), q,
+                                   reg.balance_of(asset.composite, caller))
         with reg.transaction():
             reg.burn(asset.composite, caller, q, self.authority_for(asset.composite))
             for element, payout, fee in moves:

@@ -104,10 +104,10 @@ class OracleHub:
         values = list(bucket.values())
         m = median_int(values)
         # |v - m| > m * max_deviation_bps / 10000, kept in integer arithmetic
-        rejected = sorted(
-            src for src, v in bucket.items()
-            if abs(v - m) * BPS > m * policy.max_deviation_bps)
-        survivors = [v for src, v in bucket.items() if src not in set(rejected)]
+        outliers = {src for src, v in bucket.items()
+                    if abs(v - m) * BPS > m * policy.max_deviation_bps}
+        rejected = sorted(outliers)
+        survivors = [v for src, v in bucket.items() if src not in outliers]
 
         if len(survivors) < policy.min_sources:
             result = EpochResult(element, epoch, accepted=0,

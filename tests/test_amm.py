@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import add_element, grant_elements
-from twotier.amm import BPS, SwapDirection
-from twotier.errors import DuplicatePool, ZeroInput
+from twotier.amm import BPS, SwapDirection, cp_in, cp_out
+from twotier.errors import DrainedPool, DuplicatePool, ZeroInput
 from twotier.market import Market
 
 
@@ -101,6 +101,40 @@ def test_required_in_for_out_is_sufficient_and_tight():
             less = market.venues.quote_exact_in(
                 pool.base, SwapDirection.NUMERAIRE_IN, d - 1).amount_out
             assert less <= got
+
+
+@given(x=st.integers(1, 10 ** 12), y=st.integers(1, 10 ** 12),
+       fee=st.integers(0, BPS - 1), want=st.integers(1, 10 ** 12))
+@settings(max_examples=500, deadline=None)
+def test_cp_in_is_the_smallest_sufficient_input(x, y, fee, want):
+    d = cp_in(x, y, fee, want)
+    if d is None:
+        assert want >= y
+        return
+    assert cp_out(x, y, fee, d) >= want
+    assert cp_out(x, y, fee, d - 1) < want
+
+
+def test_cp_out_drains_only_an_empty_input_reserve():
+    assert cp_out(0, 5, 0, 3) is None
+    assert cp_out(1, 5, 0, 10 ** 12) == 4
+
+
+@given(x=st.integers(1, 10 ** 9), y=st.integers(1, 10 ** 9), fee=st.integers(0, 100),
+       direction=st.sampled_from(SwapDirection), amount=st.integers(1, 2 * 10 ** 9))
+@settings(max_examples=200, deadline=None)
+def test_venue_quotes_are_the_pure_formulas(x, y, fee, direction, amount):
+    market, pool = pool_market(x, y, fee_bps=fee)
+    venues = market.venues
+    _, r_in, r_out = venues._oriented(pool.base, direction)
+    assert venues.quote_exact_in(pool.base, direction, amount).amount_out == cp_out(
+        r_in, r_out, fee, amount)
+    need = cp_in(r_in, r_out, fee, amount)
+    if need is None:
+        with pytest.raises(DrainedPool, match="energy"):
+            venues.required_in_for_out(pool.base, direction, amount)
+    else:
+        assert venues.required_in_for_out(pool.base, direction, amount) == need
 
 
 def test_add_liquidity_doubling_doubles_lp():

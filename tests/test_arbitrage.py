@@ -3,12 +3,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grant_elements, make_solar_market, seed_solar_pools
 from twotier import sim
 from twotier.amm import BPS, SwapDirection
-from twotier.arbitrage import (MintLeg, RouteKind, Side, best_route, detect_arbitrage,
-                               execute_plan, simulate_routes)
+from twotier.arbitrage import (MintLeg, RouteKind, Side, _cycle_plan, _cycle_profit,
+                               best_route, detect_arbitrage, execute_plan, simulate_routes)
 from twotier.cli import main
 from twotier.composite import CompositeEngine
 from twotier.errors import InsufficientBalance, InvariantViolation, NoExecutablePath, StalePlan
@@ -16,8 +18,8 @@ from twotier.pricing import nav_report
 
 
 def arb_market(w_premium_bps=0, pool_fee_bps=30, mint_fee_bps=0,
-               redeem_fee_bps=0):
-    market, cid = make_solar_market(mint_fee_bps, redeem_fee_bps)
+               redeem_fee_bps=0, composite_decimals=0):
+    market, cid = make_solar_market(mint_fee_bps, redeem_fee_bps, composite_decimals)
     seed_solar_pools(market, w_premium_bps, pool_fee_bps)
     market.registry.ensure_account("arb")
     market.fund_numeraire("arb", 10 ** 14)
@@ -235,6 +237,99 @@ def test_detect_respects_max_size():
     assert plan is not None and plan.quantity_w <= cap
     # tiny caps where every cycle loses to fee truncation yield no plan
     assert detect_arbitrage(market, cid, min_profit=1, max_size=7) is None
+
+
+# --- the size-scoring kernel against the plan builder ---------------------
+
+arb_states = st.fixed_dictionaries({
+    "w_premium_bps": st.integers(-3000, 3000),
+    "pool_fee_bps": st.sampled_from((0, 10, 30, 100)),
+    "mint_fee_bps": st.sampled_from((0, 5, 50, 500)),
+    "redeem_fee_bps": st.sampled_from((0, 5, 50, 500)),
+    # the W pool is priced per base unit, so decimals > 0 put W far above its NAV
+    "composite_decimals": st.sampled_from((0, 0, 1, 2, 4)),
+    "extra_supply": st.integers(0, 10 ** 4),  # backing that is not a whole element amount
+})
+budgets = st.one_of(st.none(), st.integers(0, 10 ** 14))
+
+
+def arb_state(extra_supply, **params):
+    market, cid = arb_market(**params)
+    if extra_supply:
+        market.composites.mint_composite(cid, "issuer", extra_supply)
+    return market, cid
+
+
+def reference_detect(market, cid, min_profit, max_size, budget):
+    """The size search with a full `_cycle_plan` built for every probed size."""
+    report = nav_report(market.composites.get(cid), market.venues)
+    if report.premium_bps == 0:
+        return None
+    positive = report.premium_bps > 0
+    plans = {}
+
+    def profit(q):
+        if q not in plans:
+            plans[q] = _cycle_plan(market, cid, q, positive, budget)
+        return plans[q].expected_profit if plans[q] is not None else -(1 << 62)
+
+    best_q, best_p = 0, -(1 << 62)
+    q = 1
+    while q <= max_size:
+        p = profit(q)
+        if p > best_p:
+            best_q, best_p = q, p
+        q *= 2
+    if best_q == 0:
+        return None
+    lo, hi = max(1, best_q // 2), min(max_size, best_q * 2)
+    while hi - lo > 3:
+        m1 = lo + (hi - lo) // 3
+        m2 = hi - (hi - lo) // 3
+        if profit(m1) < profit(m2):
+            lo = m1 + 1
+        else:
+            hi = m2
+    for q in range(lo, hi + 1):
+        p = profit(q)
+        if p > best_p:
+            best_q, best_p = q, p
+    return plans[best_q] if best_p >= min_profit else None
+
+
+@given(state=arb_states, positive=st.booleans(), budget=budgets,
+       sizes=st.lists(st.integers(1, 2 ** 31), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_cycle_profit_matches_cycle_plan(state, positive, budget, sizes):
+    # sizes reach past the composite supply (10^6) and past what the
+    # composite pool (2 * 10^5) and the element pools can deliver
+    market, cid = arb_state(**state)
+    for q in sizes:
+        unbounded = _cycle_plan(market, cid, q, positive, None)
+        edges = ([] if unbounded is None else  # a budget of exactly the cycle's cost, and 1 less
+                 [unbounded.simulated_cost_or_proceeds - unbounded.expected_profit - d
+                  for d in (0, 1)])
+        for cap in [budget, *edges]:
+            plan = _cycle_plan(market, cid, q, positive, cap)
+            assert (_cycle_profit(market, cid, positive, cap)(q)
+                    == (None if plan is None else plan.expected_profit))
+
+
+@given(state=arb_states, budget=budgets, min_profit=st.integers(-10 ** 6, 10 ** 6),
+       max_size=st.integers(1, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_detect_matches_the_full_plan_search(state, budget, min_profit, max_size):
+    market, cid = arb_state(**state)
+    assert (detect_arbitrage(market, cid, min_profit, max_size, budget)
+            == reference_detect(market, cid, min_profit, max_size, budget))
+
+
+def test_cycle_profit_without_pools_has_no_route():
+    market, cid = make_solar_market()
+    for positive in (True, False):
+        assert _cycle_plan(market, cid, 10, positive, None) is None
+        assert _cycle_profit(market, cid, positive, None)(10) is None
+
 
 @pytest.mark.parametrize("premium_bps", [-1000, 0, 1000])
 @pytest.mark.parametrize("side", list(Side))
