@@ -77,6 +77,22 @@ def test_report_prints_nav_table(capsys):
     assert "nav" in out.lower()
 
 
+# `twotier report` stdout for each shipped scenario, recorded before prices
+# became integer ratios: the rendering must not change with the arithmetic
+REPORT = {
+    "solar": "W_SOLAR             1200.000000000000    1200.000000000000            0\n",
+    "mine": "W_MINE             26000.000000000000   26000.000000000000            0\n",
+    "datacenter": "W_DC               17200.000000000000   17200.000000000000            0\n",
+}
+
+
+@pytest.mark.parametrize("scenario", list(REPORT))
+def test_report_output_is_pinned(capsys, scenario):
+    assert main(["report", str(SCENARIOS / f"{scenario}.json")]) == 0
+    header = "asset                             nav                 spot  premium_bps\n"
+    assert capsys.readouterr().out == header + REPORT[scenario]
+
+
 def test_routes_acquire(capsys):
     assert main(["routes", SOLAR, "--asset", "W_SOLAR", "--side", "acquire",
                  "--qty", "100"]) == 0
