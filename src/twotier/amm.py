@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DrainedPool, DuplicatePool, UnknownPool, ZeroInput
 from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
@@ -21,8 +20,11 @@ def cp_out(x: int, y: int, fee_bps: int, amount_in: int) -> int | None:
     """Output of a constant-product swap of amount_in into reserves (x in, y out).
 
     The fee, ceil(amount_in * fee_bps / BPS), is taken from the input and
-    stays in the pool. None if the output would drain y.
+    stays in the pool. None if the output would drain y, or if a reserve is
+    empty (a pool whose liquidity was all removed).
     """
+    if x == 0 or y == 0:
+        return None
     e = amount_in * (BPS - fee_bps) // BPS
     out = y * e // (x + e)
     return out if out < y else None
@@ -105,9 +107,13 @@ class AmmVenues:
     def lp_supply(self, base: str) -> int:
         return self.registry.total_supply(self.get(base).lp_token)
 
-    def spot_price(self, base: str) -> Fraction:
+    def spot_price(self, base: str) -> tuple[int, int]:
+        """Numeraire per base unit as the ratio (rn, rb) of the pool's reserves.
+
+        (0, 0) for a pool whose liquidity was all removed.
+        """
         rb, rn = self.reserves(base)
-        return Fraction(rn, rb)
+        return rn, rb
 
     # --- swaps ---
 
@@ -161,6 +167,8 @@ class AmmVenues:
         check_amount(max_base)
         check_amount(max_numeraire)
         rb, rn = self.reserves(base)
+        if rb == 0 or rn == 0:
+            raise DrainedPool(base)
         supply = self.lp_supply(base)
         minted = min(max_base * supply // rb, max_numeraire * supply // rn)
         if minted == 0:
@@ -181,6 +189,8 @@ class AmmVenues:
             return (0, 0)
         rb, rn = self.reserves(base)
         supply = self.lp_supply(base)
+        if supply == 0:
+            raise DrainedPool(base)
         base_out = lp_burned * rb // supply
         num_out = lp_burned * rn // supply
         with self.registry.transaction():

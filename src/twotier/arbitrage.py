@@ -227,8 +227,9 @@ def _cycle_profit(market: Market, asset_id: str, positive_premium: bool,
                   budget: int | None) -> Callable[[int], int | None]:
     """`profit(q)`: `_cycle_plan(q).expected_profit`, or None where it is None.
 
-    The pools' fees and reserves and the composite supply are read once, so
-    each size is scored with integer arithmetic alone and no plan is built.
+    The pools' fees and reserves, the composite supply and the backing at that
+    supply are read once, so each size is scored with integer arithmetic alone
+    and no plan is built.
     """
     engine = market.composites
     asset = engine.get(asset_id)
@@ -240,19 +241,23 @@ def _cycle_profit(market: Market, asset_id: str, positive_premium: bool,
 
     # the numeraire legs of the acquire and the dispose route, as `_cycle_plan` builds them
     if positive_premium:
+        mint = engine._mint_schedule(asset, supply)
+
         def costs(q):
             return [_buy_cost(venue, deposit + fee) for (_, deposit, fee), venue
-                    in zip(engine._mint_moves(asset, supply, q), elements)]
+                    in zip(mint(q), elements)]
 
         def gains(q):
             return [_sell_proceeds(w, q)]
     else:
+        redeem = engine._redeem_schedule(asset, supply)
+
         def costs(q):
             return [_buy_cost(w, q)]
 
         def gains(q):  # q <= supply: the pool delivered q, and its reserve is part of the supply
             return [_sell_proceeds(venue, payout) for (_, payout, _), venue
-                    in zip(engine._redeem_moves(asset, supply, q, supply), elements) if payout]
+                    in zip(redeem(q), elements) if payout]
 
     def profit(q: int) -> int | None:
         paid = costs(q)

@@ -59,8 +59,8 @@ def _cmd_report(args) -> int:
         asset = market.composites.get(a.composite)
         try:
             rep = nav_report(asset, market.venues)
-            print(f"{a.composite:<16} {frac_str(rep.nav):>20} "
-                  f"{frac_str(rep.composite_spot):>20} {rep.premium_bps:>12}")
+            print(f"{a.composite:<16} {frac_str(*rep.nav):>20} "
+                  f"{frac_str(*rep.composite_spot):>20} {rep.premium_bps:>12}")
         except EngineError:
             print(f"{a.composite:<16} {'no market':>20} {'no market':>20} {'n/a':>12}")
     return 0

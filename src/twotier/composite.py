@@ -9,6 +9,7 @@ backing requirement after every operation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -113,15 +114,49 @@ class CompositeEngine:
         # exact escrow requirement for a given composite supply
         return ceil_div(per_unit * supply, asset.unit)
 
+    def _mint_schedule(self, asset: AssetDefinition,
+                       s: int) -> Callable[[int], list[tuple[str, int, int]]]:
+        """`moves(q)`: (element, deposit, fee) owed to create q units at composite supply s.
+
+        The backing at s and the fee denominator are computed once, so sizing
+        many q against one supply pays only the terms that depend on q.
+        """
+        fee_den = BPS * asset.unit
+        terms = [(element, a, a * asset.mint_fee_bps, self._backing(asset, s, a))
+                for element, a in asset.composition]
+
+        def moves(q: int) -> list[tuple[str, int, int]]:
+            return [(element, self._backing(asset, s + q, a) - backing,
+                     ceil_div(q * a_fee, fee_den))
+                    for element, a, a_fee, backing in terms]
+
+        return moves
+
+    def _redeem_schedule(self, asset: AssetDefinition,
+                         s: int) -> Callable[[int], list[tuple[str, int, int]]]:
+        """`moves(q)`: (element, payout, fee + residue) released by burning q <= s units.
+
+        The backing at s is computed once, as in `_mint_schedule`.
+        """
+        kept_bps = BPS - asset.redeem_fee_bps
+        terms = [(element, a, self._backing(asset, s, a)) for element, a in asset.composition]
+
+        def moves(q: int) -> list[tuple[str, int, int]]:
+            out = []
+            for element, a, backing in terms:
+                released = backing - self._backing(asset, s - q, a)
+                payout = released * kept_bps // BPS
+                out.append((element, payout, released - payout))
+            return out
+
+        return moves
+
     def _mint_moves(self, asset: AssetDefinition, s: int,
                     q: int) -> list[tuple[str, int, int]]:
         """(element, deposit, fee) owed to create q units at composite supply s."""
         if check_amount(q) == 0:
             raise ZeroQuantity(asset.composite)
-        return [(element,
-                 self._backing(asset, s + q, a) - self._backing(asset, s, a),
-                 ceil_div(a * q * asset.mint_fee_bps, BPS * asset.unit))
-                for element, a in asset.composition]
+        return self._mint_schedule(asset, s)(q)
 
     def _redeem_moves(self, asset: AssetDefinition, s: int, q: int,
                       have: int) -> list[tuple[str, int, int]]:
@@ -136,12 +171,7 @@ class CompositeEngine:
             raise InsufficientBalance(
                 f"redeem {asset.composite}: need {q} composite, have {have}",
                 token=asset.composite, shortfall=q - have)
-        moves = []
-        for element, a in asset.composition:
-            released = self._backing(asset, s, a) - self._backing(asset, s - q, a)
-            payout = released * (BPS - asset.redeem_fee_bps) // BPS
-            moves.append((element, payout, released - payout))
-        return moves
+        return self._redeem_schedule(asset, s)(q)
 
     # --- quotes ---
 

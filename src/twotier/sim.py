@@ -16,7 +16,8 @@ Randomness comes from numpy Philox generators spawned off one SeedSequence
 per scenario, one independent substream per agent plus one for the epoch
 shuffle, so runs are reproducible bit-for-bit on a platform.
 
-Metrics rationals are rendered as decimal strings with 12 fractional digits.
+Prices in the metrics are integer ratios `(num, den)`, rendered by
+`frac_str` as decimal strings with 12 fractional digits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -32,20 +32,22 @@ import numpy as np
 
 from .amm import SwapDirection
 from .arbitrage import detect_arbitrage, execute_plan
-from .errors import ConfigError, EngineError, ParseError, UnknownReference
+from .errors import ConfigError, EngineError, MissingPrice, ParseError, UnknownReference
 from .ledger import BPS, MAX_DECIMALS, TokenKind, TokenMeta
 from .market import Market
 from .oracle import Attestation, OraclePolicy
-from .pricing import nav_report
+from .pricing import nav_report, pool_price
 
 FRACTION_DIGITS = 12
 
 
-def frac_str(x: Fraction) -> str:
-    """Decimal rendering with exactly FRACTION_DIGITS fractional digits, truncated toward zero."""
-    sign = "-" if x < 0 else ""
-    n, d = abs(x).numerator, abs(x).denominator
-    scaled = n * 10 ** FRACTION_DIGITS // d
+def frac_str(num: int, den: int) -> str:
+    """num / den (den > 0) with exactly FRACTION_DIGITS fractional digits, truncated toward zero.
+
+    The digits depend only on the value, not on whether num / den is reduced.
+    """
+    sign = "-" if num < 0 else ""
+    scaled = abs(num) * 10 ** FRACTION_DIGITS // den
     whole, frac = divmod(scaled, 10 ** FRACTION_DIGITS)
     return f"{sign}{whole}.{frac:0{FRACTION_DIGITS}d}"
 
@@ -553,7 +555,7 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
         asset = market.composites.get(cid)
         try:
             report = nav_report(asset, market.venues)
-            nav_s, spot_s = frac_str(report.nav), frac_str(report.composite_spot)
+            nav_s, spot_s = frac_str(*report.nav), frac_str(*report.composite_spot)
             prem = str(report.premium_bps)
         except EngineError:
             nav_s = spot_s = prem = "nan"
@@ -562,8 +564,10 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
                 str(reg.total_supply(cid)),
                 str(int(market.composites.full_backing_ok(cid)))]
         for element, _ in a.composition:
-            row.append(frac_str(market.venues.spot_price(element))
-                       if element in market.venues.pools else "nan")
+            try:
+                row.append(frac_str(*pool_price(market.venues, element)))
+            except MissingPrice:
+                row.append("nan")
             row.append(str(reg.total_supply(element)))
     return row
 

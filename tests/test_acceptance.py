@@ -160,13 +160,13 @@ def test_criterion_3_nav_oracle():
     for _ in range(1000):
         comp = [(f"e{i}", rng.randint(1, 10 ** 9))
                 for i in range(rng.randint(1, 8))]
-        prices = {el: Fraction(rng.randint(0, 10 ** 12), rng.randint(1, 10 ** 9))
+        prices = {el: (rng.randint(0, 10 ** 12), rng.randint(1, 10 ** 9))
                   for el, _ in comp}
         asset = AssetDefinition(composite="W", composition=comp,
                                 mint_fee_bps=0, redeem_fee_bps=0,
                                 escrow="e", fee_sink="f", unit=1)
-        expected = sum((a * prices[el] for el, a in comp), Fraction(0))
-        ok = ok and nav(asset, prices) == expected
+        expected = sum((a * Fraction(*prices[el]) for el, a in comp), Fraction(0))
+        ok = ok and Fraction(*nav(asset, prices)) == expected
     report(3, ok, "NAV equals the exact rational dot product on 1000 random "
                   "composition/price pairs")
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import add_element, grant_elements
 from twotier.amm import BPS, SwapDirection, cp_in, cp_out
-from twotier.errors import DrainedPool, DuplicatePool, ZeroInput
+from twotier.errors import AmmError, DrainedPool, DuplicatePool, ZeroInput
 from twotier.market import Market
 
 
@@ -77,16 +77,16 @@ def test_swap_zero_input():
 
 def test_spot_price_examples():
     market, pool = pool_market(1000, 2000)
-    assert market.venues.spot_price(pool.base) == 2
+    assert Fraction(*market.venues.spot_price(pool.base)) == 2
     market2, pool2 = pool_market(5000, 5000)
-    assert market2.venues.spot_price(pool2.base) == 1
+    assert Fraction(*market2.venues.spot_price(pool2.base)) == 1
 
 
 def test_spot_price_decreases_on_base_in():
     market, pool = pool_market(1_000_000, 1_000_000, fee_bps=30)
-    before = market.venues.spot_price(pool.base)
+    before = Fraction(*market.venues.spot_price(pool.base))
     market.venues.swap_exact_in(pool.base, SwapDirection.BASE_IN, 1000, "trader")
-    assert market.venues.spot_price(pool.base) < before
+    assert Fraction(*market.venues.spot_price(pool.base)) < before
 
 
 def test_required_in_for_out_is_sufficient_and_tight():
@@ -135,6 +135,26 @@ def test_venue_quotes_are_the_pure_formulas(x, y, fee, direction, amount):
             venues.required_in_for_out(pool.base, direction, amount)
     else:
         assert venues.required_in_for_out(pool.base, direction, amount) == need
+
+
+def test_emptied_pool_raises_amm_errors():
+    # all LP removed leaves reserves (0, 0): every venue call names the pool's base
+    market, pool = pool_market(fee_bps=30)
+    venues = market.venues
+    venues.remove_liquidity(pool.base, market.registry.balance_of(pool.lp_token, "lp"), "lp")
+    assert venues.reserves(pool.base) == (0, 0)
+    assert venues.spot_price(pool.base) == (0, 0)
+    for direction in SwapDirection:
+        for amount in (1, 10 ** 6):   # 1 at 30 bps is 0 after the fee
+            with pytest.raises(AmmError, match="energy"):
+                venues.quote_exact_in(pool.base, direction, amount)
+        with pytest.raises(AmmError, match="energy"):
+            venues.required_in_for_out(pool.base, direction, 1)
+    with pytest.raises(AmmError, match="energy"):
+        venues.add_liquidity(pool.base, 10 ** 6, 10 ** 6, "trader")
+    with pytest.raises(AmmError, match="energy"):
+        venues.remove_liquidity(pool.base, 1, "lp")
+    assert cp_out(0, 0, 30, 1) is None
 
 
 def test_add_liquidity_doubling_doubles_lp():

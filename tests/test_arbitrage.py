@@ -144,6 +144,15 @@ def test_no_arbitrage_at_par():
     assert detect_arbitrage(market, cid, min_profit=1, max_size=50_000) is None
 
 
+@pytest.mark.parametrize("emptied", ["land", "W_SOLAR"])
+def test_detect_on_an_emptied_pool_is_none(emptied):
+    market, cid = arb_market(w_premium_bps=1000)
+    lp_token = market.venues.get(emptied).lp_token
+    market.venues.remove_liquidity(
+        emptied, market.registry.balance_of(lp_token, "issuer"), "issuer")
+    assert detect_arbitrage(market, cid) is None
+
+
 def test_fee_band_blocks_small_premium():
     market, cid = arb_market(w_premium_bps=20, pool_fee_bps=30)
     assert detect_arbitrage(market, cid, min_profit=1, max_size=50_000) is None

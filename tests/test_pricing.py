@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import SOLAR_COMPOSITION, make_solar_market, seed_solar_pools
 from twotier.composite import AssetDefinition
 from twotier.errors import MissingPrice
 from twotier.pricing import nav, nav_report, premium_bps
+from twotier.sim import frac_str
 
 
 def make_asset(composition):
@@ -20,19 +22,27 @@ def make_asset(composition):
 SOLAR = make_asset(SOLAR_COMPOSITION)
 
 
+def pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def value(p: tuple[int, int]) -> Fraction:
+    return Fraction(*p)
+
+
 def test_nav_unit_prices():
-    prices = {"energy": Fraction(1), "land": Fraction(1), "carbon": Fraction(1)}
-    assert nav(SOLAR, prices) == 1200
+    prices = {"energy": (1, 1), "land": (1, 1), "carbon": (1, 1)}
+    assert value(nav(SOLAR, prices)) == 1200
 
 
 def test_nav_mixed_prices():
-    prices = {"energy": Fraction(3), "land": Fraction(1, 2), "carbon": Fraction(10)}
-    assert nav(SOLAR, prices) == 100 * 3 + Fraction(1000, 2) + 100 * 10
+    prices = {"energy": (3, 1), "land": (1, 2), "carbon": (10, 1)}
+    assert value(nav(SOLAR, prices)) == 100 * 3 + Fraction(1000, 2) + 100 * 10
 
 
 def test_nav_missing_price():
     with pytest.raises(MissingPrice):
-        nav(SOLAR, {"energy": Fraction(1), "land": Fraction(1)})
+        nav(SOLAR, {"energy": (1, 1), "land": (1, 1)})
 
 
 def test_nav_dot_product_oracle():
@@ -40,32 +50,32 @@ def test_nav_dot_product_oracle():
     rng = random.Random(0xFEED)
     for _ in range(1000):
         comp = [(f"e{i}", rng.randint(1, 10 ** 6)) for i in range(rng.randint(1, 6))]
-        prices = {el: Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6))
+        prices = {el: (rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6))
                   for el, _ in comp}
-        expected = sum((qty * prices[el] for el, qty in comp), Fraction(0))
-        assert nav(make_asset(comp), prices) == expected
+        expected = sum((qty * value(prices[el]) for el, qty in comp), Fraction(0))
+        assert value(nav(make_asset(comp), prices)) == expected
 
 
 def test_premium_at_par_is_zero():
-    assert premium_bps(Fraction(1200), Fraction(1200)) == 0
+    assert premium_bps((1200, 1), (1200, 1)) == 0
 
 
 def test_premium_ten_percent():
-    assert premium_bps(Fraction(1200) * Fraction(11, 10), Fraction(1200)) == 1000
-    assert premium_bps(Fraction(1200) * Fraction(9, 10), Fraction(1200)) == -1000
+    assert premium_bps((1200 * 11, 10), (1200, 1)) == 1000
+    assert premium_bps((1200 * 9, 10), (1200, 1)) == -1000
 
 
 def test_premium_rounds_half_away_from_zero():
     # 0.25bps -> 0;  0.5bps -> 1;  -0.5bps -> -1
-    base = Fraction(10_000)
-    assert premium_bps(base + Fraction(1, 4), base) == 0
-    assert premium_bps(base + Fraction(1, 2), base) == 1
-    assert premium_bps(base - Fraction(1, 2), base) == -1
+    base = (10_000, 1)
+    assert premium_bps((4 * 10_000 + 1, 4), base) == 0
+    assert premium_bps((2 * 10_000 + 1, 2), base) == 1
+    assert premium_bps((2 * 10_000 - 1, 2), base) == -1
 
 
 def test_premium_requires_positive_nav():
     with pytest.raises(MissingPrice):
-        premium_bps(Fraction(1), Fraction(0))
+        premium_bps((1, 1), (0, 1))
 
 
 @given(spot=st.fractions(min_value=0, max_value=10 ** 9),
@@ -73,7 +83,8 @@ def test_premium_requires_positive_nav():
        scale=st.fractions(min_value=Fraction(1, 1000), max_value=1000))
 @settings(max_examples=300, deadline=None)
 def test_premium_scale_invariant(spot, navv, scale):
-    assert premium_bps(spot * scale, navv * scale) == premium_bps(spot, navv)
+    scaled = premium_bps(pair(spot * scale), pair(navv * scale))
+    assert scaled == premium_bps(pair(spot), pair(navv))
 
 
 @given(prices=st.lists(st.fractions(min_value=Fraction(1, 100), max_value=10 ** 6),
@@ -81,17 +92,70 @@ def test_premium_scale_invariant(spot, navv, scale):
        k=st.fractions(min_value=Fraction(1, 100), max_value=100))
 @settings(max_examples=200, deadline=None)
 def test_nav_homogeneity(prices, k):
-    p = dict(zip(("energy", "land", "carbon"), prices))
-    scaled = {el: v * k for el, v in p.items()}
-    assert nav(SOLAR, scaled) == k * nav(SOLAR, p)
+    p = {el: pair(v) for el, v in zip(("energy", "land", "carbon"), prices)}
+    scaled = {el: pair(value(v) * k) for el, v in p.items()}
+    assert value(nav(SOLAR, scaled)) == k * value(nav(SOLAR, p))
+
+
+# --- integer ratios against an exact-rational reference ---
+
+def ref_premium_bps(spot: Fraction, navv: Fraction) -> int:
+    ratio = (spot - navv) / navv * 10_000
+    rounded = math.floor(abs(ratio) + Fraction(1, 2))   # half away from zero
+    return rounded if ratio >= 0 else -rounded
+
+
+def ref_frac_str(x: Fraction) -> str:
+    scaled = math.floor(abs(x) * 10 ** 12)               # truncated toward zero
+    return f"{'-' if x < 0 else ''}{scaled // 10 ** 12}.{scaled % 10 ** 12:012d}"
+
+
+prices_st = st.tuples(st.integers(0, 10 ** 12), st.integers(1, 10 ** 12))
+
+
+@given(comp=st.lists(st.tuples(st.integers(1, 10 ** 9), prices_st), min_size=1, max_size=6),
+       spot=st.tuples(st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 12)),
+       k=st.integers(1, 10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_integer_prices_match_fraction_reference(comp, spot, k):
+    asset = make_asset([(f"e{i}", a) for i, (a, _) in enumerate(comp)])
+    prices = {f"e{i}": p for i, (_, p) in enumerate(comp)}
+    expected_nav = sum((a * value(p) for a, p in comp), Fraction(0))
+    navv = nav(asset, prices)
+    assert value(navv) == expected_nav
+    # scaling a price's num and den by k leaves every result unchanged
+    scaled_prices = {el: (k * n, k * d) for el, (n, d) in prices.items()}
+    assert value(nav(asset, scaled_prices)) == expected_nav
+    scaled_spot = (k * spot[0], k * spot[1])
+    for p in (spot, navv):
+        assert frac_str(*p) == ref_frac_str(value(p)) == frac_str(k * p[0], k * p[1])
+    if expected_nav > 0:
+        expected = ref_premium_bps(value(spot), expected_nav)
+        assert premium_bps(spot, navv) == expected
+        assert premium_bps(scaled_spot, (k * navv[0], k * navv[1])) == expected
+    else:
+        with pytest.raises(MissingPrice):
+            premium_bps(spot, navv)
+
+
+@given(navv=st.tuples(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)),
+       t=st.integers(-10_000, 10 ** 6), k=st.integers(1, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_premium_half_bps_ties_round_away_from_zero(navv, t, k):
+    # spot = nav * (1 + (t + 1/2) / 10_000): a premium of exactly t + 1/2 bps
+    spot = (navv[0] * (20_000 + 2 * t + 1), navv[1] * 20_000)
+    expected = t + 1 if t >= 0 else t
+    assert ref_premium_bps(value(spot), value(navv)) == expected
+    assert premium_bps(spot, navv) == expected
+    assert premium_bps((k * spot[0], k * spot[1]), (k * navv[0], k * navv[1])) == expected
 
 
 def test_nav_report_at_par():
     market, cid = make_solar_market()
     seed_solar_pools(market, w_premium_bps=0, pool_fee_bps=0)
     report = nav_report(market.composites.assets[cid], market.venues)
-    assert report.nav == 1200
-    assert report.composite_spot == 1200
+    assert value(report.nav) == 1200
+    assert value(report.composite_spot) == 1200
     assert report.premium_bps == 0
 
 
@@ -114,4 +178,15 @@ def test_nav_report_missing_composite_pool():
     market.venues.create_pool("land", 0, 10 ** 9, 10 ** 9, "issuer")
     market.venues.create_pool("carbon", 0, 10 ** 8, 10 ** 8, "issuer")
     with pytest.raises(MissingPrice):
+        nav_report(market.composites.assets[cid], market.venues)
+
+
+@pytest.mark.parametrize("emptied", ["land", "W_SOLAR"])
+def test_nav_report_of_an_emptied_pool_is_missing_price(emptied):
+    market, cid = make_solar_market()
+    seed_solar_pools(market, w_premium_bps=0, pool_fee_bps=30)
+    lp_token = market.venues.get(emptied).lp_token
+    market.venues.remove_liquidity(
+        emptied, market.registry.balance_of(lp_token, "issuer"), "issuer")
+    with pytest.raises(MissingPrice, match=emptied):
         nav_report(market.composites.assets[cid], market.venues)

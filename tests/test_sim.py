@@ -331,6 +331,21 @@ def test_row_count_and_header_shape():
         assert row[0] == str(i)
 
 
+def test_metrics_row_of_an_emptied_pool_is_nan():
+    # a valid scenario cannot empty a pool (its seed LP stays with a config
+    # account); through the API, the row shows nan where a price is missing
+    cfg = parse_config(solar_doc())
+    market = sim.build_market(cfg)
+    lp_token = market.venues.get("land").lp_token
+    market.venues.remove_liquidity(
+        "land", market.registry.balance_of(lp_token, "issuer"), "issuer")
+    row = dict(zip(sim._metrics_header(cfg), sim._metrics_row(cfg, market, 0, {})))
+    assert [row[c] for c in ("W_SOLAR_nav", "W_SOLAR_spot", "W_SOLAR_premium_bps",
+                             "land_spot")] == ["nan"] * 4
+    assert row["energy_spot"] == "1.000000000000"
+    assert row["W_SOLAR_backing_ok"] == "1"
+
+
 def test_backing_flag_always_set():
     result = run(parse_config(mini_doc(epochs=10)))
     col = result.header.index("W_backing_ok")
