@@ -93,6 +93,76 @@ def test_report_output_is_pinned(capsys, scenario):
     assert capsys.readouterr().out == header + REPORT[scenario]
 
 
+# `twotier routes` output for each shipped scenario, recorded before the
+# one-sided routes and the arbitrage cycles were priced from one snapshot.
+# At 100000 units some routes have no quote: the composite pool or an
+# element pool cannot deliver it, or it is more than the composite supply.
+ROUTES = {
+    ("solar", "acquire", 100): (0, """\
+direct_w                     cost=120483 legs=1
+buy_elements_then_mint_w     cost=120607 legs=4
+best: direct_w cost=120483
+""", ""),
+    ("solar", "acquire", 100_000): (1, "", "error: acquire 100000 of W_SOLAR\n"),
+    ("solar", "dispose", 100): (0, """\
+direct_w                     proceeds=118682 legs=1
+redeem_then_sell_elements    proceeds=119400 legs=4
+best: redeem_then_sell_elements proceeds=119400
+""", ""),
+    ("solar", "dispose", 100_000): (0, """\
+direct_w                     proceeds=59909864 legs=1
+redeem_then_sell_elements    proceeds=59879848 legs=4
+best: direct_w proceeds=59909864
+""", ""),
+    ("mine", "acquire", 100): (0, """\
+direct_w                     cost=2620929 legs=1
+buy_elements_then_mint_w     cost=2614756 legs=5
+best: buy_elements_then_mint_w cost=2614756
+""", ""),
+    ("mine", "acquire", 100_000): (0, """\
+buy_elements_then_mint_w     cost=5236551342 legs=5
+best: buy_elements_then_mint_w cost=5236551342
+""", ""),
+    ("mine", "dispose", 100): (0, """\
+direct_w                     proceeds=2561321 legs=1
+redeem_then_sell_elements    proceeds=2584963 legs=5
+best: redeem_then_sell_elements proceeds=2584963
+""", ""),
+    ("mine", "dispose", 100_000): (0, """\
+direct_w                     proceeds=433116123 legs=1
+best: direct_w proceeds=433116123
+""", ""),
+    ("datacenter", "acquire", 100): (0, """\
+direct_w                     cost=1728633 legs=1
+buy_elements_then_mint_w     cost=1736886 legs=5
+best: direct_w cost=1728633
+""", ""),
+    ("datacenter", "acquire", 100_000): (0, """\
+buy_elements_then_mint_w     cost=3457258669 legs=5
+best: buy_elements_then_mint_w cost=3457258669
+""", ""),
+    ("datacenter", "dispose", 100): (0, """\
+direct_w                     proceeds=1699435 legs=1
+redeem_then_sell_elements    proceeds=1696163 legs=5
+best: direct_w proceeds=1699435
+""", ""),
+    ("datacenter", "dispose", 100_000): (0, """\
+direct_w                     proceeds=572758851 legs=1
+redeem_then_sell_elements    proceeds=1143605741 legs=5
+best: redeem_then_sell_elements proceeds=1143605741
+""", ""),
+}
+COMPOSITE = {"solar": "W_SOLAR", "mine": "W_MINE", "datacenter": "W_DC"}
+
+
+@pytest.mark.parametrize("scenario, side, qty", list(ROUTES))
+def test_routes_output_is_pinned(capsys, scenario, side, qty):
+    code = main(["routes", str(SCENARIOS / f"{scenario}.json"), "--asset", COMPOSITE[scenario],
+                 "--side", side, "--qty", str(qty)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == ROUTES[scenario, side, qty]
+
+
 def test_routes_acquire(capsys):
     assert main(["routes", SOLAR, "--asset", "W_SOLAR", "--side", "acquire",
                  "--qty", "100"]) == 0
