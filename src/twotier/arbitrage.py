@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .amm import SwapDirection, SwapQuote, cp_in, cp_out
-from .errors import (
-    AmmError,
-    CompositeError,
-    InsufficientBalance,
-    InvariantViolation,
-    MissingPrice,
-    NoExecutablePath,
-    StalePlan,
-    UnknownPool,
-)
+from .composite import AssetDefinition
+from .errors import CompositeError, InvariantViolation, MissingPrice, NoExecutablePath, StalePlan
+from .ledger import check_amount
 from .market import Market
 from .pricing import nav_report
 
@@ -77,88 +70,102 @@ class ExecutionResult:
     legs_executed: int
 
 
-# --- route simulation (pure, state-dependent quotes only) ---
+# --- routes, priced over one read of their pools ---
 
-def _buy(market: Market, token: str, amount_out: int) -> SwapQuote | None:
-    """Swap leg buying at least amount_out of token with numeraire, or None."""
-    direction = SwapDirection.NUMERAIRE_IN
-    try:
-        d = market.venues.required_in_for_out(token, direction, amount_out)
-        return market.venues.quote_exact_in(token, direction, d)
-    except AmmError:  # UnknownPool included
-        return None
+_Flows = Callable[[int], list[int] | None]
+_Legs = Callable[[int, list[int]], list[Leg]]
+
+_BUY, _SELL = SwapDirection.NUMERAIRE_IN, SwapDirection.BASE_IN
+_ELEMENT_ROUTE = {Side.ACQUIRE_W: RouteKind.BUY_ELEMENTS_THEN_MINT_W,
+                  Side.DISPOSE_W: RouteKind.REDEEM_THEN_SELL_ELEMENTS}
 
 
-def _sell(market: Market, token: str, amount_in: int) -> SwapQuote | None:
-    """Swap leg selling amount_in of token for numeraire, or None."""
-    try:
-        return market.venues.quote_exact_in(token, SwapDirection.BASE_IN, amount_in)
-    except AmmError:
-        return None
-
-
-def _acquire_direct(market: Market, asset, q: int) -> Route | None:
-    leg = _buy(market, asset.composite, q)
-    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
-
-
-def _acquire_via_elements(market: Market, asset, q: int) -> Route | None:
-    try:
-        needs = market.composites.required_deposit(asset.composite, q)
-    except CompositeError:
-        return None
-    legs = []
-    for element, need in needs:
-        leg = _buy(market, element, need)
-        if leg is None:
+def _costs(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] | None:
+    """Numeraire into the buy of each amount from its (rb, rn, fee) pool, or None."""
+    paid = []
+    for (rb, rn, fee), amount in zip(pools, amounts):
+        d = cp_in(rn, rb, fee, amount)
+        if not d:  # nothing to buy, or an empty numeraire reserve: a zero input has no quote
             return None
-        legs.append(leg)
-    legs.append(MintLeg(asset.composite, q))
-    return Route(RouteKind.BUY_ELEMENTS_THEN_MINT_W, legs)
+        paid.append(d)
+    return paid
 
 
-def _dispose_direct(market: Market, asset, q: int) -> Route | None:
-    leg = _sell(market, asset.composite, q)
-    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
+def _proceeds(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] | None:
+    """Numeraire out of the sale of each nonzero amount into its (rb, rn, fee) pool, or None."""
+    got = []
+    for (rb, rn, fee), amount in zip(pools, amounts):
+        if amount:  # a zero payout is not sold
+            out = cp_out(rb, rn, fee, amount)
+            if out is None:
+                return None
+            got.append(out)
+    return got
 
 
-def _dispose_via_elements(market: Market, asset, q: int) -> Route | None:
-    try:
-        payouts = market.composites.redemption_value(asset.composite, q)
-    except (CompositeError, InsufficientBalance):
-        return None
-    legs = [RedeemLeg(asset.composite, q, payouts)]
-    for element, payout in payouts:
-        if payout == 0:
-            continue
-        leg = _sell(market, element, payout)
-        if leg is None:
-            return None
-        legs.append(leg)
-    return Route(RouteKind.REDEEM_THEN_SELL_ELEMENTS, legs)
+def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
+           side: Side) -> tuple[_Flows, _Legs]:
+    """`(flows, legs)` of one route, over one read of its pools (and the composite supply).
 
+    `flows(q)` is the numeraire into each buy (acquire) or out of each sale
+    (dispose) of the route sized q, or None where it has no quote. It is
+    integer arithmetic alone, so a size search can score many sizes.
+    `legs(q, flows(q))` quotes that route's swaps at the unchanged state and
+    adds its mint or redeem leg, for the one size a caller keeps. A missing
+    pool reads as an emptied one, which quotes nothing.
+    """
+    venues, cid = market.venues, asset.composite
+    direct = kind == RouteKind.DIRECT_W
+    bases = [cid] if direct else [element for element, _ in asset.composition]
+    pools = [(*venues.reserves(base), venues.pools[base].fee_bps) if base in venues.pools
+             else (0, 0, 0) for base in bases]
+    if direct:
+        price = _costs if side == Side.ACQUIRE_W else _proceeds
 
-def _route_cost(route: Route) -> int:
-    """Numeraire spent on swaps (acquire routes only buy with numeraire)."""
-    return sum(leg.amount_in for leg in route.legs if isinstance(leg, SwapQuote))
+        def flows(q: int) -> list[int] | None:
+            return price(pools, [q])
+    else:
+        supply = market.registry.total_supply(cid)
+        if side == Side.ACQUIRE_W:
+            mint = market.composites._mint_schedule(asset, supply)
 
+            def flows(q: int) -> list[int] | None:
+                return _costs(pools, [deposit + fee for _, deposit, fee in mint(q)])
+        else:
+            redeem = market.composites._redeem_schedule(asset, supply)
 
-def _route_proceeds(route: Route) -> int:
-    """Numeraire received from swaps (dispose routes only sell for numeraire)."""
-    return sum(leg.amount_out for leg in route.legs if isinstance(leg, SwapQuote))
+            def flows(q: int) -> list[int] | None:  # redeeming q > supply has no quote
+                return None if q > supply else _proceeds(
+                    pools, [payout for _, payout, _ in redeem(q)])
+
+    def legs(q: int, numeraire: list[int]) -> list[Leg]:
+        quote = venues.quote_exact_in
+        if side == Side.ACQUIRE_W:
+            swaps = [quote(base, _BUY, d) for base, d in zip(bases, numeraire)]
+            return swaps if direct else swaps + [MintLeg(cid, q)]
+        if direct:
+            return [quote(cid, _SELL, q)]
+        basket = [(element, payout) for element, payout, _ in redeem(q)]
+        return [RedeemLeg(cid, q, basket)] + [quote(element, _SELL, payout)
+                                              for element, payout in basket if payout]
+
+    return flows, legs
 
 
 def simulate_routes(market: Market, asset_id: str, side: Side,
                     quantity_w: int) -> list[ExecutionPlan]:
     """All executable route plans for the request, in route-kind order."""
     asset = market.composites.get(asset_id)
-    if side == Side.ACQUIRE_W:
-        builders, value = (_acquire_direct, _acquire_via_elements), _route_cost
-    else:
-        builders, value = (_dispose_direct, _dispose_via_elements), _route_proceeds
-    routes = [build(market, asset, quantity_w) for build in builders]
-    return [ExecutionPlan(route, side, quantity_w, value(route))
-            for route in routes if route is not None]
+    if check_amount(quantity_w) == 0:  # trading nothing has no quote
+        return []
+    plans = []
+    for kind in (RouteKind.DIRECT_W, _ELEMENT_ROUTE[side]):
+        flows, legs = _route(market, asset, kind, side)
+        moved = flows(quantity_w)
+        if moved is not None:
+            plans.append(ExecutionPlan(Route(kind, legs(quantity_w, moved)), side,
+                                       quantity_w, sum(moved)))
+    return plans
 
 
 def best_route(market: Market, asset_id: str, side: Side,
@@ -177,118 +184,41 @@ def best_route(market: Market, asset_id: str, side: Side,
 
 # --- arbitrage ---
 
-def _cycle_plan(market: Market, asset_id: str, q: int, positive_premium: bool,
-                budget: int | None) -> ExecutionPlan | None:
-    """One round trip sized q: element route on one side, direct trade on the other.
-
-    None if a route is missing or its numeraire cost exceeds `budget`.
-    """
-    asset = market.composites.get(asset_id)
-    if positive_premium:
-        acquire, dispose = _acquire_via_elements(market, asset, q), _dispose_direct(market, asset, q)
-    else:
-        acquire, dispose = _acquire_direct(market, asset, q), _dispose_via_elements(market, asset, q)
-    if acquire is None or dispose is None:
-        return None
-    cost = _route_cost(acquire)
-    if budget is not None and cost > budget:
-        return None
-    kind = acquire.kind if positive_premium else dispose.kind  # the element-side route's
-    proceeds = _route_proceeds(dispose)
-    return ExecutionPlan(Route(kind, acquire.legs + dispose.legs), Side.DISPOSE_W, q,
-                         proceeds, expected_profit=proceeds - cost)
-
-
-Venue = tuple[int, int, int]   # (x, y, fee_bps): a pool's reserves in -> out and its fee
-
-
-def _venue(market: Market, base: str, direction: SwapDirection) -> Venue | None:
-    try:
-        pool, x, y = market.venues._oriented(base, direction)
-    except UnknownPool:
-        return None
-    return x, y, pool.fee_bps
-
-
-def _buy_cost(venue: Venue | None, amount_out: int) -> int | None:
-    """Numeraire input of `_buy`'s leg, or None where `_buy` has no leg."""
-    if venue is None:
-        return None
-    # 0 (nothing to buy, or an empty numeraire reserve) is a zero input, which has no quote
-    return cp_in(*venue, amount_out) or None
-
-
-def _sell_proceeds(venue: Venue | None, amount_in: int) -> int | None:
-    """Numeraire output of `_sell`'s leg, or None where `_sell` has no leg."""
-    return None if venue is None else cp_out(*venue, amount_in)
-
-
-def _cycle_profit(market: Market, asset_id: str, positive_premium: bool,
-                  budget: int | None) -> Callable[[int], int | None]:
-    """`profit(q)`: `_cycle_plan(q).expected_profit`, or None where it is None.
-
-    The pools' fees and reserves, the composite supply and the backing at that
-    supply are read once, so each size is scored with integer arithmetic alone
-    and no plan is built.
-    """
-    engine = market.composites
-    asset = engine.get(asset_id)
-    supply = market.registry.total_supply(asset.composite)
-    buy, sell = SwapDirection.NUMERAIRE_IN, SwapDirection.BASE_IN
-    elements = [_venue(market, element, buy if positive_premium else sell)
-                for element, _ in asset.composition]
-    w = _venue(market, asset.composite, sell if positive_premium else buy)
-
-    # the numeraire legs of the acquire and the dispose route, as `_cycle_plan` builds them
-    if positive_premium:
-        mint = engine._mint_schedule(asset, supply)
-
-        def costs(q):
-            return [_buy_cost(venue, deposit + fee) for (_, deposit, fee), venue
-                    in zip(mint(q), elements)]
-
-        def gains(q):
-            return [_sell_proceeds(w, q)]
-    else:
-        redeem = engine._redeem_schedule(asset, supply)
-
-        def costs(q):
-            return [_buy_cost(w, q)]
-
-        def gains(q):  # q <= supply: the pool delivered q, and its reserve is part of the supply
-            return [_sell_proceeds(venue, payout) for (_, payout, _), venue
-                    in zip(redeem(q), elements) if payout]
-
-    def profit(q: int) -> int | None:
-        paid = costs(q)
-        if None in paid or (budget is not None and sum(paid) > budget):
-            return None
-        got = gains(q)
-        return None if None in got else sum(got) - sum(paid)
-
-    return profit
-
-
 def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
                      max_size: int = 1 << 30,
                      budget: int | None = None) -> ExecutionPlan | None:
     """Best profitable premium/discount round trip, or None.
 
-    Only cycles whose numeraire cost (bought before anything is sold) is at
-    most `budget` are sized; None means unbounded capital.
+    A round trip sized q acquires q through the element route and sells it
+    directly (premium), or buys it directly and redeems it into the elements
+    (discount). Only cycles whose numeraire cost (bought before anything is
+    sold) is at most `budget` are sized; None means unbounded capital.
 
     Size search: geometric sweep to bracket the unimodal profit curve, then
-    ternary refinement on the bracket. Each size is scored by
-    `_cycle_profit` over one snapshot; only the winning size is planned.
+    ternary refinement on the bracket. Each size is scored from the two
+    routes' flows; legs are quoted only for the winning size.
     """
     try:
-        report = nav_report(market.composites.get(asset_id), market.venues)
+        asset = market.composites.get(asset_id)
+        report = nav_report(asset, market.venues)
     except (MissingPrice, CompositeError):
         return None
     if report.premium_bps == 0:
         return None
     positive = report.premium_bps > 0
-    cycle_profit = _cycle_profit(market, asset_id, positive, budget)
+    element_kind = _ELEMENT_ROUTE[Side.ACQUIRE_W if positive else Side.DISPOSE_W]
+    costs, buy_legs = _route(market, asset, element_kind if positive else RouteKind.DIRECT_W,
+                             Side.ACQUIRE_W)
+    gains, sell_legs = _route(market, asset, RouteKind.DIRECT_W if positive else element_kind,
+                              Side.DISPOSE_W)
+
+    def cycle_profit(q: int) -> int | None:
+        paid = costs(q)
+        if paid is None or (budget is not None and sum(paid) > budget):
+            return None
+        got = gains(q)
+        return None if got is None else sum(got) - sum(paid)
+
     scores: dict[int, int] = {}  # each size is scored once
 
     def profit(q: int) -> int:
@@ -322,7 +252,10 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 
     if best_p < min_profit:
         return None
-    return _cycle_plan(market, asset_id, best_q, positive, budget)
+    paid, got = costs(best_q), gains(best_q)
+    legs = buy_legs(best_q, paid) + sell_legs(best_q, got)
+    return ExecutionPlan(Route(element_kind, legs), Side.DISPOSE_W, best_q, sum(got),
+                         expected_profit=best_p)
 
 
 # --- execution ---

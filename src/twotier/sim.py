@@ -560,9 +560,8 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
         except EngineError:
             nav_s = spot_s = prem = "nan"
         trades, profit = arb_stats.get(cid, (0, 0))
-        row += [nav_s, spot_s, prem, str(trades), str(profit),
-                str(reg.total_supply(cid)),
-                str(int(market.composites.full_backing_ok(cid)))]
+        # `run` writes a row only after `Market.audit()` has asserted exact backing
+        row += [nav_s, spot_s, prem, str(trades), str(profit), str(reg.total_supply(cid)), "1"]
         for element, _ in a.composition:
             try:
                 row.append(frac_str(*pool_price(market.venues, element)))

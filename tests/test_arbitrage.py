@@ -3,17 +3,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grant_elements, make_solar_market, seed_solar_pools
+from conftest import SOLAR_COMPOSITION, grant_elements, make_solar_market, seed_solar_pools
 from twotier import sim
-from twotier.amm import BPS, SwapDirection
-from twotier.arbitrage import (MintLeg, RouteKind, Side, _cycle_plan, _cycle_profit,
+from twotier.amm import BPS, SwapDirection, SwapQuote
+from twotier.arbitrage import (ExecutionPlan, MintLeg, RedeemLeg, Route, RouteKind, Side,
                                best_route, detect_arbitrage, execute_plan, simulate_routes)
 from twotier.cli import main
 from twotier.composite import CompositeEngine
-from twotier.errors import InsufficientBalance, InvariantViolation, NoExecutablePath, StalePlan
+from twotier.errors import (AmmError, CompositeError, InsufficientBalance, InvariantViolation,
+                            MissingPrice, NoExecutablePath, StalePlan)
 from twotier.pricing import nav_report
 
 
@@ -248,30 +249,112 @@ def test_detect_respects_max_size():
     assert detect_arbitrage(market, cid, min_profit=1, max_size=7) is None
 
 
-# --- the size-scoring kernel against the plan builder ---------------------
+# --- reference route builders through the venue and composite quote API --
 
-arb_states = st.fixed_dictionaries({
-    "w_premium_bps": st.integers(-3000, 3000),
-    "pool_fee_bps": st.sampled_from((0, 10, 30, 100)),
-    "mint_fee_bps": st.sampled_from((0, 5, 50, 500)),
-    "redeem_fee_bps": st.sampled_from((0, 5, 50, 500)),
-    # the W pool is priced per base unit, so decimals > 0 put W far above its NAV
-    "composite_decimals": st.sampled_from((0, 0, 1, 2, 4)),
-    "extra_supply": st.integers(0, 10 ** 4),  # backing that is not a whole element amount
-})
-budgets = st.one_of(st.none(), st.integers(0, 10 ** 14))
+def ref_buy(market, token, amount_out):
+    """Swap leg buying at least amount_out of token with numeraire, or None."""
+    direction = SwapDirection.NUMERAIRE_IN
+    try:
+        d = market.venues.required_in_for_out(token, direction, amount_out)
+        return market.venues.quote_exact_in(token, direction, d)
+    except AmmError:  # UnknownPool included
+        return None
 
 
-def arb_state(extra_supply, **params):
-    market, cid = arb_market(**params)
-    if extra_supply:
-        market.composites.mint_composite(cid, "issuer", extra_supply)
-    return market, cid
+def ref_sell(market, token, amount_in):
+    """Swap leg selling amount_in of token for numeraire, or None."""
+    try:
+        return market.venues.quote_exact_in(token, SwapDirection.BASE_IN, amount_in)
+    except AmmError:
+        return None
+
+
+def ref_acquire_direct(market, asset, q):
+    leg = ref_buy(market, asset.composite, q)
+    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
+
+
+def ref_acquire_via_elements(market, asset, q):
+    try:
+        needs = market.composites.required_deposit(asset.composite, q)
+    except CompositeError:
+        return None
+    legs = []
+    for element, need in needs:
+        leg = ref_buy(market, element, need)
+        if leg is None:
+            return None
+        legs.append(leg)
+    legs.append(MintLeg(asset.composite, q))
+    return Route(RouteKind.BUY_ELEMENTS_THEN_MINT_W, legs)
+
+
+def ref_dispose_direct(market, asset, q):
+    leg = ref_sell(market, asset.composite, q)
+    return None if leg is None else Route(RouteKind.DIRECT_W, [leg])
+
+
+def ref_dispose_via_elements(market, asset, q):
+    try:
+        payouts = market.composites.redemption_value(asset.composite, q)
+    except (CompositeError, InsufficientBalance):
+        return None
+    legs = [RedeemLeg(asset.composite, q, payouts)]
+    for element, payout in payouts:
+        if payout == 0:
+            continue
+        leg = ref_sell(market, element, payout)
+        if leg is None:
+            return None
+        legs.append(leg)
+    return Route(RouteKind.REDEEM_THEN_SELL_ELEMENTS, legs)
+
+
+def ref_cost(route):
+    return sum(leg.amount_in for leg in route.legs if isinstance(leg, SwapQuote))
+
+
+def ref_proceeds(route):
+    return sum(leg.amount_out for leg in route.legs if isinstance(leg, SwapQuote))
+
+
+def reference_routes(market, cid, side, q):
+    """`simulate_routes` with every route built leg by leg through the quote API."""
+    asset = market.composites.get(cid)
+    if side == Side.ACQUIRE_W:
+        builders, value = (ref_acquire_direct, ref_acquire_via_elements), ref_cost
+    else:
+        builders, value = (ref_dispose_direct, ref_dispose_via_elements), ref_proceeds
+    routes = [build(market, asset, q) for build in builders]
+    return [ExecutionPlan(route, side, q, value(route)) for route in routes if route is not None]
+
+
+def reference_cycle(market, cid, q, positive, budget):
+    """One round trip sized q: element route on one side, direct trade on the other."""
+    asset = market.composites.get(cid)
+    if positive:
+        acquire = ref_acquire_via_elements(market, asset, q)
+        dispose = ref_dispose_direct(market, asset, q)
+    else:
+        acquire = ref_acquire_direct(market, asset, q)
+        dispose = ref_dispose_via_elements(market, asset, q)
+    if acquire is None or dispose is None:
+        return None
+    cost = ref_cost(acquire)
+    if budget is not None and cost > budget:
+        return None
+    kind = acquire.kind if positive else dispose.kind
+    proceeds = ref_proceeds(dispose)
+    return ExecutionPlan(Route(kind, acquire.legs + dispose.legs), Side.DISPOSE_W, q,
+                         proceeds, expected_profit=proceeds - cost)
 
 
 def reference_detect(market, cid, min_profit, max_size, budget):
-    """The size search with a full `_cycle_plan` built for every probed size."""
-    report = nav_report(market.composites.get(cid), market.venues)
+    """The size search with a full `reference_cycle` built for every probed size."""
+    try:
+        report = nav_report(market.composites.get(cid), market.venues)
+    except MissingPrice:
+        return None
     if report.premium_bps == 0:
         return None
     positive = report.premium_bps > 0
@@ -279,7 +362,7 @@ def reference_detect(market, cid, min_profit, max_size, budget):
 
     def profit(q):
         if q not in plans:
-            plans[q] = _cycle_plan(market, cid, q, positive, budget)
+            plans[q] = reference_cycle(market, cid, q, positive, budget)
         return plans[q].expected_profit if plans[q] is not None else -(1 << 62)
 
     best_q, best_p = 0, -(1 << 62)
@@ -306,38 +389,79 @@ def reference_detect(market, cid, min_profit, max_size, budget):
     return plans[best_q] if best_p >= min_profit else None
 
 
-@given(state=arb_states, positive=st.booleans(), budget=budgets,
-       sizes=st.lists(st.integers(1, 2 ** 31), min_size=1, max_size=8))
+# --- the one-snapshot routes against the reference -----------------------
+
+arb_states = st.fixed_dictionaries({
+    "w_premium_bps": st.integers(-3000, 3000),
+    "pool_fee_bps": st.sampled_from((0, 10, 30, 100)),
+    "mint_fee_bps": st.sampled_from((0, 5, 50, 500)),
+    "redeem_fee_bps": st.sampled_from((0, 5, 50, 500)),
+    # the W pool is priced per base unit, so decimals > 0 put W far above its NAV;
+    # they also make small redemptions pay 0 of an element, which is not sold
+    "composite_decimals": st.sampled_from((0, 0, 1, 2, 4)),
+    "extra_supply": st.integers(0, 10 ** 4),  # backing that is not a whole element amount
+    # an element pool that was never created, or whose liquidity was all removed
+    "element_pool": st.sampled_from(("kept", "kept", "missing", "emptied")),
+    "element": st.sampled_from([element for element, _ in SOLAR_COMPOSITION]),
+})
+budgets = st.one_of(st.none(), st.integers(0, 10 ** 14))
+# zero, small enough to pay 0 of an element, and past the composite supply
+# (10^6) and what the composite pool (2 * 10^5) and the element pools can deliver
+sizes = st.one_of(st.integers(0, 100), st.integers(1, 2 ** 31))
+
+
+def arb_state(extra_supply, element_pool, element, **params):
+    market, cid = arb_market(**params)
+    if extra_supply:
+        market.composites.mint_composite(cid, "issuer", extra_supply)
+    if element_pool == "missing":
+        del market.venues.pools[element]
+    elif element_pool == "emptied":
+        lp_token = market.venues.get(element).lp_token
+        market.venues.remove_liquidity(
+            element, market.registry.balance_of(lp_token, "issuer"), "issuer")
+    return market, cid
+
+
+def tiny_units(extra_supply, element_pool="kept"):
+    """A state where one unit of W is backed by less than one unit of each element."""
+    return {"w_premium_bps": 0, "pool_fee_bps": 30, "mint_fee_bps": 0, "redeem_fee_bps": 0,
+            "composite_decimals": 4, "extra_supply": extra_supply,
+            "element_pool": element_pool, "element": "energy"}
+
+
+@given(state=arb_states, side=st.sampled_from(list(Side)),
+       qs=st.lists(sizes, min_size=1, max_size=8))
+@example(state=tiny_units(1), side=Side.ACQUIRE_W, qs=[1])  # owes 0 of each element
+@example(state=tiny_units(2, "missing"), side=Side.DISPOSE_W, qs=[1, 3])  # pays 0 of each
 @settings(max_examples=200, deadline=None)
-def test_cycle_profit_matches_cycle_plan(state, positive, budget, sizes):
-    # sizes reach past the composite supply (10^6) and past what the
-    # composite pool (2 * 10^5) and the element pools can deliver
+def test_routes_match_the_venue_api_reference(state, side, qs):
     market, cid = arb_state(**state)
-    for q in sizes:
-        unbounded = _cycle_plan(market, cid, q, positive, None)
-        edges = ([] if unbounded is None else  # a budget of exactly the cycle's cost, and 1 less
-                 [unbounded.simulated_cost_or_proceeds - unbounded.expected_profit - d
-                  for d in (0, 1)])
-        for cap in [budget, *edges]:
-            plan = _cycle_plan(market, cid, q, positive, cap)
-            assert (_cycle_profit(market, cid, positive, cap)(q)
-                    == (None if plan is None else plan.expected_profit))
+    for q in qs:
+        assert simulate_routes(market, cid, side, q) == reference_routes(market, cid, side, q)
 
 
 @given(state=arb_states, budget=budgets, min_profit=st.integers(-10 ** 6, 10 ** 6),
        max_size=st.integers(1, 2 ** 31))
+@example(state={**tiny_units(0), "w_premium_bps": 1000, "composite_decimals": 0},
+         budget=None, min_profit=1, max_size=100_000)  # a cycle, so the budget edges bind
 @settings(max_examples=100, deadline=None)
 def test_detect_matches_the_full_plan_search(state, budget, min_profit, max_size):
     market, cid = arb_state(**state)
-    assert (detect_arbitrage(market, cid, min_profit, max_size, budget)
-            == reference_detect(market, cid, min_profit, max_size, budget))
+    unbounded = reference_detect(market, cid, min_profit, max_size, None)
+    edges = ([] if unbounded is None else  # a budget of exactly the winner's cost, and 1 less
+             [unbounded.simulated_cost_or_proceeds - unbounded.expected_profit - d
+              for d in (0, 1)])
+    for cap in [budget, None, *edges]:
+        assert (detect_arbitrage(market, cid, min_profit, max_size, cap)
+                == reference_detect(market, cid, min_profit, max_size, cap))
 
 
-def test_cycle_profit_without_pools_has_no_route():
+def test_no_pools_no_routes_and_no_arbitrage():
     market, cid = make_solar_market()
-    for positive in (True, False):
-        assert _cycle_plan(market, cid, 10, positive, None) is None
-        assert _cycle_profit(market, cid, positive, None)(10) is None
+    for side in Side:
+        assert simulate_routes(market, cid, side, 10) == []
+    assert detect_arbitrage(market, cid) is None
 
 
 @pytest.mark.parametrize("premium_bps", [-1000, 0, 1000])
