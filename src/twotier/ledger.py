@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     DuplicateAccount,
@@ -65,6 +69,23 @@ _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
 
 
+class Event(NamedTuple):
+    """One logged state transition. Its `seq` is its index in `Registry.events`."""
+    op: str
+    token: str
+    accounts: list
+    qty: int
+    meta: dict | None = None
+
+
+_new_event = tuple.__new__  # _move builds its Event without the Python-level Event.__new__
+
+# one events.jsonl line: the keys "seq", "op", "token", "accounts", "qty" (and "meta",
+# the second slot) in sorted order with compact separators, the JSON of an event's dict form
+_LINE = '{"accounts":[%s],%s"op":%s,"qty":%d,"seq":%d,"token":%s}'
+_json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass
 class TokenMeta:
     token: str
@@ -95,7 +116,7 @@ class Registry:
         self._authority: dict[str, str] = {}
         self._balances: dict[str, dict[str, int]] = {}
         self._supply: dict[str, int] = {}
-        self.events: list[dict] = []
+        self.events: list[Event] = []
         # token -> list of fn(account) called just before a balance change
         self._balance_listeners: dict[str, list] = {}
 
@@ -171,6 +192,10 @@ class Registry:
     def holders(self, token: str) -> list[str]:
         return [a for a, v in self._balances[token].items() if v > 0]
 
+    def balances(self, token: str) -> Mapping[str, int]:
+        """Read-only view of every balance entry of `token`, zero ones included."""
+        return MappingProxyType(self._balances[token])
+
     # --- mutations ---
 
     def mint(self, token: str, to: str, qty: int, authority: str):
@@ -212,7 +237,7 @@ class Registry:
             for fn in self._balance_listeners.get(token, ()):
                 fn(account)
         self._write(token, frm, to, qty)
-        self._log(op, token=token, accounts=accounts, qty=qty)
+        self.events.append(_new_event(Event, (op, token, accounts, qty, None)))
 
     # --- transactions ---
 
@@ -223,7 +248,7 @@ class Registry:
         The event log is the undo journal: moves logged since entry are reversed
         newest-first, calling no balance listener, and dropped from the log.
         Other events (accounts, tokens, flags) keep their state, so they stay in
-        the log, renumbered to keep `seq` contiguous, and the log still replays.
+        the log, and the log still replays.
         """
         start = len(self.events)
         try:
@@ -231,12 +256,10 @@ class Registry:
         except BaseException:
             block = self.events[start:]
             for ev in reversed(block):
-                if ev["op"] in _ENDS:
-                    frm, to = _ENDS[ev["op"]](ev["accounts"])
-                    self._write(ev["token"], to, frm, ev["qty"])
-            self.events[start:] = [ev for ev in block if ev["op"] not in _ENDS]
-            for seq, ev in enumerate(self.events[start:], start):
-                ev["seq"] = seq
+                if ev.op in _ENDS:
+                    frm, to = _ENDS[ev.op](ev.accounts)
+                    self._write(ev.token, to, frm, ev.qty)
+            self.events[start:] = [ev for ev in block if ev.op not in _ENDS]
             raise
 
     # --- internals ---
@@ -254,11 +277,7 @@ class Registry:
             balances[to] = balances.get(to, 0) + qty
 
     def _log(self, op: str, token: str, accounts: list, qty: int, meta: dict | None = None):
-        ev = {"seq": len(self.events), "op": op, "token": token,
-              "accounts": accounts, "qty": qty}
-        if meta:
-            ev["meta"] = meta
-        self.events.append(ev)
+        self.events.append(Event(op, token, accounts, qty, meta))
 
     # --- snapshots / audit ---
 
@@ -285,22 +304,26 @@ class Registry:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def export_events(self) -> list[str]:
-        """Event log as line-delimited JSON strings."""
-        return [json.dumps(ev, sort_keys=True, separators=(",", ":"))
-                for ev in self.events]
+        """Event log as line-delimited JSON strings, keys sorted, `seq` the line index."""
+        return [_LINE % (",".join(map(_json_str, accounts)),
+                         '"meta":%s,' % _json_meta(meta) if meta else "",
+                         _json_str(op), qty, seq, _json_str(token))
+                for seq, (op, token, accounts, qty, meta) in enumerate(self.events)]
 
 
-def replay_events(events: list[dict]) -> Registry:
+def replay_events(events: list) -> Registry:
     """Rebuild a Registry from an event log produced by another Registry.
 
+    Takes the live `Event` records or the dicts parsed from `events.jsonl`.
     Replay applies raw state transitions; authority checks were already
     enforced when the log was written.
     """
     reg = Registry()
     for ev in events:
-        op = ev["op"]
-        token, accounts, qty = ev["token"], ev["accounts"], ev["qty"]
-        meta = ev.get("meta", {})
+        if isinstance(ev, dict):
+            ev = Event(ev["op"], ev["token"], ev["accounts"], ev["qty"], ev.get("meta"))
+        op, token, accounts, qty, meta = ev
+        meta = meta or {}
         if op == "create_account":
             reg.create_account(accounts[0], AccountRole(meta["role"]))
         elif op == "create_token":

@@ -100,8 +100,10 @@ class YieldVault:
         accounting is conservative; `Market.audit` checks this.
         """
         pool = self.get(composite)
-        total = pool.dust_scaled
-        seen = set(pool.last_index) | set(pool.accrued_scaled)
-        for acct in seen | set(self.registry.holders(composite)):
-            total += self._entitlement_scaled(pool, acct)
+        index, last = pool.index, pool.last_index
+        # an entitlement's settled part is in accrued_scaled and its unsettled part
+        # needs a balance, so each part is summed over the entries that can hold it
+        total = pool.dust_scaled + sum(pool.accrued_scaled.values())
+        for acct, bal in self.registry.balances(composite).items():
+            total += bal * (index - last.get(acct, 0))
         return total

@@ -3,15 +3,18 @@
 Each shipped scenario runs at its own seed and at seeds 0-4, the way
 `twotier run` does, and the sha256 of the written `metrics.csv` and
 `events.jsonl` must match the table below. A change that alters output
-bytes on purpose updates this table in the same commit and says why.
+bytes on purpose updates this table in the same commit and says why. The
+written `events.jsonl`, parsed back, must also replay to the run's state.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 import twotier
+from twotier.ledger import replay_events
 from twotier.sim import export_csv, export_events, load_config, run
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
@@ -72,3 +75,5 @@ def test_shipped_scenario_bytes(tmp_path, scenario, seed):
     export_csv(result, str(metrics))
     export_events(result, str(events))
     assert (_sha256(metrics), _sha256(events)) == GOLDEN[scenario, seed]
+    parsed = [json.loads(line) for line in events.read_text().splitlines()]
+    assert replay_events(parsed).state_hash() == result.market.registry.state_hash()

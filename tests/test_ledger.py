@@ -129,7 +129,7 @@ def test_zero_transfer_is_noop_with_event():
     reg.transfer("MWh", "alice", "bob", 0)
     assert reg.balance_of("MWh", "bob") == 0
     assert len(reg.events) == n_events + 1
-    assert reg.events[-1]["op"] == "transfer"
+    assert reg.events[-1].op == "transfer"
 
 
 def test_balance_of_examples():
@@ -272,7 +272,8 @@ def test_transaction_rollback_matches_replay_of_committed_moves(steps):
         replayed = replay_events(ref.events)
         assert reg.state_hash() == replayed.state_hash()
         assert reg.export_events() == replayed.export_events()
-        assert [ev["seq"] for ev in reg.events] == list(range(len(reg.events)))
+        assert ([json.loads(line)["seq"] for line in reg.export_events()]
+                == list(range(len(reg.events))))
 
 
 def test_rollback_keeps_non_move_state_and_reraises():
@@ -287,8 +288,8 @@ def test_rollback_keeps_non_move_state_and_reraises():
             raise Abort
     assert (reg.balance_of("MWh", "alice"), reg.balance_of("MWh", "bob")) == (10, 0)
     assert "carol" in reg.accounts and reg.meta("MWh").paused   # state stays
-    # and so do its events, renumbered after the dropped transfer
-    assert [(ev["seq"], ev["op"]) for ev in reg.events[n_events:]] == [
+    # and so do its events, numbered after the dropped transfer
+    assert [(seq, ev.op) for seq, ev in enumerate(reg.events)][n_events:] == [
         (n_events, "create_account"), (n_events + 1, "set_paused")]
 
 
@@ -301,4 +302,77 @@ def test_rolled_back_non_move_events_still_replay():
             raise Abort
     reg.mint("MWh", "b", 5, MINTER)
     assert replay_events(reg.events).state_hash() == reg.state_hash()
-    assert [ev["seq"] for ev in reg.events] == list(range(len(reg.events)))
+    assert ([json.loads(line)["seq"] for line in reg.export_events()]
+            == list(range(len(reg.events))))
+
+
+# --- events.jsonl encoding ------------------------------------------------------
+
+def reference_line(seq: int, ev) -> str:
+    """An event's line as json.dumps renders its dict form."""
+    doc = {"seq": seq, "op": ev.op, "token": ev.token, "accounts": ev.accounts, "qty": ev.qty}
+    if ev.meta:
+        doc["meta"] = ev.meta
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# quotes, backslashes, control and non-ASCII characters (astral and lone surrogates too)
+NAME = st.text(st.one_of(st.sampled_from('"\\\n\x00é€中😀'), st.characters()),
+               min_size=1, max_size=6)
+IX = st.integers(0, 7)  # picks a token or account modulo how many exist
+QTY = st.integers(0, 10 ** 20)
+OP = st.one_of(
+    st.tuples(st.sampled_from(["mint", "burn"]), IX, IX, QTY),
+    st.tuples(st.just("transfer"), IX, IX, IX, QTY),
+    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX, st.booleans()),
+    st.tuples(st.just("set_allowlist"), IX, IX, st.booleans()),
+    st.tuples(st.just("create_account"), NAME, st.sampled_from(list(AccountRole))))
+# ("block", ops, roll back)
+LEDGER_STEP = st.one_of(OP, st.tuples(st.just("block"), st.lists(OP, max_size=5), st.booleans()))
+
+
+def _apply(reg, op, authority):
+    """Run one drawn op; its first index picks a token, the ones after it accounts."""
+    kind, *args = op
+    if kind == "create_account":
+        reg.ensure_account(*args)
+        return
+    tokens, accounts = list(reg.tokens), list(reg.accounts)
+    token = tokens[args[0] % len(tokens)]
+    picked = [accounts[i % len(accounts)] for i in args[1:-1]]
+    key = [authority[token]] if kind in ("mint", "burn") else []
+    getattr(reg, kind)(token, *picked, args[-1], *key)
+
+
+@given(tokens=st.lists(st.tuples(NAME, NAME, NAME, st.sampled_from(list(TokenKind)),
+                                 st.integers(0, 18)),
+                       min_size=1, max_size=3, unique_by=lambda t: t[0]),
+       accounts=st.lists(NAME, min_size=1, max_size=4, unique=True),
+       steps=st.lists(LEDGER_STEP, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
+    reg, authority = Registry(), {}
+    for token, unit_label, key, kind, decimals in tokens:
+        reg.create_token(TokenMeta(token=token, kind=kind, unit_label=unit_label,
+                                   decimals=decimals), authority=key)
+        authority[token] = key
+    for account in accounts:
+        reg.create_account(account)
+    for step in steps:
+        ops, roll_back = ([step], False) if step[0] != "block" else step[1:]
+        try:
+            with reg.transaction():
+                for op in ops:
+                    try:
+                        _apply(reg, op, authority)
+                    except (InsufficientBalance, TokenPaused, NotAllowlisted):
+                        pass
+                if roll_back:
+                    raise Abort
+        except Abort:
+            pass
+    lines = reg.export_events()
+    assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+    replayed = replay_events([json.loads(line) for line in lines])
+    assert replayed.state_hash() == reg.state_hash()
+    assert replayed.export_events() == lines

@@ -18,6 +18,7 @@ from twotier.errors import (
     UnknownReference,
 )
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
+from twotier.yields import INDEX_SCALE
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
 
@@ -458,8 +459,15 @@ def _corrupt_num_mint(market):
     market.registry._write("NUM", None, "issuer", 1)
 
 
+def _corrupt_accrued(market):
+    # every total still agrees; only recomputing each entitlement sees the extra unit
+    pool = market.yields.get("W_SOLAR")
+    holder = market.registry.holders("W_SOLAR")[0]
+    pool.accrued_scaled[holder] = pool.accrued_scaled.get(holder, 0) + INDEX_SCALE
+
+
 CORRUPTIONS = [_corrupt_num_balance, _corrupt_element_supply, _corrupt_escrow,
-               _corrupt_minted, _corrupt_paid, _corrupt_num_mint]
+               _corrupt_minted, _corrupt_paid, _corrupt_num_mint, _corrupt_accrued]
 
 
 def corrupt_at_epoch_3(monkeypatch, corrupt):
