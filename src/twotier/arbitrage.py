@@ -5,6 +5,9 @@ trading it directly against its pool, redeeming and selling the elements, or
 buying elements and minting. The arbitrage planner chains the element-side
 route with the opposite direct trade to monetize premium or discount, sizing
 the trade on the unimodal profit curve that constant-product impact creates.
+A cycle sized q earns at most q times the gap between its marginal proceeds
+and cost at q -> 0, so inside that no-trade band the planner returns None
+without sizing anything.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from enum import Enum
 from .amm import SwapDirection, SwapQuote, cp_in, cp_out
 from .composite import AssetDefinition
 from .errors import CompositeError, InvariantViolation, MissingPrice, NoExecutablePath, StalePlan
-from .ledger import check_amount
+from .ledger import BPS, check_amount
 from .market import Market
-from .pricing import nav_report
+from .pricing import Price, nav_report
 
 
 class RouteKind(str, Enum):
@@ -84,8 +87,11 @@ def _costs(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] |
     """Numeraire into the buy of each amount from its (rb, rn, fee) pool, or None."""
     paid = []
     for (rb, rn, fee), amount in zip(pools, amounts):
+        if amount == 0:  # nothing owed is not bought
+            paid.append(0)
+            continue
         d = cp_in(rn, rb, fee, amount)
-        if not d:  # nothing to buy, or an empty numeraire reserve: a zero input has no quote
+        if not d:  # more than the pool holds, or an empty numeraire reserve: no quote
             return None
         paid.append(d)
     return paid
@@ -103,9 +109,38 @@ def _proceeds(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int
     return got
 
 
+# The no-trade band. Constant-product output is concave and input convex in
+# the amount moved, and every floor and ceiling rounds against the trader:
+# cp_out(x, y, f, a) <= y·e/x with e = floor(a·(BPS-f)/BPS), and
+# cp_in(x, y, f, o) >= x·o/y · BPS/(BPS-f). At composite unit 1 a mint of q
+# deposits exactly q·a_i of element i and its fee, rounded up, is at least
+# q·a_i·mint_fee/BPS; a redeem's payout, rounded down, is at most
+# q·a_i·(BPS-redeem_fee)/BPS. So at every size q an acquire route costs at
+# least q times its marginal cost at q -> 0, and a dispose route yields at
+# most q times its marginal proceeds: a cycle's profit is at most
+# q·(mp0 - mc0), which is below 1 for every q once mp0 <= mc0. This is the
+# fee band of CFMM price oracles (Angeris et al., arXiv:1911.03380) taken
+# over the mint/redeem basket.
+
+def _marginal(pools: list[tuple[int, int, int]], weights: list[int],
+              buy: bool) -> Price | None:
+    """Numeraire per unit of q at q -> 0 for weight_i/BPS of base i per unit, or None.
+
+    A pool's marginal price is rn·BPS / (rb·(BPS-f)) to buy from it and
+    rn·(BPS-f) / (rb·BPS) to sell into it. None if a pool is empty or missing.
+    """
+    num, den = 0, 1
+    for (rb, rn, fee), weight in zip(pools, weights):
+        if rb == 0:
+            return None
+        pn, pd = (rn * BPS, rb * (BPS - fee)) if buy else (rn * (BPS - fee), rb * BPS)
+        num, den = num * pd + weight * pn * den, den * pd
+    return num, den * BPS
+
+
 def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
-           side: Side) -> tuple[_Flows, _Legs]:
-    """`(flows, legs)` of one route, over one read of its pools (and the composite supply).
+           side: Side) -> tuple[_Flows, _Legs, Price | None]:
+    """`(flows, legs, marginal)` of one route, over one read of its pools (and the supply).
 
     `flows(q)` is the numeraire into each buy (acquire) or out of each sale
     (dispose) of the route sized q, or None where it has no quote. It is
@@ -113,35 +148,49 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
     `legs(q, flows(q))` quotes that route's swaps at the unchanged state and
     adds its mint or redeem leg, for the one size a caller keeps. A missing
     pool reads as an emptied one, which quotes nothing.
+
+    `marginal` is the numeraire flow per unit of q at q -> 0, a lower bound
+    on the cost (acquire) or an upper bound on the proceeds (dispose) per
+    unit at every size (the no-trade band above). It is None where that bound
+    is not exact: an element route of a composite with unit > 1, or a route
+    through an empty or missing pool.
     """
     venues, cid = market.venues, asset.composite
     direct = kind == RouteKind.DIRECT_W
+    buy = side == Side.ACQUIRE_W
     bases = [cid] if direct else [element for element, _ in asset.composition]
     pools = [(*venues.reserves(base), venues.pools[base].fee_bps) if base in venues.pools
              else (0, 0, 0) for base in bases]
     if direct:
-        price = _costs if side == Side.ACQUIRE_W else _proceeds
+        price = _costs if buy else _proceeds
 
         def flows(q: int) -> list[int] | None:
             return price(pools, [q])
+
+        weights = [BPS]
     else:
         supply = market.registry.total_supply(cid)
-        if side == Side.ACQUIRE_W:
+        if buy:
             mint = market.composites._mint_schedule(asset, supply)
+            fee_factor = BPS + asset.mint_fee_bps
 
             def flows(q: int) -> list[int] | None:
                 return _costs(pools, [deposit + fee for _, deposit, fee in mint(q)])
         else:
             redeem = market.composites._redeem_schedule(asset, supply)
+            fee_factor = BPS - asset.redeem_fee_bps
 
             def flows(q: int) -> list[int] | None:  # redeeming q > supply has no quote
                 return None if q > supply else _proceeds(
                     pools, [payout for _, payout, _ in redeem(q)])
 
+        weights = [a * fee_factor for _, a in asset.composition]
+    marginal = _marginal(pools, weights, buy) if direct or asset.unit == 1 else None
+
     def legs(q: int, numeraire: list[int]) -> list[Leg]:
         quote = venues.quote_exact_in
-        if side == Side.ACQUIRE_W:
-            swaps = [quote(base, _BUY, d) for base, d in zip(bases, numeraire)]
+        if buy:
+            swaps = [quote(base, _BUY, d) for base, d in zip(bases, numeraire) if d]
             return swaps if direct else swaps + [MintLeg(cid, q)]
         if direct:
             return [quote(cid, _SELL, q)]
@@ -149,7 +198,7 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
         return [RedeemLeg(cid, q, basket)] + [quote(element, _SELL, payout)
                                               for element, payout in basket if payout]
 
-    return flows, legs
+    return flows, legs, marginal
 
 
 def simulate_routes(market: Market, asset_id: str, side: Side,
@@ -160,7 +209,7 @@ def simulate_routes(market: Market, asset_id: str, side: Side,
         return []
     plans = []
     for kind in (RouteKind.DIRECT_W, _ELEMENT_ROUTE[side]):
-        flows, legs = _route(market, asset, kind, side)
+        flows, legs, _ = _route(market, asset, kind, side)
         moved = flows(quantity_w)
         if moved is not None:
             plans.append(ExecutionPlan(Route(kind, legs(quantity_w, moved)), side,
@@ -194,6 +243,12 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     (discount). Only cycles whose numeraire cost (bought before anything is
     sold) is at most `budget` are sized; None means unbounded capital.
 
+    No-trade band gate: a cycle sized q earns at most q·(mp0 - mc0), its
+    marginal proceeds less its marginal cost at q -> 0 (`_route`). When both
+    exist, mp0 <= mc0 and `min_profit >= 1`, no size can pay, and the result
+    is None without scoring any size. A `min_profit` of 0 or less can be met
+    by a losing cycle, so it is always searched.
+
     Size search: geometric sweep to bracket the unimodal profit curve, then
     ternary refinement on the bracket. Each size is scored from the two
     routes' flows; legs are quoted only for the winning size.
@@ -207,10 +262,13 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
         return None
     positive = report.premium_bps > 0
     element_kind = _ELEMENT_ROUTE[Side.ACQUIRE_W if positive else Side.DISPOSE_W]
-    costs, buy_legs = _route(market, asset, element_kind if positive else RouteKind.DIRECT_W,
-                             Side.ACQUIRE_W)
-    gains, sell_legs = _route(market, asset, RouteKind.DIRECT_W if positive else element_kind,
-                              Side.DISPOSE_W)
+    costs, buy_legs, mc0 = _route(
+        market, asset, element_kind if positive else RouteKind.DIRECT_W, Side.ACQUIRE_W)
+    gains, sell_legs, mp0 = _route(
+        market, asset, RouteKind.DIRECT_W if positive else element_kind, Side.DISPOSE_W)
+    if (min_profit >= 1 and mc0 is not None and mp0 is not None
+            and mp0[0] * mc0[1] <= mc0[0] * mp0[1]):
+        return None  # inside the no-trade band: no size earns a positive profit
 
     def cycle_profit(q: int) -> int | None:
         paid = costs(q)

@@ -315,12 +315,16 @@ def replay_events(events: list) -> Registry:
     """Rebuild a Registry from an event log produced by another Registry.
 
     Takes the live `Event` records or the dicts parsed from `events.jsonl`.
-    Replay applies raw state transitions; authority checks were already
-    enforced when the log was written.
+    A parsed line must carry its index as `seq`, so a log with a line
+    missing, repeated or out of order is rejected. Replay applies raw state
+    transitions; authority checks were already enforced when the log was
+    written.
     """
     reg = Registry()
-    for ev in events:
+    for index, ev in enumerate(events):
         if isinstance(ev, dict):
+            if ev.get("seq") != index:
+                raise ValueError(f"event {index}: seq {ev.get('seq')!r}, expected {index}")
             ev = Event(ev["op"], ev["token"], ev["accounts"], ev["qty"], ev.get("meta"))
         op, token, accounts, qty, meta = ev
         meta = meta or {}
@@ -341,5 +345,5 @@ def replay_events(events: list) -> Registry:
         elif op == "set_allowlist":
             reg.set_allowlist(token, accounts[0], meta["flag"])
         else:
-            raise ValueError(f"unknown event op {op!r}")
+            raise ValueError(f"event {index}: unknown event op {op!r}")
     return reg

@@ -393,9 +393,10 @@ class LiquidityProvider(Agent):
         spec, venues = self.spec, market.venues
         reg = market.registry
         if epoch == spec.join_epoch:
-            # acquire the base side from the pool itself if not already held
+            # acquire the base side from the pool itself if not already held,
+            # unless buying it would drain the pool
             short = spec.base - reg.balance_of(spec.pool, self.account)
-            if short > 0:
+            if 0 < short < venues.reserves(spec.pool)[0]:
                 need = venues.required_in_for_out(spec.pool, SwapDirection.NUMERAIRE_IN, short)
                 if need <= reg.balance_of(market.numeraire, self.account):
                     venues.swap_exact_in(spec.pool, SwapDirection.NUMERAIRE_IN,

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from twotier.ledger import AccountRole, TokenKind, TokenMeta
 from twotier.market import Market
+
+# `--hypothesis-profile=ci` runs the properties that take their example count from
+# the profile (the arbitrage detection searches) at 20 times the default 100
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 SOLAR_COMPOSITION = [("energy", 100), ("land", 1000), ("carbon", 100)]
 

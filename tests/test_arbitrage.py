@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SOLAR_COMPOSITION, grant_elements, make_solar_market, seed_solar_pools
-from twotier import sim
+from twotier import arbitrage, sim
 from twotier.amm import BPS, SwapDirection, SwapQuote
 from twotier.arbitrage import (ExecutionPlan, MintLeg, RedeemLeg, Route, RouteKind, Side,
                                best_route, detect_arbitrage, execute_plan, simulate_routes)
@@ -156,7 +157,12 @@ def test_detect_on_an_emptied_pool_is_none(emptied):
 
 def test_fee_band_blocks_small_premium():
     market, cid = arb_market(w_premium_bps=20, pool_fee_bps=30)
-    assert detect_arbitrage(market, cid, min_profit=1, max_size=50_000) is None
+    assert nav_report(market.composites.get(cid), market.venues).premium_bps == 20
+    # settled by the no-trade band gate, without scoring a size
+    assert gated_detect(market, cid, 1, 50_000) == (None, True)
+    # a min_profit below 1 can be met by a losing cycle, so that search still runs
+    plan, gated = gated_detect(market, cid, -10 ** 6, 50_000)
+    assert not gated and plan is not None and plan.expected_profit < 0
 
 
 def test_positive_premium_cycle():
@@ -281,6 +287,8 @@ def ref_acquire_via_elements(market, asset, q):
         return None
     legs = []
     for element, need in needs:
+        if need == 0:  # nothing owed is not bought
+            continue
         leg = ref_buy(market, element, need)
         if leg is None:
             return None
@@ -432,7 +440,8 @@ def tiny_units(extra_supply, element_pool="kept"):
 
 @given(state=arb_states, side=st.sampled_from(list(Side)),
        qs=st.lists(sizes, min_size=1, max_size=8))
-@example(state=tiny_units(1), side=Side.ACQUIRE_W, qs=[1])  # owes 0 of each element
+# owes 0 of each element: the mint route is offered, and executes (test below)
+@example(state=tiny_units(1), side=Side.ACQUIRE_W, qs=[1])
 @example(state=tiny_units(2, "missing"), side=Side.DISPOSE_W, qs=[1, 3])  # pays 0 of each
 @settings(max_examples=200, deadline=None)
 def test_routes_match_the_venue_api_reference(state, side, qs):
@@ -445,7 +454,11 @@ def test_routes_match_the_venue_api_reference(state, side, qs):
        max_size=st.integers(1, 2 ** 31))
 @example(state={**tiny_units(0), "w_premium_bps": 1000, "composite_decimals": 0},
          budget=None, min_profit=1, max_size=100_000)  # a cycle, so the budget edges bind
-@settings(max_examples=100, deadline=None)
+# inside the fee band a losing cycle still meets a min_profit below 1: the gate must not fire
+@example(state={**tiny_units(0), "w_premium_bps": 92, "pool_fee_bps": 0, "mint_fee_bps": 500,
+                "composite_decimals": 0},
+         budget=None, min_profit=-52, max_size=1)
+@settings(deadline=None)  # max_examples from the hypothesis profile (tests/conftest.py)
 def test_detect_matches_the_full_plan_search(state, budget, min_profit, max_size):
     market, cid = arb_state(**state)
     unbounded = reference_detect(market, cid, min_profit, max_size, None)
@@ -455,6 +468,58 @@ def test_detect_matches_the_full_plan_search(state, budget, min_profit, max_size
     for cap in [budget, None, *edges]:
         assert (detect_arbitrage(market, cid, min_profit, max_size, cap)
                 == reference_detect(market, cid, min_profit, max_size, cap))
+
+
+def test_a_mint_owing_nothing_is_offered_and_executes():
+    market, cid = arb_state(**tiny_units(1))  # the first example of the property above
+    assert [owed for _, owed in market.composites.required_deposit(cid, 1)] == [0, 0, 0]
+    plans = simulate_routes(market, cid, Side.ACQUIRE_W, 1)
+    assert [plan.route.kind for plan in plans] == [RouteKind.DIRECT_W,
+                                                   RouteKind.BUY_ELEMENTS_THEN_MINT_W]
+    mint = plans[1]
+    assert mint.route.legs == [MintLeg(cid, 1)] and mint.simulated_cost_or_proceeds == 0
+    reg = market.registry
+    num0 = reg.balance_of("NUM", "arb")
+    assert execute_plan(market, mint, "arb").legs_executed == 1
+    assert reg.balance_of(cid, "arb") == 1 and reg.balance_of("NUM", "arb") == num0
+    market.audit()
+
+
+# --- the no-trade band gate ------------------------------------------------
+
+def gated_detect(market, cid, *args):
+    """`detect_arbitrage(market, cid, *args)`, and whether the gate settled it.
+
+    The gate settled a detection that built its two routes and returned
+    without evaluating either route's flows at any size.
+    """
+    built, evaluated = [], []
+    real_route = arbitrage._route
+
+    def counted_route(*route_args):
+        flows, legs, marginal = real_route(*route_args)
+        built.append(route_args)
+
+        def counted_flows(q):
+            evaluated.append(q)
+            return flows(q)
+
+        return counted_flows, legs, marginal
+
+    with mock.patch.object(arbitrage, "_route", counted_route):
+        plan = detect_arbitrage(market, cid, *args)
+    return plan, len(built) == 2 and not evaluated
+
+
+@given(state=arb_states, premium=st.one_of(st.none(), st.integers(-300, 300)))
+@settings(deadline=None)  # max_examples from the hypothesis profile (tests/conftest.py)
+def test_the_gate_skips_only_searches_that_find_nothing(state, premium):
+    if premium is not None:  # near par, where the fee band settles most detections
+        state = {**state, "w_premium_bps": premium}
+    market, cid = arb_state(**state)
+    plan, gated = gated_detect(market, cid, 1, 2 ** 31, None)
+    if gated:
+        assert plan is None and reference_detect(market, cid, 1, 2 ** 31, None) is None
 
 
 def test_no_pools_no_routes_and_no_arbitrage():

@@ -376,3 +376,34 @@ def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
     replayed = replay_events([json.loads(line) for line in lines])
     assert replayed.state_hash() == reg.state_hash()
     assert replayed.export_events() == lines
+
+
+def parsed_log() -> list[dict]:
+    """The parsed events.jsonl of a small ledger: 3 creations, 2 mints, 2 transfers."""
+    reg = fresh()
+    reg.mint("MWh", "alice", 100, MINTER)
+    reg.mint("MWh", "bob", 5, MINTER)
+    reg.transfer("MWh", "alice", "bob", 30)
+    reg.transfer("MWh", "bob", "alice", 7)
+    events = [json.loads(line) for line in reg.export_events()]
+    assert replay_events(events).state_hash() == reg.state_hash()
+    return events
+
+
+def without_transfer(events):
+    first = next(i for i, ev in enumerate(events) if ev["op"] == "transfer")
+    return events[:first] + events[first + 1:]
+
+
+def seq_zeroed(events):
+    return [dict(ev, seq=0) for ev in events]
+
+
+def swapped(events):
+    return events[:3] + [events[4], events[3]] + events[5:]
+
+
+@pytest.mark.parametrize("edit,index", [(without_transfer, 5), (seq_zeroed, 1), (swapped, 3)])
+def test_replay_rejects_a_log_with_a_line_missing_or_out_of_order(edit, index):
+    with pytest.raises(ValueError, match=f"^event {index}: seq "):
+        replay_events(edit(parsed_log()))

@@ -405,6 +405,24 @@ def test_arbitrageur_with_finite_budget_runs_to_the_end(name):
     assert result.market.registry.balance_of(numeraire, "agent:arb") >= 1_000_000
 
 
+def test_an_lp_join_that_would_drain_its_pool_skips_the_buy(tmp_path):
+    # the W_SOLAR pool holds 100,000 W: buying 200,000 from it cannot be quoted
+    doc = solar_doc()
+    lp = {"kind": "liquidity_provider", "pool": "W_SOLAR", "numeraire": "1000",
+          "join_epoch": 2, "budget": "1000000000"}
+    doc["agents"] += [dict(lp, id="lp", base="200000"), dict(lp, id="lp_small", base="1000")]
+    path = tmp_path / "solar_lp.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(path)]) == 0
+    # the run used to end at epoch 2 with DrainedPool (exit 1)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    result = run(parse_config(doc))  # each epoch ends in Market.audit()
+    assert len(result.rows) == doc["epochs"]
+    reg = result.market.registry
+    assert reg.balance_of("lp:W_SOLAR", "agent:lp") == 0
+    assert reg.balance_of("lp:W_SOLAR", "agent:lp_small") > 0  # a join it can fund still buys
+
+
 def test_yield_schedule_pays_holders():
     doc = mini_doc(epochs=6)
     doc["yield_schedule"] = [
