@@ -203,9 +203,13 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
 
 def simulate_routes(market: Market, asset_id: str, side: Side,
                     quantity_w: int) -> list[ExecutionPlan]:
-    """All executable route plans for the request, in route-kind order."""
+    """All executable route plans for the request, in route-kind order; none for a
+    size of 0 or for a dispose of more units than are held outside the composite pool."""
     asset = market.composites.get(asset_id)
-    if check_amount(quantity_w) == 0:  # trading nothing has no quote
+    cid = asset.composite
+    pooled = market.venues.reserves(cid)[0] if cid in market.venues.pools else 0
+    if check_amount(quantity_w) == 0 or (
+            side == Side.DISPOSE_W and quantity_w > market.registry.total_supply(cid) - pooled):
         return []
     plans = []
     for kind in (RouteKind.DIRECT_W, _ELEMENT_ROUTE[side]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -101,6 +101,15 @@ class TokenMeta:
             raise ValueError(f"decimals out of range: {self.decimals}")
 
 
+class _Book(dict):
+    """One token's account -> balance map, carrying its meta, minting authority, supply
+    and the fn(account) listeners that run just before any balance change."""
+    __slots__ = ("meta", "authority", "supply", "listeners")
+
+    def __init__(self, meta: TokenMeta, authority: str):
+        self.meta, self.authority, self.supply, self.listeners = meta, authority, 0, []
+
+
 class Registry:
     """Single-writer ledger for one simulation universe.
 
@@ -113,12 +122,8 @@ class Registry:
     def __init__(self):
         self.tokens: dict[str, TokenMeta] = {}
         self.accounts: dict[str, AccountRole] = {}
-        self._authority: dict[str, str] = {}
-        self._balances: dict[str, dict[str, int]] = {}
-        self._supply: dict[str, int] = {}
+        self._balances: dict[str, _Book] = {}
         self.events: list[Event] = []
-        # token -> list of fn(account) called just before a balance change
-        self._balance_listeners: dict[str, list] = {}
 
     # --- accounts ---
 
@@ -141,19 +146,20 @@ class Registry:
         if meta.token in self.tokens:
             raise DuplicateToken(meta.token)
         self.tokens[meta.token] = meta
-        self._authority[meta.token] = authority
-        self._balances[meta.token] = {}
-        self._supply[meta.token] = 0
+        self._balances[meta.token] = _Book(meta, authority)
         self._log("create_token", token=meta.token, accounts=[], qty=0,
                   meta={"kind": meta.kind.value, "decimals": meta.decimals,
                         "unit_label": meta.unit_label, "authority": authority})
         return meta.token
 
-    def meta(self, token: str) -> TokenMeta:
+    def _book(self, token: str) -> _Book:
         try:
-            return self.tokens[token]
+            return self._balances[token]
         except KeyError:
             raise UnknownToken(token) from None
+
+    def meta(self, token: str) -> TokenMeta:
+        return self._book(token).meta
 
     def set_paused(self, token: str, flag: bool):
         self.meta(token).paused = flag
@@ -175,26 +181,22 @@ class Registry:
 
     def add_balance_listener(self, token: str, fn):
         """Register fn(account) to run before any balance change of `token`."""
-        self._balance_listeners.setdefault(token, []).append(fn)
+        self._book(token).listeners.append(fn)
 
     # --- queries ---
 
     def balance_of(self, token: str, account: str) -> int:
-        if token not in self.tokens:
-            raise UnknownToken(token)
-        return self._balances[token].get(account, 0)
+        return self._book(token).get(account, 0)
 
     def total_supply(self, token: str) -> int:
-        if token not in self.tokens:
-            raise UnknownToken(token)
-        return self._supply[token]
+        return self._book(token).supply
 
     def holders(self, token: str) -> list[str]:
-        return [a for a, v in self._balances[token].items() if v > 0]
+        return [a for a, v in self._book(token).items() if v > 0]
 
     def balances(self, token: str) -> Mapping[str, int]:
         """Read-only view of every balance entry of `token`, zero ones included."""
-        return MappingProxyType(self._balances[token])
+        return MappingProxyType(self._book(token))
 
     # --- mutations ---
 
@@ -215,28 +217,28 @@ class Registry:
         accounts, authority (mint/burn only), pause, allowlist, balance.
         """
         qty = check_amount(qty)
-        meta = self.meta(token)
+        book = self._book(token)
         # exact-size literals: a comprehension over-allocates every logged list
         accounts = [to] if frm is None else [frm] if to is None else [frm, to]
         for account in accounts:
             if account not in self.accounts:
                 raise UnknownAccount(account)
-        if (frm is None or to is None) and self._authority[token] != authority:
+        if (frm is None or to is None) and book.authority != authority:
             raise Unauthorized(f"{authority!r} is not the minter of {token}")
-        if meta.paused:
+        if book.meta.paused:
             raise TokenPaused(token)
         for account in accounts:
-            if meta.allowlist_enabled and account not in meta.allowlist:
-                raise NotAllowlisted(f"{account} not allowlisted for {meta.token}")
+            if book.meta.allowlist_enabled and account not in book.meta.allowlist:
+                raise NotAllowlisted(f"{account} not allowlisted for {book.meta.token}")
         if frm is not None:
-            bal = self._balances[token].get(frm, 0)
+            bal = book.get(frm, 0)
             if bal < qty:
                 raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
                                           token=token, shortfall=qty - bal)
         for account in accounts:
-            for fn in self._balance_listeners.get(token, ()):
+            for fn in book.listeners:
                 fn(account)
-        self._write(token, frm, to, qty)
+        self._write(book, frm, to, qty)
         self.events.append(_new_event(Event, (op, token, accounts, qty, None)))
 
     # --- transactions ---
@@ -258,23 +260,22 @@ class Registry:
             for ev in reversed(block):
                 if ev.op in _ENDS:
                     frm, to = _ENDS[ev.op](ev.accounts)
-                    self._write(ev.token, to, frm, ev.qty)
+                    self._write(self._balances[ev.token], to, frm, ev.qty)
             self.events[start:] = [ev for ev in block if ev.op not in _ENDS]
             raise
 
     # --- internals ---
 
-    def _write(self, token: str, frm: str | None, to: str | None, qty: int):
-        """Move qty from frm to to, unchecked; None on either side is the supply."""
-        balances = self._balances[token]
+    def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
+        """Move qty of book's token from frm to to, unchecked; None on either side is the supply."""
         if frm is None:
-            self._supply[token] += qty
+            book.supply += qty
         else:
-            balances[frm] = balances.get(frm, 0) - qty
+            book[frm] = book.get(frm, 0) - qty
         if to is None:
-            self._supply[token] -= qty
+            book.supply -= qty
         else:
-            balances[to] = balances.get(to, 0) + qty
+            book[to] = book.get(to, 0) + qty
 
     def _log(self, op: str, token: str, accounts: list, qty: int, meta: dict | None = None):
         self.events.append(Event(op, token, accounts, qty, meta))
@@ -283,18 +284,17 @@ class Registry:
 
     def audit(self):
         """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply."""
-        for token, balances in self._balances.items():
-            total = sum(balances.values())
-            if total != self._supply[token] or min(balances.values(), default=0) < 0:
+        for token, book in self._balances.items():
+            total = sum(book.values())
+            if total != book.supply or min(book.values(), default=0) < 0:
                 raise InvariantViolation(f"conservation: {token} balances sum to {total}, "
-                                         f"supply {self._supply[token]}, or one is negative")
+                                         f"supply {book.supply}, or one is negative")
 
     def state_hash(self) -> str:
         """Deterministic digest of balances, supplies and token flags."""
         state = {
-            "supply": dict(sorted(self._supply.items())),
-            "balances": {t: dict(sorted((a, v) for a, v in b.items() if v != 0))
-                         for t, b in sorted(self._balances.items())},
+            "supply": {t: b.supply for t, b in self._balances.items()},
+            "balances": {t: {a: v for a, v in b.items() if v} for t, b in self._balances.items()},
             "tokens": {t: [m.kind.value, m.decimals, m.paused, m.allowlist_enabled,
                            sorted(m.allowlist)]
                        for t, m in sorted(self.tokens.items())},
@@ -303,12 +303,13 @@ class Registry:
         blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def export_events(self) -> list[str]:
-        """Event log as line-delimited JSON strings, keys sorted, `seq` the line index."""
-        return [_LINE % (",".join(map(_json_str, accounts)),
+    def export_events(self) -> Iterator[str]:
+        """Event log as line-delimited JSON strings, yielded one at a time, keys
+        sorted, `seq` the line index."""
+        return (_LINE % (",".join(map(_json_str, accounts)),
                          '"meta":%s,' % _json_meta(meta) if meta else "",
                          _json_str(op), qty, seq, _json_str(token))
-                for seq, (op, token, accounts, qty, meta) in enumerate(self.events)]
+                for seq, (op, token, accounts, qty, meta) in enumerate(self.events))
 
 
 def replay_events(events: list) -> Registry:
@@ -337,7 +338,7 @@ def replay_events(events: list) -> Registry:
                           decimals=meta["decimals"]),
                 authority=meta["authority"])
         elif op in _ENDS:
-            reg._move(op, token, *_ENDS[op](accounts), qty, reg._authority[token])
+            reg._move(op, token, *_ENDS[op](accounts), qty, reg._book(token).authority)
         elif op == "set_paused":
             reg.set_paused(token, meta["flag"])
         elif op == "set_allowlist_enabled":

@@ -9,7 +9,8 @@ than was verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 from .errors import (
     AlreadyFinalized,
@@ -56,8 +57,12 @@ class EpochResult:
 
 @dataclass
 class ProductionLedger:
+    """One element's record: verified and minted totals, each pending epoch's
+    {source: measured} and each finalized epoch's accepted output (0 if failed)."""
     cumulative_accepted: int = 0
     cumulative_minted: int = 0
+    pending: dict[int, dict[str, int]] = field(default_factory=dict, repr=False)
+    accepted: dict[int, int] = field(default_factory=dict, repr=False)
 
 
 def median_int(values: list[int]) -> int:
@@ -71,33 +76,29 @@ def median_int(values: list[int]) -> int:
 
 
 class OracleHub:
-    """Holds pending attestations and per-element production ledgers."""
+    """Holds one production record per element, created on its first use."""
 
     AUTHORITY = "oracle-hub"
 
     def __init__(self, registry: Registry):
         self.registry = registry
-        # (element, epoch) -> {source: measured}
-        self._pending: dict[tuple[str, int], dict[str, int]] = {}
-        self._finalized: dict[str, dict[int, EpochResult]] = {}
-        self.production: dict[str, ProductionLedger] = {}
-
-    def _ledger(self, element: str) -> ProductionLedger:
-        return self.production.setdefault(element, ProductionLedger())
+        self.production: defaultdict[str, ProductionLedger] = defaultdict(ProductionLedger)
 
     def submit_attestation(self, att: Attestation):
-        if att.epoch in self._finalized.get(att.element, {}):
+        prod = self.production[att.element]
+        if att.epoch in prod.accepted:
             raise EpochFinalized(f"{att.element} epoch {att.epoch}")
-        bucket = self._pending.setdefault((att.element, att.epoch), {})
+        bucket = prod.pending.setdefault(att.epoch, {})
         if att.source in bucket:
             raise DuplicateAttestation(f"{att.source} already attested "
                                        f"{att.element} epoch {att.epoch}")
         bucket[att.source] = att.measured
 
     def finalize_epoch(self, element: str, epoch: int, policy: OraclePolicy) -> EpochResult:
-        if epoch in self._finalized.get(element, {}):
+        prod = self.production[element]
+        if epoch in prod.accepted:
             raise AlreadyFinalized(f"{element} epoch {epoch}")
-        bucket = self._pending.pop((element, epoch), None)
+        bucket = prod.pending.pop(epoch, None)
         if not bucket:
             raise NoAttestations(f"{element} epoch {epoch}")
 
@@ -109,21 +110,17 @@ class OracleHub:
         rejected = sorted(outliers)
         survivors = [v for src, v in bucket.items() if src not in outliers]
 
-        if len(survivors) < policy.min_sources:
-            result = EpochResult(element, epoch, accepted=0,
-                                 rejected_sources=rejected, failed=True)
-        else:
-            result = EpochResult(element, epoch, accepted=median_int(survivors),
-                                 rejected_sources=rejected, failed=False)
+        failed = len(survivors) < policy.min_sources
+        result = EpochResult(element, epoch, accepted=0 if failed else median_int(survivors),
+                             rejected_sources=rejected, failed=failed)
 
-        ledger = self._ledger(element)
-        ledger.cumulative_accepted += result.accepted
-        self._finalized.setdefault(element, {})[epoch] = result
+        prod.cumulative_accepted += result.accepted
+        prod.accepted[epoch] = result.accepted
         return result
 
     def mintable_capacity(self, element: str) -> int:
-        ledger = self._ledger(element)
-        return ledger.cumulative_accepted - ledger.cumulative_minted
+        prod = self.production[element]
+        return prod.cumulative_accepted - prod.cumulative_minted
 
     def mint_verified(self, element: str, to: str, qty: int):
         check_amount(qty)
@@ -132,7 +129,7 @@ class OracleHub:
             raise ExceedsVerifiedOutput(
                 f"mint {qty} of {element} exceeds verified capacity {capacity}")
         self.registry.mint(element, to, qty, self.AUTHORITY)
-        self._ledger(element).cumulative_minted += qty
+        self.production[element].cumulative_minted += qty
 
     def twa_output(self, element: str, epoch: int, policy: OraclePolicy) -> int:
         """Mean accepted output over the trailing window ending at `epoch`.
@@ -140,13 +137,9 @@ class OracleHub:
         Only finalized epochs contribute; failed epochs count as 0. Returns 0
         when nothing in the window is finalized.
         """
-        finalized = self._finalized.get(element, {})
-        window = [e for e in range(epoch - policy.twa_window + 1, epoch + 1)
-                  if e in finalized]
-        if not window:
-            return 0
-        total = sum(finalized[e].accepted for e in window)
-        return total // policy.twa_window
+        accepted = self.production[element].accepted
+        window = range(epoch - policy.twa_window + 1, epoch + 1)
+        return sum(accepted.get(e, 0) for e in window) // policy.twa_window
 
     def record_verified_output(self, element: str, amount: int):
         """Bootstrap helper: credit pre-verified production without attestations.
@@ -155,5 +148,4 @@ class OracleHub:
         window starts. Keeps the minted <= accepted invariant intact.
         """
         check_amount(amount)
-        ledger = self._ledger(element)
-        ledger.cumulative_accepted += amount
+        self.production[element].cumulative_accepted += amount

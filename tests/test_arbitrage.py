@@ -329,6 +329,9 @@ def ref_proceeds(route):
 def reference_routes(market, cid, side, q):
     """`simulate_routes` with every route built leg by leg through the quote API."""
     asset = market.composites.get(cid)
+    reg, pool = market.registry, market.venues.get(cid)
+    if side == Side.DISPOSE_W and q > reg.total_supply(cid) - reg.balance_of(cid, pool.account):
+        return []  # more than the holders outside the composite pool hold
     if side == Side.ACQUIRE_W:
         builders, value = (ref_acquire_direct, ref_acquire_via_elements), ref_cost
     else:
@@ -605,8 +608,20 @@ def test_redeem_beyond_supply_is_not_quoted():
     too_many = market.registry.total_supply(cid) + 1
     with pytest.raises(InsufficientBalance):
         market.composites.redemption_value(cid, too_many)
-    plans = simulate_routes(market, cid, Side.DISPOSE_W, too_many)
-    assert [plan.route.kind for plan in plans] == [RouteKind.DIRECT_W]
+    flows, _, _ = arbitrage._route(market, market.composites.get(cid),
+                                   RouteKind.REDEEM_THEN_SELL_ELEMENTS, Side.DISPOSE_W)
+    assert flows(too_many) is None and flows(too_many - 1) is not None
+
+
+def test_dispose_beyond_units_held_outside_the_pool_is_not_quoted():
+    market, cid = arb_market()
+    held = market.registry.total_supply(cid) - market.venues.reserves(cid)[0]
+    plans = simulate_routes(market, cid, Side.DISPOSE_W, held)
+    assert [plan.route.kind for plan in plans] == [RouteKind.DIRECT_W,
+                                                   RouteKind.REDEEM_THEN_SELL_ELEMENTS]
+    assert simulate_routes(market, cid, Side.DISPOSE_W, held + 1) == []
+    with pytest.raises(NoExecutablePath):
+        best_route(market, cid, Side.DISPOSE_W, held + 1)
 
 
 def break_backing_check(monkeypatch):

@@ -96,7 +96,8 @@ def test_report_output_is_pinned(capsys, scenario):
 # `twotier routes` output for each shipped scenario, recorded before the
 # one-sided routes and the arbitrage cycles were priced from one snapshot.
 # At 100000 units some routes have no quote: the composite pool or an
-# element pool cannot deliver it, or it is more than the composite supply.
+# element pool cannot deliver it. No dispose of 100000 is quoted: holders
+# outside the composite pool hold 50000 (solar, datacenter) or 30000 (mine).
 ROUTES = {
     ("solar", "acquire", 100): (0, """\
 direct_w                     cost=120483 legs=1
@@ -109,11 +110,7 @@ direct_w                     proceeds=118682 legs=1
 redeem_then_sell_elements    proceeds=119400 legs=4
 best: redeem_then_sell_elements proceeds=119400
 """, ""),
-    ("solar", "dispose", 100_000): (0, """\
-direct_w                     proceeds=59909864 legs=1
-redeem_then_sell_elements    proceeds=59879848 legs=4
-best: direct_w proceeds=59909864
-""", ""),
+    ("solar", "dispose", 100_000): (1, "", "error: dispose 100000 of W_SOLAR\n"),
     ("mine", "acquire", 100): (0, """\
 direct_w                     cost=2620929 legs=1
 buy_elements_then_mint_w     cost=2614756 legs=5
@@ -128,10 +125,7 @@ direct_w                     proceeds=2561321 legs=1
 redeem_then_sell_elements    proceeds=2584963 legs=5
 best: redeem_then_sell_elements proceeds=2584963
 """, ""),
-    ("mine", "dispose", 100_000): (0, """\
-direct_w                     proceeds=433116123 legs=1
-best: direct_w proceeds=433116123
-""", ""),
+    ("mine", "dispose", 100_000): (1, "", "error: dispose 100000 of W_MINE\n"),
     ("datacenter", "acquire", 100): (0, """\
 direct_w                     cost=1728633 legs=1
 buy_elements_then_mint_w     cost=1736886 legs=5
@@ -146,11 +140,7 @@ direct_w                     proceeds=1699435 legs=1
 redeem_then_sell_elements    proceeds=1696163 legs=5
 best: direct_w proceeds=1699435
 """, ""),
-    ("datacenter", "dispose", 100_000): (0, """\
-direct_w                     proceeds=572758851 legs=1
-redeem_then_sell_elements    proceeds=1143605741 legs=5
-best: redeem_then_sell_elements proceeds=1143605741
-""", ""),
+    ("datacenter", "dispose", 100_000): (1, "", "error: dispose 100000 of W_DC\n"),
 }
 COMPOSITE = {"solar": "W_SOLAR", "mine": "W_MINE", "datacenter": "W_DC"}
 

@@ -4,7 +4,8 @@ Each shipped scenario runs at its own seed and at seeds 0-4, the way
 `twotier run` does, and the sha256 of the written `metrics.csv` and
 `events.jsonl` must match the table below. A change that alters output
 bytes on purpose updates this table in the same commit and says why. The
-written `events.jsonl`, parsed back, must also replay to the run's state.
+written `events.jsonl`, parsed back, must also replay to the run's state
+and re-export to the same bytes.
 """
 
 import hashlib
@@ -75,5 +76,7 @@ def test_shipped_scenario_bytes(tmp_path, scenario, seed):
     export_csv(result, str(metrics))
     export_events(result, str(events))
     assert (_sha256(metrics), _sha256(events)) == GOLDEN[scenario, seed]
-    parsed = [json.loads(line) for line in events.read_text().splitlines()]
-    assert replay_events(parsed).state_hash() == result.market.registry.state_hash()
+    raw = events.read_bytes()
+    replayed = replay_events([json.loads(line) for line in raw.decode().splitlines()])
+    assert replayed.state_hash() == result.market.registry.state_hash()
+    assert "".join(line + "\n" for line in replayed.export_events()).encode() == raw

@@ -11,6 +11,7 @@ from twotier.errors import (
     Overflow,
     TokenPaused,
     Unauthorized,
+    UnknownToken,
 )
 from twotier.ledger import (
     AccountRole,
@@ -139,6 +140,18 @@ def test_balance_of_examples():
     assert reg.balance_of("MWh", "alice") == 100
     reg.transfer("MWh", "alice", "bob", 30)
     assert reg.balance_of("MWh", "alice") == 70
+
+
+def test_balance_listener_needs_a_known_token():
+    reg, seen = fresh(), []
+    with pytest.raises(UnknownToken):
+        reg.add_balance_listener("kWh", seen.append)
+    # the rejected listener does not fire for a token created later under that name
+    reg.create_token(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), authority=MINTER)
+    reg.mint("kWh", "alice", 1, MINTER)
+    reg.add_balance_listener("MWh", seen.append)
+    reg.mint("MWh", "bob", 1, MINTER)
+    assert seen == ["bob"]
 
 
 def test_negative_amount_rejected():
@@ -271,7 +284,7 @@ def test_transaction_rollback_matches_replay_of_committed_moves(steps):
             _run(ref, (op, a, b, qty), [])
         replayed = replay_events(ref.events)
         assert reg.state_hash() == replayed.state_hash()
-        assert reg.export_events() == replayed.export_events()
+        assert list(reg.export_events()) == list(replayed.export_events())
         assert ([json.loads(line)["seq"] for line in reg.export_events()]
                 == list(range(len(reg.events))))
 
@@ -371,11 +384,11 @@ def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
                     raise Abort
         except Abort:
             pass
-    lines = reg.export_events()
+    lines = list(reg.export_events())
     assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
     replayed = replay_events([json.loads(line) for line in lines])
     assert replayed.state_hash() == reg.state_hash()
-    assert replayed.export_events() == lines
+    assert list(replayed.export_events()) == lines
 
 
 def parsed_log() -> list[dict]:

@@ -456,12 +456,12 @@ def _corrupt_num_balance(market):
 
 
 def _corrupt_element_supply(market):
-    market.registry._supply["energy"] += 1
+    market.registry._balances["energy"].supply += 1
 
 
 def _corrupt_escrow(market):
     # a double-entry move keeps every sum right but leaves W_SOLAR underbacked
-    market.registry._write("energy", "escrow:W_SOLAR", "issuer", 1)
+    market.registry._write(market.registry._balances["energy"], "escrow:W_SOLAR", "issuer", 1)
 
 
 def _corrupt_minted(market):
@@ -474,7 +474,7 @@ def _corrupt_paid(market):
 
 
 def _corrupt_num_mint(market):
-    market.registry._write("NUM", None, "issuer", 1)
+    market.registry._write(market.registry._balances["NUM"], None, "issuer", 1)
 
 
 def _corrupt_accrued(market):
