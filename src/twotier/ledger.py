@@ -1,9 +1,9 @@
 """Authoritative token ledger: balances, supplies, mint/burn controls.
 
 All quantities are non-negative integers at each token's own decimal scale.
-No floating point enters this module. Every mutating operation validates its
-preconditions fully before touching state, so a raised error never leaves a
-partial write behind.
+No floating point enters this module. Every write validates its preconditions
+fully before touching state, and a multi-leg write undoes its earlier legs when
+a later one fails, so a raised error never leaves a partial write behind.
 """
 
 from __future__ import annotations
@@ -201,70 +201,94 @@ class Registry:
     # --- mutations ---
 
     def mint(self, token: str, to: str, qty: int, authority: str):
-        self._move("mint", token, None, to, qty, authority)
+        self._move("mint", token, None, [(to, qty)], authority)
 
     def burn(self, token: str, frm: str, qty: int, authority: str):
-        self._move("burn", token, frm, None, qty, authority)
+        self._move("burn", token, frm, [(None, qty)], authority)
 
     def transfer(self, token: str, frm: str, to: str, qty: int):
-        self._move("transfer", token, frm, to, qty)
+        self._move("transfer", token, frm, [(to, qty)])
 
-    def _move(self, op: str, token: str, frm: str | None, to: str | None, qty: int,
-              authority: str | None = None):
-        """The one write path: `frm=None` mints, `to=None` burns.
+    def transfers(self, token: str, frm: str, payouts: list[tuple[str, int]]):
+        """Transfer each (to, qty) of `payouts` from `frm`, in order, all or none.
 
-        Every check runs before any write, in one order: amount, token,
-        accounts, authority (mint/burn only), pause, allowlist, balance.
+        Same checks, errors, events and listener calls as a loop of `transfer`;
+        when a leg fails, the earlier legs are undone and the leg's error raised.
         """
-        qty = check_amount(qty)
-        book = self._book(token)
-        # exact-size literals: a comprehension over-allocates every logged list
-        accounts = [to] if frm is None else [frm] if to is None else [frm, to]
-        for account in accounts:
-            if account not in self.accounts:
-                raise UnknownAccount(account)
-        if (frm is None or to is None) and book.authority != authority:
-            raise Unauthorized(f"{authority!r} is not the minter of {token}")
-        if book.meta.paused:
-            raise TokenPaused(token)
-        for account in accounts:
-            if book.meta.allowlist_enabled and account not in book.meta.allowlist:
-                raise NotAllowlisted(f"{account} not allowlisted for {book.meta.token}")
-        if frm is not None:
-            bal = book.get(frm, 0)
-            if bal < qty:
-                raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
-                                          token=token, shortfall=qty - bal)
-        for account in accounts:
-            for fn in book.listeners:
-                fn(account)
-        self._write(book, frm, to, qty)
-        self.events.append(_new_event(Event, (op, token, accounts, qty, None)))
+        self._move("transfer", token, frm, payouts)
+
+    def _move(self, op: str, token: str, frm: str | None, legs, authority: str | None = None):
+        """The one write path: moves each (to, qty) of `legs` out of `frm`, all or none.
+
+        `frm=None` mints and `to=None` burns. Each leg runs every check before its
+        own write, in one order: amount, token, accounts, authority (mint/burn
+        only), pause, allowlist, balance. A failed leg undoes the earlier ones.
+        """
+        events = self.events
+        start = len(events)
+        book = None
+        try:
+            for to, qty in legs:
+                if type(qty) is not int or qty < 0:
+                    check_amount(qty)
+                if book is None:  # after the first leg's amount check, as the order says
+                    book = self._book(token)
+                    meta, listeners, known = book.meta, book.listeners, self.accounts
+                # exact-size literals: a comprehension over-allocates every logged list
+                accounts = [to] if frm is None else [frm] if to is None else [frm, to]
+                for account in accounts:
+                    if account not in known:
+                        raise UnknownAccount(account)
+                if (frm is None or to is None) and book.authority != authority:
+                    raise Unauthorized(f"{authority!r} is not the minter of {token}")
+                if meta.paused:
+                    raise TokenPaused(token)
+                if meta.allowlist_enabled:
+                    for account in accounts:
+                        if account not in meta.allowlist:
+                            raise NotAllowlisted(f"{account} not allowlisted for {token}")
+                if frm is not None:
+                    bal = book.get(frm, 0)
+                    if bal < qty:
+                        raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
+                                                  token=token, shortfall=qty - bal)
+                if listeners:
+                    for account in accounts:
+                        for fn in listeners:
+                            fn(account)
+                self._write(book, frm, to, qty)
+                events.append(_new_event(Event, (op, token, accounts, qty, None)))
+        except BaseException:
+            self._undo(start)
+            raise
 
     # --- transactions ---
 
     @contextmanager
     def transaction(self):
-        """Undo the block's moves on any exception, keeping multi-step operations atomic.
-
-        The event log is the undo journal: moves logged since entry are reversed
-        newest-first, calling no balance listener, and dropped from the log.
-        Other events (accounts, tokens, flags) keep their state, so they stay in
-        the log, and the log still replays.
-        """
+        """Undo the block's moves on any exception, keeping multi-step operations atomic."""
         start = len(self.events)
         try:
             yield
         except BaseException:
-            block = self.events[start:]
-            for ev in reversed(block):
-                if ev.op in _ENDS:
-                    frm, to = _ENDS[ev.op](ev.accounts)
-                    self._write(self._balances[ev.token], to, frm, ev.qty)
-            self.events[start:] = [ev for ev in block if ev.op not in _ENDS]
+            self._undo(start)
             raise
 
     # --- internals ---
+
+    def _undo(self, start: int):
+        """Reverse the moves logged since `start`, newest first, and drop them from the log.
+
+        The event log is the undo journal. No balance listener runs. Other
+        events (accounts, tokens, flags) keep their state, so they stay in the
+        log, and the log still replays.
+        """
+        block = self.events[start:]
+        for ev in reversed(block):
+            if ev.op in _ENDS:
+                frm, to = _ENDS[ev.op](ev.accounts)
+                self._write(self._balances[ev.token], to, frm, ev.qty)
+        self.events[start:] = [ev for ev in block if ev.op not in _ENDS]
 
     def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
         """Move qty of book's token from frm to to, unchecked; None on either side is the supply."""
@@ -338,7 +362,8 @@ def replay_events(events: list) -> Registry:
                           decimals=meta["decimals"]),
                 authority=meta["authority"])
         elif op in _ENDS:
-            reg._move(op, token, *_ENDS[op](accounts), qty, reg._book(token).authority)
+            frm, to = _ENDS[op](accounts)
+            reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
         elif op == "set_paused":
             reg.set_paused(token, meta["flag"])
         elif op == "set_allowlist_enabled":

@@ -9,7 +9,6 @@ than was verified.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -18,8 +17,9 @@ from .errors import (
     EpochFinalized,
     ExceedsVerifiedOutput,
     NoAttestations,
+    UnknownElement,
 )
-from .ledger import BPS, Registry, check_amount
+from .ledger import BPS, Registry, TokenKind, check_amount
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,29 @@ def median_int(values: list[int]) -> int:
 
 
 class OracleHub:
-    """Holds one production record per element, created on its first use."""
+    """Holds one production record per element token, created on its first use.
+
+    Every entry point raises UnknownElement for an id that is not a registered
+    ELEMENT token, before it reads or creates a record.
+    """
 
     AUTHORITY = "oracle-hub"
 
     def __init__(self, registry: Registry):
         self.registry = registry
-        self.production: defaultdict[str, ProductionLedger] = defaultdict(ProductionLedger)
+        self.production: dict[str, ProductionLedger] = {}
+
+    def _record(self, element: str) -> ProductionLedger:
+        prod = self.production.get(element)
+        if prod is None:
+            meta = self.registry.tokens.get(element)
+            if meta is None or meta.kind is not TokenKind.ELEMENT:
+                raise UnknownElement(f"{element} is not an element token")
+            prod = self.production[element] = ProductionLedger()
+        return prod
 
     def submit_attestation(self, att: Attestation):
-        prod = self.production[att.element]
+        prod = self._record(att.element)
         if att.epoch in prod.accepted:
             raise EpochFinalized(f"{att.element} epoch {att.epoch}")
         bucket = prod.pending.setdefault(att.epoch, {})
@@ -95,7 +108,7 @@ class OracleHub:
         bucket[att.source] = att.measured
 
     def finalize_epoch(self, element: str, epoch: int, policy: OraclePolicy) -> EpochResult:
-        prod = self.production[element]
+        prod = self._record(element)
         if epoch in prod.accepted:
             raise AlreadyFinalized(f"{element} epoch {epoch}")
         bucket = prod.pending.pop(epoch, None)
@@ -119,7 +132,7 @@ class OracleHub:
         return result
 
     def mintable_capacity(self, element: str) -> int:
-        prod = self.production[element]
+        prod = self._record(element)
         return prod.cumulative_accepted - prod.cumulative_minted
 
     def mint_verified(self, element: str, to: str, qty: int):
@@ -137,7 +150,7 @@ class OracleHub:
         Only finalized epochs contribute; failed epochs count as 0. Returns 0
         when nothing in the window is finalized.
         """
-        accepted = self.production[element].accepted
+        accepted = self._record(element).accepted
         window = range(epoch - policy.twa_window + 1, epoch + 1)
         return sum(accepted.get(e, 0) for e in window) // policy.twa_window
 
@@ -148,4 +161,4 @@ class OracleHub:
         window starts. Keeps the minted <= accepted invariant intact.
         """
         check_amount(amount)
-        self.production[element].cumulative_accepted += amount
+        self._record(element).cumulative_accepted += amount

@@ -622,9 +622,9 @@ def run(cfg: ScenarioConfig) -> SimResult:
             for y in cfg.yield_schedule:
                 if y.epoch == epoch:
                     market.yields.deposit_yield(y.asset, y.amount, y.payer)
-            for acct in cfg.auto_claim:
+            if cfg.auto_claim:
                 for a in cfg.assets:
-                    market.yields.claim(a.composite, acct)
+                    market.yields.claim(a.composite, *cfg.auto_claim)
             # (6) invariant audit + metrics
             market.audit()
             rows.append(_metrics_row(cfg, market, epoch, arb_stats))

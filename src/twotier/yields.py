@@ -51,16 +51,17 @@ class YieldVault:
         except KeyError:
             raise UnknownAsset(composite) from None
 
-    def _entitlement_scaled(self, pool: YieldPool, account: str) -> int:
-        """Settled accrual plus what the account's balance earned since."""
-        bal = self.registry.balance_of(pool.composite, account)
+    @staticmethod
+    def _entitlement_scaled(pool: YieldPool, account: str, bal: int) -> int:
+        """Settled accrual plus what the account's composite balance `bal` earned since."""
         return (pool.accrued_scaled.get(account, 0)
                 + bal * (pool.index - pool.last_index.get(account, 0)))
 
     def _settle(self, composite: str, account: str):
         pool = self.pools[composite]
         if pool.index != pool.last_index.get(account, 0):
-            pool.accrued_scaled[account] = self._entitlement_scaled(pool, account)
+            pool.accrued_scaled[account] = self._entitlement_scaled(
+                pool, account, self.registry.balance_of(composite, account))
         pool.last_index[account] = pool.index
 
     # --- operations ---
@@ -78,18 +79,37 @@ class YieldVault:
         pool.total_deposited += amount
 
     def claimable(self, composite: str, account: str) -> int:
-        return self._entitlement_scaled(self.get(composite), account) // INDEX_SCALE
-
-    def claim(self, composite: str, account: str) -> int:
         pool = self.get(composite)
-        self._settle(composite, account)
-        payout = pool.accrued_scaled.get(account, 0) // INDEX_SCALE
-        if payout == 0:
-            return 0
-        pool.accrued_scaled[account] -= payout * INDEX_SCALE
-        self.registry.transfer(self.numeraire, pool.account, account, payout)
-        pool.total_paid += payout
-        return payout
+        bal = self.registry.balance_of(composite, account)
+        return self._entitlement_scaled(pool, account, bal) // INDEX_SCALE
+
+    def claim(self, composite: str, *accounts: str) -> int:
+        """Pay each account its whole claimable numeraire, in order; returns the total paid.
+
+        All or none: every account is settled against one read of the index and
+        the composite's balances, the non-zero payouts go out in one
+        `Registry.transfers`, and the vault changes only once that succeeded. A
+        repeated account is paid 0 the second time, as it would be in sequence.
+        """
+        pool = self.get(composite)
+        balance = self.registry.balances(composite).get
+        settled: dict[str, int] = {}     # account -> accrued_scaled after its claim
+        payouts = []
+        for account in accounts:
+            owed = settled.get(account)
+            if owed is None:
+                owed = self._entitlement_scaled(pool, account, balance(account, 0))
+            payout = owed // INDEX_SCALE
+            if payout:
+                payouts.append((account, payout))
+                owed -= payout * INDEX_SCALE
+            settled[account] = owed
+        self.registry.transfers(self.numeraire, pool.account, payouts)
+        pool.accrued_scaled.update(settled)
+        pool.last_index.update(dict.fromkeys(settled, pool.index))
+        paid = sum(payout for _, payout in payouts)
+        pool.total_paid += paid
+        return paid
 
     # --- audit ---
 

@@ -6,9 +6,11 @@ from hypothesis import settings
 
 from twotier.ledger import AccountRole, TokenKind, TokenMeta
 from twotier.market import Market
+from twotier.yields import INDEX_SCALE
 
 # `--hypothesis-profile=ci` runs the properties that take their example count from
-# the profile (the arbitrage detection searches) at 20 times the default 100
+# the profile (the arbitrage detection searches, batched yield claims) at 20 times
+# the default 100
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 SOLAR_COMPOSITION = [("energy", 100), ("land", 1000), ("carbon", 100)]
@@ -58,6 +60,20 @@ def seed_solar_pools(market: Market, w_premium_bps: int = 0, pool_fee_bps: int =
     seed_w = 200_000
     market.venues.create_pool("W_SOLAR", pool_fee_bps, seed_w,
                               int(seed_w * w_price), funder)
+
+
+def reference_claim(vault, composite: str, account: str) -> int:
+    """One account's claim, settled and paid on its own: the reference for the batched
+    `YieldVault.claim(composite, *accounts)`."""
+    pool = vault.get(composite)
+    vault._settle(composite, account)
+    payout = pool.accrued_scaled.get(account, 0) // INDEX_SCALE
+    if payout == 0:
+        return 0
+    pool.accrued_scaled[account] -= payout * INDEX_SCALE
+    vault.registry.transfer(vault.numeraire, pool.account, account, payout)
+    pool.total_paid += payout
+    return payout
 
 
 @pytest.fixture

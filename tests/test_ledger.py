@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from twotier.errors import (
     DuplicateToken,
     InsufficientBalance,
+    LedgerError,
     NotAllowlisted,
     Overflow,
     TokenPaused,
@@ -229,6 +230,57 @@ def test_conservation_property(ops):
             pass
         total = reg.balance_of("MWh", "alice") + reg.balance_of("MWh", "bob")
         assert total == reg.total_supply("MWh")
+
+
+def _payer_registry(paused: bool, allowlisted):
+    """alice and bob funded, carol empty, a listener logging accounts; `zed` is never created."""
+    reg = fresh()
+    reg.create_account("carol")
+    reg.mint("MWh", "alice", 60, MINTER)
+    reg.mint("MWh", "bob", 5, MINTER)
+    seen = []
+    reg.add_balance_listener("MWh", seen.append)
+    if allowlisted is not None:
+        reg.set_allowlist_enabled("MWh", True)
+        for account in sorted(allowlisted):
+            reg.set_allowlist("MWh", account, True)
+    reg.set_paused("MWh", paused)
+    return reg, seen
+
+
+def _ledger_state(reg):
+    return reg.state_hash(), reg.total_supply("MWh"), list(reg.export_events())
+
+
+@given(token=st.sampled_from(["MWh", "MWh", "MWh", "kWh"]),
+       frm=st.sampled_from(["alice", "alice", "bob", "zed"]),
+       legs=st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol", "zed"]),
+                               st.one_of(st.integers(-2, 40), st.just(True))), max_size=6),
+       paused=st.sampled_from([False, False, False, True]),
+       allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])))
+@settings(max_examples=300, deadline=None)
+def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted):
+    batched, seen = _payer_registry(paused, allowlisted)
+    looped, seen_looped = _payer_registry(paused, allowlisted)
+    before = _ledger_state(batched)
+    error = None
+    for to, qty in legs:
+        try:
+            looped.transfer(token, frm, to, qty)
+        except LedgerError as exc:
+            error = exc
+            break
+    if error is None:
+        batched.transfers(token, frm, legs)
+        assert _ledger_state(batched) == _ledger_state(looped)
+    else:
+        # leg k fails as the k-th transfer would, and the earlier legs are undone
+        with pytest.raises(type(error)) as raised:
+            batched.transfers(token, frm, legs)
+        assert str(raised.value) == str(error)
+        assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
+        assert _ledger_state(batched) == before
+    assert seen == seen_looped
 
 
 class Abort(Exception):

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_element
+from conftest import add_element, make_solar_market
 from twotier.errors import (
     AlreadyFinalized,
     DuplicateAttestation,
     EpochFinalized,
     ExceedsVerifiedOutput,
     NoAttestations,
+    UnknownElement,
 )
 from twotier.market import Market
 from twotier.oracle import Attestation, OraclePolicy, median_int
@@ -120,7 +121,30 @@ def test_twa_output():
     assert market.oracle.twa_output("energy", 2, POLICY) == 60
     assert market.oracle.twa_output("energy", 0,
                                     OraclePolicy(2, 500, 1)) == 100
-    assert market.oracle.twa_output("other", 5, POLICY) == 0
+    assert market.oracle.twa_output("energy", 9, POLICY) == 0  # nothing finalized in 7..9
+    with pytest.raises(UnknownElement):
+        market.oracle.twa_output("other", 5, POLICY)
+
+
+ENTRY_POINTS = {
+    "submit_attestation": lambda oracle, e: oracle.submit_attestation(att("s1", 5, element=e)),
+    "finalize_epoch": lambda oracle, e: oracle.finalize_epoch(e, 0, POLICY),
+    "mintable_capacity": lambda oracle, e: oracle.mintable_capacity(e),
+    "mint_verified": lambda oracle, e: oracle.mint_verified(e, "issuer", 0),
+    "twa_output": lambda oracle, e: oracle.twa_output(e, 3, POLICY),
+    "record_verified_output": lambda oracle, e: oracle.record_verified_output(e, 7),
+}
+
+
+@pytest.mark.parametrize("element", ["nosuch", "NUM", "W_SOLAR"])  # unknown, numeraire, composite
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_rejects_an_id_that_is_not_an_element(entry, element):
+    market, _ = make_solar_market()
+    market.registry.create_account("issuer")
+    with pytest.raises(UnknownElement):
+        ENTRY_POINTS[entry](market.oracle, element)
+    assert market.oracle.production == {}
+    market.audit()
 
 
 def test_finalize_order_independent():

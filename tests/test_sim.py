@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotier
+from conftest import reference_claim
 from twotier import sim
 from twotier.cli import main as cli_main
 from twotier.errors import (
@@ -18,7 +19,7 @@ from twotier.errors import (
     UnknownReference,
 )
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
-from twotier.yields import INDEX_SCALE
+from twotier.yields import INDEX_SCALE, YieldVault
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
 
@@ -432,6 +433,41 @@ def test_yield_schedule_pays_holders():
     vault_pool = result.market.yields.get("W")
     assert vault_pool.total_deposited == 50000
     assert vault_pool.total_paid > 0
+
+
+def two_asset_doc():
+    """mini_doc plus a second composite V, both held by two auto-claiming accounts."""
+    doc = mini_doc(epochs=6)
+    doc["assets"][0]["genesis_mint"].append({"account": "holder", "q": "3000"})
+    doc["assets"].append({"composite": "V", "composition": {"energy": "5"},
+                          "genesis_mint": [{"account": "issuer", "q": "2000"},
+                                           {"account": "holder", "q": "1001"}]})
+    doc["accounts"].append({"id": "holder", "numeraire": "0"})
+    doc["oracle"]["elements"]["energy"]["genesis"].append({"account": "holder", "amount": "40000"})
+    doc["yield_schedule"] = [{"epoch": e, "asset": asset, "amount": str(amount), "payer": "issuer"}
+                             for e in range(6) for asset, amount in (("W", 7777), ("V", 3001))]
+    doc["auto_claim"] = ["holder", "issuer"]
+    return doc
+
+
+def test_two_asset_auto_claims_pay_what_sequential_claims_pay(monkeypatch):
+    batched = run(parse_config(two_asset_doc()))  # each epoch ends in Market.audit()
+
+    def sequential(vault, composite, *accounts):
+        return sum(reference_claim(vault, composite, acct) for acct in accounts)
+
+    monkeypatch.setattr(YieldVault, "claim", sequential)
+    looped = run(parse_config(two_asset_doc()))
+    for cid in ("W", "V"):
+        pool = batched.market.yields.get(cid)
+        assert pool.total_paid == looped.market.yields.get(cid).total_paid > 0
+        assert pool.total_deposited == 6 * {"W": 7777, "V": 3001}[cid]
+    assert batched.rows == looped.rows
+    assert batched.market.registry.state_hash() == looped.market.registry.state_hash()
+    # the same moves, ordered by asset within each epoch's claims instead of by account
+    assert (sorted(map(repr, batched.market.registry.events))
+            == sorted(map(repr, looped.market.registry.events)))
+
 
 def test_run_error_keeps_attributes_and_adds_epoch():
     doc = mini_doc(epochs=3)

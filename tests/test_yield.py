@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_solar_market
-from twotier.errors import ZeroSupply
+from conftest import make_solar_market, reference_claim
+from twotier.errors import NotAllowlisted, TokenPaused, ZeroSupply
 from twotier.yields import INDEX_SCALE
 
 
@@ -61,6 +63,30 @@ def test_claim_is_idempotent():
     assert first == 25
     assert market.yields.claim(cid, "a") == 0
     assert market.yields.claimable(cid, "a") == 0
+
+
+def vault_and_ledger(market, cid):
+    pool = market.yields.get(cid)
+    return (dict(pool.accrued_scaled), dict(pool.last_index), pool.total_paid,
+            market.yields.undistributed_scaled(cid), market.registry.state_hash(),
+            list(market.registry.export_events()))
+
+
+@pytest.mark.parametrize("accounts", [("a",), ("a", "b"), ("b", "nobody", "a", "a")])
+def test_a_failed_claim_keeps_every_entitlement(accounts):
+    market, cid = yield_market({"a": 50, "b": 50})
+    market.registry.ensure_account("nobody")
+    market.yields.deposit_yield(cid, 1000, "payer")
+    market.registry.set_paused(market.numeraire, True)
+    before = vault_and_ledger(market, cid)
+    with pytest.raises(TokenPaused):
+        market.yields.claim(cid, *accounts)
+    assert vault_and_ledger(market, cid) == before
+    market.registry.set_paused(market.numeraire, False)
+    assert market.yields.claimable(cid, "a") == 500
+    market.audit()
+    assert market.yields.claim(cid, *accounts) == 500 * len({"a", "b"} & set(accounts))
+    market.audit()
 
 
 def test_deposit_with_zero_supply_rejected():
@@ -174,3 +200,64 @@ def test_solvency_and_exact_scaled_conservation(rng):
     assert residue * INDEX_SCALE == market.yields.undistributed_scaled(cid)
     assert residue <= pool.total_deposited  # sanity
     assert market.yields.undistributed_scaled(cid) < INDEX_SCALE * 10 ** 6
+
+CLAIMANTS = ["a", "b", "c", "d", "e"]       # "e" holds nothing
+STEP = st.one_of(
+    st.tuples(st.just("deposit"), st.integers(1, 10 ** 6)),
+    st.tuples(st.just("move"), st.sampled_from(CLAIMANTS), st.sampled_from(CLAIMANTS),
+              st.integers(0, 100)),
+    st.tuples(st.just("claim"), st.lists(st.sampled_from(CLAIMANTS), max_size=6)),
+    # the numeraire allowlist on, every account but one on it
+    st.tuples(st.just("claim_off_list"), st.lists(st.sampled_from(CLAIMANTS), max_size=6),
+              st.sampled_from(CLAIMANTS)),
+)
+
+
+@given(holdings=st.tuples(st.integers(1, 1000), st.integers(0, 1000), st.integers(0, 1000),
+                          st.integers(0, 1000)),
+       steps=st.lists(STEP, max_size=12))
+@settings(deadline=None)  # max_examples from the hypothesis profile (tests/conftest.py)
+def test_batched_claim_matches_sequential_claims(holdings, steps):
+    markets = []
+    for _ in range(2):
+        market, cid = yield_market(dict(zip(CLAIMANTS, holdings)))
+        market.registry.ensure_account("e")
+        markets.append(market)
+    batched, looped = markets
+    num = batched.numeraire
+    for step in steps:
+        if step[0] == "deposit":
+            for market in markets:
+                market.yields.deposit_yield(cid, step[1], "payer")
+            continue
+        if step[0] == "move":
+            _, src, dst, pct = step
+            qty = batched.registry.balance_of(cid, src) * pct // 100
+            for market in markets:
+                market.registry.transfer(cid, src, dst, qty)
+            continue
+        accounts = step[1]
+        if step[0] == "claim_off_list":
+            off = step[2]
+            for market in markets:
+                market.registry.set_allowlist_enabled(num, True)
+                for account in sorted(market.registry.accounts):
+                    market.registry.set_allowlist(num, account, account != off)
+        if step[0] == "claim_off_list" and off in accounts and batched.yields.claimable(cid, off):
+            before = vault_and_ledger(batched, cid)
+            with pytest.raises(NotAllowlisted):
+                batched.yields.claim(cid, *accounts)
+            assert vault_and_ledger(batched, cid) == before
+        else:
+            paid = batched.yields.claim(cid, *accounts)
+            assert paid == sum(reference_claim(looped.yields, cid, acct) for acct in accounts)
+        if step[0] == "claim_off_list":
+            for market in markets:
+                market.registry.set_allowlist_enabled(num, False)
+        assert list(batched.registry.export_events()) == list(looped.registry.export_events())
+        assert batched.registry.state_hash() == looped.registry.state_hash()
+        assert (batched.yields.undistributed_scaled(cid)
+                == looped.yields.undistributed_scaled(cid))
+        assert batched.yields.get(cid).total_paid == looped.yields.get(cid).total_paid
+    batched.audit()
+    looped.audit()
