@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DrainedPool, DuplicatePool, UnknownPool, ZeroInput
+from .errors import (DrainedPool, DuplicatePool, InsufficientBalance, UnknownAccount, UnknownPool,
+                     ZeroInput)
 from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
 
 
@@ -80,16 +81,25 @@ class AmmVenues:
             raise ValueError(f"fee_bps out of range: {fee_bps}")
         if check_amount(seed_base) == 0 or check_amount(seed_numeraire) == 0:
             raise ZeroInput("pool seeds must be positive")
-        lp_token = self.registry.create_token(
+        # refuse an unfundable provider before registering the pool's token and account,
+        # with the error its seed transfer would raise, so that a retry can succeed
+        reg = self.registry
+        for token, seed in ((base, seed_base), (self.numeraire, seed_numeraire)):
+            have = reg.balance_of(token, provider)  # an unknown token raises first, as there
+            if provider not in reg.accounts:
+                raise UnknownAccount(provider)
+            if have < seed:
+                raise InsufficientBalance(f"transfer {seed} of {token}, balance {have}",
+                                          token=token, shortfall=seed - have)
+        lp_token = reg.create_token(
             TokenMeta(token=f"lp:{base}", kind=TokenKind.LP_SHARE, decimals=0),
             authority=self.AUTHORITY)
-        account = self.registry.create_account(f"pool_account:{base}", AccountRole.USER)
+        account = reg.create_account(f"pool_account:{base}", AccountRole.USER)
         pool = Pool(base=base, fee_bps=fee_bps, lp_token=lp_token, account=account)
-        with self.registry.transaction():
-            self.registry.transfer(base, provider, account, seed_base)
-            self.registry.transfer(self.numeraire, provider, account, seed_numeraire)
-            self.registry.mint(lp_token, provider,
-                               math.isqrt(seed_base * seed_numeraire), self.AUTHORITY)
+        with reg.transaction():
+            reg.transfer(base, provider, account, seed_base)
+            reg.transfer(self.numeraire, provider, account, seed_numeraire)
+            reg.mint(lp_token, provider, math.isqrt(seed_base * seed_numeraire), self.AUTHORITY)
         self.pools[base] = pool
         return pool
 

@@ -122,13 +122,38 @@ def _proceeds(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int
 # fee band of CFMM price oracles (Angeris et al., arXiv:1911.03380) taken
 # over the mint/redeem basket.
 
-def _marginal(pools: list[tuple[int, int, int]], weights: list[int],
-              buy: bool) -> Price | None:
-    """Numeraire per unit of q at q -> 0 for weight_i/BPS of base i per unit, or None.
+def _bases(asset: AssetDefinition, kind: RouteKind) -> list[str]:
+    """The base token of each pool the route trades in."""
+    return ([asset.composite] if kind == RouteKind.DIRECT_W
+            else [element for element, _ in asset.composition])
 
-    A pool's marginal price is rn·BPS / (rb·(BPS-f)) to buy from it and
-    rn·(BPS-f) / (rb·BPS) to sell into it. None if a pool is empty or missing.
+
+def _pools(market: Market, asset: AssetDefinition, kind: RouteKind) -> list[tuple[int, int, int]]:
+    """(rb, rn, fee) of each pool the route trades in; a missing pool reads as an emptied one."""
+    venues = market.venues
+    return [(*venues.reserves(base), venues.pools[base].fee_bps) if base in venues.pools
+            else (0, 0, 0) for base in _bases(asset, kind)]
+
+
+def _marginal(asset: AssetDefinition, kind: RouteKind, side: Side,
+              pools: list[tuple[int, int, int]]) -> Price | None:
+    """The route's numeraire flow per unit of q at q -> 0 over its `pools`, or None.
+
+    A lower bound on the cost (acquire) or an upper bound on the proceeds
+    (dispose) per unit at every size (the no-trade band above). A pool's
+    marginal price is rn·BPS / (rb·(BPS-f)) to buy from it and
+    rn·(BPS-f) / (rb·BPS) to sell into it. None where the bound is not exact:
+    an element route of a composite with unit > 1, or a route through an
+    empty or missing pool.
     """
+    buy = side == Side.ACQUIRE_W
+    if kind == RouteKind.DIRECT_W:
+        weights = [BPS]  # weight_i/BPS of base i per unit of q
+    elif asset.unit == 1:
+        fee_factor = BPS + asset.mint_fee_bps if buy else BPS - asset.redeem_fee_bps
+        weights = [a * fee_factor for _, a in asset.composition]
+    else:
+        return None
     num, den = 0, 1
     for (rb, rn, fee), weight in zip(pools, weights):
         if rb == 0:
@@ -138,54 +163,39 @@ def _marginal(pools: list[tuple[int, int, int]], weights: list[int],
     return num, den * BPS
 
 
-def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
-           side: Side) -> tuple[_Flows, _Legs, Price | None]:
-    """`(flows, legs, marginal)` of one route, over one read of its pools (and the supply).
+def _route(market: Market, asset: AssetDefinition, kind: RouteKind, side: Side,
+           pools: list[tuple[int, int, int]]) -> tuple[_Flows, _Legs]:
+    """`(flows, legs)` of one route over `pools`, its caller's one read of `_pools`.
 
     `flows(q)` is the numeraire into each buy (acquire) or out of each sale
     (dispose) of the route sized q, or None where it has no quote. It is
     integer arithmetic alone, so a size search can score many sizes.
     `legs(q, flows(q))` quotes that route's swaps at the unchanged state and
-    adds its mint or redeem leg, for the one size a caller keeps. A missing
-    pool reads as an emptied one, which quotes nothing.
-
-    `marginal` is the numeraire flow per unit of q at q -> 0, a lower bound
-    on the cost (acquire) or an upper bound on the proceeds (dispose) per
-    unit at every size (the no-trade band above). It is None where that bound
-    is not exact: an element route of a composite with unit > 1, or a route
-    through an empty or missing pool.
+    adds its mint or redeem leg, for the one size a caller keeps. An element
+    route reads the composite supply once, here.
     """
     venues, cid = market.venues, asset.composite
     direct = kind == RouteKind.DIRECT_W
     buy = side == Side.ACQUIRE_W
-    bases = [cid] if direct else [element for element, _ in asset.composition]
-    pools = [(*venues.reserves(base), venues.pools[base].fee_bps) if base in venues.pools
-             else (0, 0, 0) for base in bases]
+    bases = _bases(asset, kind)
     if direct:
         price = _costs if buy else _proceeds
 
         def flows(q: int) -> list[int] | None:
             return price(pools, [q])
-
-        weights = [BPS]
     else:
         supply = market.registry.total_supply(cid)
         if buy:
             mint = market.composites._mint_schedule(asset, supply)
-            fee_factor = BPS + asset.mint_fee_bps
 
             def flows(q: int) -> list[int] | None:
                 return _costs(pools, [deposit + fee for _, deposit, fee in mint(q)])
         else:
             redeem = market.composites._redeem_schedule(asset, supply)
-            fee_factor = BPS - asset.redeem_fee_bps
 
             def flows(q: int) -> list[int] | None:  # redeeming q > supply has no quote
                 return None if q > supply else _proceeds(
                     pools, [payout for _, payout, _ in redeem(q)])
-
-        weights = [a * fee_factor for _, a in asset.composition]
-    marginal = _marginal(pools, weights, buy) if direct or asset.unit == 1 else None
 
     def legs(q: int, numeraire: list[int]) -> list[Leg]:
         quote = venues.quote_exact_in
@@ -198,7 +208,7 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind,
         return [RedeemLeg(cid, q, basket)] + [quote(element, _SELL, payout)
                                               for element, payout in basket if payout]
 
-    return flows, legs, marginal
+    return flows, legs
 
 
 def simulate_routes(market: Market, asset_id: str, side: Side,
@@ -213,7 +223,7 @@ def simulate_routes(market: Market, asset_id: str, side: Side,
         return []
     plans = []
     for kind in (RouteKind.DIRECT_W, _ELEMENT_ROUTE[side]):
-        flows, legs, _ = _route(market, asset, kind, side)
+        flows, legs = _route(market, asset, kind, side, _pools(market, asset, kind))
         moved = flows(quantity_w)
         if moved is not None:
             plans.append(ExecutionPlan(Route(kind, legs(quantity_w, moved)), side,
@@ -248,10 +258,12 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     sold) is at most `budget` are sized; None means unbounded capital.
 
     No-trade band gate: a cycle sized q earns at most q·(mp0 - mc0), its
-    marginal proceeds less its marginal cost at q -> 0 (`_route`). When both
-    exist, mp0 <= mc0 and `min_profit >= 1`, no size can pay, and the result
-    is None without scoring any size. A `min_profit` of 0 or less can be met
-    by a losing cycle, so it is always searched.
+    marginal proceeds less its marginal cost at q -> 0 (`_marginal`), both
+    taken from one read of the two routes' pools. When both exist,
+    mp0 <= mc0 and `min_profit >= 1`, no size can pay, and the result is
+    None before either route or its mint/redeem schedule is built. A
+    `min_profit` of 0 or less can be met by a losing cycle, so it is always
+    searched.
 
     Size search: geometric sweep to bracket the unimodal profit curve, then
     ternary refinement on the bracket. Each size is scored from the two
@@ -266,13 +278,16 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
         return None
     positive = report.premium_bps > 0
     element_kind = _ELEMENT_ROUTE[Side.ACQUIRE_W if positive else Side.DISPOSE_W]
-    costs, buy_legs, mc0 = _route(
-        market, asset, element_kind if positive else RouteKind.DIRECT_W, Side.ACQUIRE_W)
-    gains, sell_legs, mp0 = _route(
-        market, asset, RouteKind.DIRECT_W if positive else element_kind, Side.DISPOSE_W)
-    if (min_profit >= 1 and mc0 is not None and mp0 is not None
-            and mp0[0] * mc0[1] <= mc0[0] * mp0[1]):
-        return None  # inside the no-trade band: no size earns a positive profit
+    buy_kind, sell_kind = ((element_kind, RouteKind.DIRECT_W) if positive
+                           else (RouteKind.DIRECT_W, element_kind))
+    buy_pools, sell_pools = _pools(market, asset, buy_kind), _pools(market, asset, sell_kind)
+    if min_profit >= 1:
+        mc0 = _marginal(asset, buy_kind, Side.ACQUIRE_W, buy_pools)
+        mp0 = _marginal(asset, sell_kind, Side.DISPOSE_W, sell_pools)
+        if mc0 is not None and mp0 is not None and mp0[0] * mc0[1] <= mc0[0] * mp0[1]:
+            return None  # inside the no-trade band: no size earns a positive profit
+    costs, buy_legs = _route(market, asset, buy_kind, Side.ACQUIRE_W, buy_pools)
+    gains, sell_legs = _route(market, asset, sell_kind, Side.DISPOSE_W, sell_pools)
 
     def cycle_profit(q: int) -> int | None:
         paid = costs(q)

@@ -70,15 +70,19 @@ _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
 
 
 class Event(NamedTuple):
-    """One logged state transition. Its `seq` is its index in `Registry.events`."""
+    """One logged state transition. Its `seq` is its index in `Registry.events`.
+
+    `accounts` is an exact tuple of account ids (a list in `events.jsonl`), which
+    the cycle collector stops tracking.
+    """
     op: str
     token: str
-    accounts: list
+    accounts: tuple
     qty: int
     meta: dict | None = None
 
 
-_new_event = tuple.__new__  # _move builds its Event without the Python-level Event.__new__
+_new_event = tuple.__new__  # builds an Event without the Python-level Event.__new__
 
 # one events.jsonl line: the keys "seq", "op", "token", "accounts", "qty" (and "meta",
 # the second slot) in sorted order with compact separators, the JSON of an event's dict form
@@ -103,7 +107,7 @@ class TokenMeta:
 
 class _Book(dict):
     """One token's account -> balance map, carrying its meta, minting authority, supply
-    and the fn(account) listeners that run just before any balance change."""
+    and the fn(account, balance) listeners that run just before any balance change."""
     __slots__ = ("meta", "authority", "supply", "listeners")
 
     def __init__(self, meta: TokenMeta, authority: str):
@@ -131,7 +135,7 @@ class Registry:
         if account_id in self.accounts:
             raise DuplicateAccount(account_id)
         self.accounts[account_id] = role
-        self._log("create_account", token="", accounts=[account_id], qty=0,
+        self._log("create_account", token="", accounts=(account_id,), qty=0,
                   meta={"role": role.value})
         return account_id
 
@@ -147,7 +151,7 @@ class Registry:
             raise DuplicateToken(meta.token)
         self.tokens[meta.token] = meta
         self._balances[meta.token] = _Book(meta, authority)
-        self._log("create_token", token=meta.token, accounts=[], qty=0,
+        self._log("create_token", token=meta.token, accounts=(), qty=0,
                   meta={"kind": meta.kind.value, "decimals": meta.decimals,
                         "unit_label": meta.unit_label, "authority": authority})
         return meta.token
@@ -163,11 +167,11 @@ class Registry:
 
     def set_paused(self, token: str, flag: bool):
         self.meta(token).paused = flag
-        self._log("set_paused", token=token, accounts=[], qty=0, meta={"flag": flag})
+        self._log("set_paused", token=token, accounts=(), qty=0, meta={"flag": flag})
 
     def set_allowlist_enabled(self, token: str, flag: bool):
         self.meta(token).allowlist_enabled = flag
-        self._log("set_allowlist_enabled", token=token, accounts=[], qty=0,
+        self._log("set_allowlist_enabled", token=token, accounts=(), qty=0,
                   meta={"flag": flag})
 
     def set_allowlist(self, token: str, account: str, flag: bool):
@@ -176,11 +180,12 @@ class Registry:
             meta.allowlist.add(account)
         else:
             meta.allowlist.discard(account)
-        self._log("set_allowlist", token=token, accounts=[account], qty=0,
+        self._log("set_allowlist", token=token, accounts=(account,), qty=0,
                   meta={"flag": flag})
 
     def add_balance_listener(self, token: str, fn):
-        """Register fn(account) to run before any balance change of `token`."""
+        """Register fn(account, balance) to run before any balance change of `token`,
+        with the account's balance before the change."""
         self._book(token).listeners.append(fn)
 
     # --- queries ---
@@ -234,8 +239,7 @@ class Registry:
                 if book is None:  # after the first leg's amount check, as the order says
                     book = self._book(token)
                     meta, listeners, known = book.meta, book.listeners, self.accounts
-                # exact-size literals: a comprehension over-allocates every logged list
-                accounts = [to] if frm is None else [frm] if to is None else [frm, to]
+                accounts = (to,) if frm is None else (frm,) if to is None else (frm, to)
                 for account in accounts:
                     if account not in known:
                         raise UnknownAccount(account)
@@ -254,8 +258,9 @@ class Registry:
                                                   token=token, shortfall=qty - bal)
                 if listeners:
                     for account in accounts:
+                        balance = book.get(account, 0)
                         for fn in listeners:
-                            fn(account)
+                            fn(account, balance)
                 self._write(book, frm, to, qty)
                 events.append(_new_event(Event, (op, token, accounts, qty, None)))
         except BaseException:
@@ -301,8 +306,8 @@ class Registry:
         else:
             book[to] = book.get(to, 0) + qty
 
-    def _log(self, op: str, token: str, accounts: list, qty: int, meta: dict | None = None):
-        self.events.append(Event(op, token, accounts, qty, meta))
+    def _log(self, op: str, token: str, accounts: tuple, qty: int, meta: dict | None = None):
+        self.events.append(_new_event(Event, (op, token, accounts, qty, meta)))
 
     # --- snapshots / audit ---
 

@@ -515,9 +515,10 @@ def build_market(cfg: ScenarioConfig) -> Market:
         market.yields.register_asset(a.composite)
 
     for acct in cfg.accounts:
-        reg.ensure_account(acct.id)
-        if acct.numeraire:
+        if acct.numeraire:  # creates the account, then mints into it
             market.fund_numeraire(acct.id, acct.numeraire)
+        else:
+            reg.ensure_account(acct.id)
 
     # pre-verified production credited before the simulated window
     for element, oe in cfg.oracle.elements:

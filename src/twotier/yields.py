@@ -11,6 +11,7 @@ deposited unit is either paid out, still claimable, or dust.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import UnknownAsset, ZeroSupply
 from .ledger import AccountRole, Registry, check_amount
@@ -41,8 +42,9 @@ class YieldVault:
                                                AccountRole.YIELD_POOL)
         pool = YieldPool(composite=composite, account=account)
         self.pools[composite] = pool
-        self.registry.add_balance_listener(
-            composite, lambda acct, c=composite: self._settle(c, acct))
+        # the listener holds the pool record alone, not the vault or the registry, so
+        # a dropped market holds no reference cycle and refcounting frees it
+        self.registry.add_balance_listener(composite, partial(YieldVault._settle, pool))
         return pool
 
     def get(self, composite: str) -> YieldPool:
@@ -57,11 +59,11 @@ class YieldVault:
         return (pool.accrued_scaled.get(account, 0)
                 + bal * (pool.index - pool.last_index.get(account, 0)))
 
-    def _settle(self, composite: str, account: str):
-        pool = self.pools[composite]
+    @staticmethod
+    def _settle(pool: YieldPool, account: str, balance: int):
+        """Settle what `account`'s composite `balance` earned, before that balance changes."""
         if pool.index != pool.last_index.get(account, 0):
-            pool.accrued_scaled[account] = self._entitlement_scaled(
-                pool, account, self.registry.balance_of(composite, account))
+            pool.accrued_scaled[account] = YieldVault._entitlement_scaled(pool, account, balance)
         pool.last_index[account] = pool.index
 
     # --- operations ---

@@ -9,8 +9,8 @@ from twotier.market import Market
 from twotier.yields import INDEX_SCALE
 
 # `--hypothesis-profile=ci` runs the properties that take their example count from
-# the profile (the arbitrage detection searches, batched yield claims) at 20 times
-# the default 100
+# the profile (the arbitrage detection searches, batched yield claims, and the ledger
+# properties, which keep their own larger floor) at 20 times the default 100
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 SOLAR_COMPOSITION = [("energy", 100), ("land", 1000), ("carbon", 100)]
@@ -66,7 +66,7 @@ def reference_claim(vault, composite: str, account: str) -> int:
     """One account's claim, settled and paid on its own: the reference for the batched
     `YieldVault.claim(composite, *accounts)`."""
     pool = vault.get(composite)
-    vault._settle(composite, account)
+    vault._settle(pool, account, vault.registry.balance_of(composite, account))
     payout = pool.accrued_scaled.get(account, 0) // INDEX_SCALE
     if payout == 0:
         return 0

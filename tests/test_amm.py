@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import add_element, grant_elements
 from twotier.amm import BPS, SwapDirection, cp_in, cp_out
-from twotier.errors import AmmError, DrainedPool, DuplicatePool, ZeroInput
+from twotier.errors import (AmmError, DrainedPool, DuplicatePool, InsufficientBalance,
+                            UnknownAccount, ZeroInput)
 from twotier.market import Market
 
 
@@ -52,6 +53,34 @@ def test_create_pool_duplicate_base():
     market, _ = pool_market()
     with pytest.raises(DuplicatePool):
         market.venues.create_pool("energy", 0, 10, 10, "lp")
+
+
+@pytest.mark.parametrize("provider,error,message", [
+    ("lp", InsufficientBalance, "transfer 100 of energy, balance 60"),
+    ("poor", InsufficientBalance, "transfer 80 of NUM, balance 30"),
+    ("nobody", UnknownAccount, "nobody"),
+])
+def test_a_failed_create_pool_registers_nothing_and_a_retry_succeeds(provider, error, message):
+    market = Market(numeraire="NUM", numeraire_decimals=0)
+    add_element(market, "energy")
+    grant_elements(market, "lp", {"energy": 60})
+    market.fund_numeraire("lp", 1000)
+    grant_elements(market, "poor", {"energy": 500})
+    market.fund_numeraire("poor", 30)
+    reg = market.registry
+    before = (dict(reg.tokens), dict(reg.accounts), list(reg.events), reg.state_hash())
+    # the seed transfer's own error, raised before the pool's token and account exist
+    with pytest.raises(error) as raised:
+        market.venues.create_pool("energy", 30, 100, 80, provider)
+    assert str(raised.value).strip("'") == message
+    assert (dict(reg.tokens), dict(reg.accounts), list(reg.events), reg.state_hash()) == before
+    assert market.venues.pools == {}
+    grant_elements(market, provider, {"energy": 100})
+    market.fund_numeraire(provider, 80)
+    pool = market.venues.create_pool("energy", 30, 100, 80, provider)
+    assert market.venues.reserves(pool.base) == (100, 80)
+    assert market.venues.lp_supply(pool.base) == 89  # isqrt(100 * 80)
+    market.audit()
 
 
 def test_swap_no_fee_closed_form():

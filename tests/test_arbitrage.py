@@ -493,25 +493,20 @@ def test_a_mint_owing_nothing_is_offered_and_executes():
 def gated_detect(market, cid, *args):
     """`detect_arbitrage(market, cid, *args)`, and whether the gate settled it.
 
-    The gate settled a detection that built its two routes and returned
-    without evaluating either route's flows at any size.
+    The gate settled a detection that returned without building either route
+    (no flows, legs or mint/redeem schedule), so no size was scored either.
+    A composite without a price or at par also returns before any route.
     """
-    built, evaluated = [], []
+    built = []
     real_route = arbitrage._route
 
     def counted_route(*route_args):
-        flows, legs, marginal = real_route(*route_args)
         built.append(route_args)
-
-        def counted_flows(q):
-            evaluated.append(q)
-            return flows(q)
-
-        return counted_flows, legs, marginal
+        return real_route(*route_args)
 
     with mock.patch.object(arbitrage, "_route", counted_route):
         plan = detect_arbitrage(market, cid, *args)
-    return plan, len(built) == 2 and not evaluated
+    return plan, not built
 
 
 @given(state=arb_states, premium=st.one_of(st.none(), st.integers(-300, 300)))
@@ -608,8 +603,9 @@ def test_redeem_beyond_supply_is_not_quoted():
     too_many = market.registry.total_supply(cid) + 1
     with pytest.raises(InsufficientBalance):
         market.composites.redemption_value(cid, too_many)
-    flows, _, _ = arbitrage._route(market, market.composites.get(cid),
-                                   RouteKind.REDEEM_THEN_SELL_ELEMENTS, Side.DISPOSE_W)
+    asset, kind = market.composites.get(cid), RouteKind.REDEEM_THEN_SELL_ELEMENTS
+    flows, _ = arbitrage._route(market, asset, kind, Side.DISPOSE_W,
+                                arbitrage._pools(market, asset, kind))
     assert flows(too_many) is None and flows(too_many - 1) is not None
 
 

@@ -25,6 +25,12 @@ from twotier.ledger import (
 MINTER = "minter"
 
 
+def examples(floor: int) -> int:
+    """`floor` examples, or the loaded hypothesis profile's count where that is larger
+    (`--hypothesis-profile=ci`, tests/conftest.py)."""
+    return max(floor, settings.default.max_examples)
+
+
 def fresh() -> Registry:
     reg = Registry()
     reg.create_token(TokenMeta(token="MWh", kind=TokenKind.ELEMENT,
@@ -145,14 +151,33 @@ def test_balance_of_examples():
 
 def test_balance_listener_needs_a_known_token():
     reg, seen = fresh(), []
+
+    def listener(account, balance):
+        seen.append((account, balance))
+
     with pytest.raises(UnknownToken):
-        reg.add_balance_listener("kWh", seen.append)
+        reg.add_balance_listener("kWh", listener)
     # the rejected listener does not fire for a token created later under that name
     reg.create_token(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), authority=MINTER)
     reg.mint("kWh", "alice", 1, MINTER)
-    reg.add_balance_listener("MWh", seen.append)
+    reg.add_balance_listener("MWh", listener)
     reg.mint("MWh", "bob", 1, MINTER)
-    assert seen == ["bob"]
+    assert seen == [("bob", 0)]
+
+
+def test_balance_listener_sees_each_balance_before_its_change():
+    reg, seen = fresh(), []
+    reg.mint("MWh", "alice", 50, MINTER)
+    reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
+    reg.transfer("MWh", "alice", "bob", 20)
+    reg.transfers("MWh", "alice", [("bob", 5), ("alice", 1)])
+    reg.burn("MWh", "bob", 25, MINTER)
+    assert seen == [("alice", 50), ("bob", 0), ("alice", 30), ("bob", 20),
+                    ("alice", 25), ("alice", 25), ("bob", 25)]
+    # a rolled-back leg was seen, and its undo calls no listener
+    with pytest.raises(InsufficientBalance):
+        reg.transfers("MWh", "alice", [("bob", 1), ("bob", 99)])
+    assert seen[7:] == [("alice", 25), ("bob", 0)] and reg.balance_of("MWh", "alice") == 25
 
 
 def test_negative_amount_rejected():
@@ -215,7 +240,7 @@ def test_event_log_replay_reproduces_state(rng):
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1000)), max_size=60))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_conservation_property(ops):
     reg = fresh()
     for kind, qty in ops:
@@ -239,7 +264,7 @@ def _payer_registry(paused: bool, allowlisted):
     reg.mint("MWh", "alice", 60, MINTER)
     reg.mint("MWh", "bob", 5, MINTER)
     seen = []
-    reg.add_balance_listener("MWh", seen.append)
+    reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
     if allowlisted is not None:
         reg.set_allowlist_enabled("MWh", True)
         for account in sorted(allowlisted):
@@ -258,7 +283,7 @@ def _ledger_state(reg):
                                st.one_of(st.integers(-2, 40), st.just(True))), max_size=6),
        paused=st.sampled_from([False, False, False, True]),
        allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted):
     batched, seen = _payer_registry(paused, allowlisted)
     looped, seen_looped = _payer_registry(paused, allowlisted)
@@ -323,7 +348,7 @@ def _run(reg, step, committed):
 
 
 @given(st.lists(STEP, max_size=8))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_transaction_rollback_matches_replay_of_committed_moves(steps):
     reg, committed = fresh(), []
     for step in steps:
@@ -414,7 +439,7 @@ def _apply(reg, op, authority):
                        min_size=1, max_size=3, unique_by=lambda t: t[0]),
        accounts=st.lists(NAME, min_size=1, max_size=4, unique=True),
        steps=st.lists(LEDGER_STEP, max_size=25))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
     reg, authority = Registry(), {}
     for token, unit_label, key, kind, decimals in tokens:
