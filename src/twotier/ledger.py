@@ -14,6 +14,7 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import NamedTuple
@@ -56,9 +57,10 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def check_amount(qty) -> int:
-    """Validate a ledger quantity: a plain non-negative int."""
+    """Validate a ledger quantity, a non-negative int, and return it as a plain int."""
     if isinstance(qty, bool) or not isinstance(qty, int):
         raise Overflow(f"amount must be an int, got {type(qty).__name__}")
+    qty = int(qty)
     if qty < 0:
         raise Overflow(f"amount must be non-negative, got {qty}")
     return qty
@@ -84,10 +86,20 @@ class Event(NamedTuple):
 
 _new_event = tuple.__new__  # builds an Event without the Python-level Event.__new__
 
-# one events.jsonl line: the keys "seq", "op", "token", "accounts", "qty" (and "meta",
-# the second slot) in sorted order with compact separators, the JSON of an event's dict form
-_LINE = '{"accounts":[%s],%s"op":%s,"qty":%d,"seq":%d,"token":%s}'
+EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
 _json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Texts(dict):
+    """key -> JSON text, rendered by `render` on a key's first lookup; lives for one export."""
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 @dataclass
@@ -235,7 +247,7 @@ class Registry:
         try:
             for to, qty in legs:
                 if type(qty) is not int or qty < 0:
-                    check_amount(qty)
+                    qty = check_amount(qty)
                 if book is None:  # after the first leg's amount check, as the order says
                     book = self._book(token)
                     meta, listeners, known = book.meta, book.listeners, self.accounts
@@ -333,12 +345,34 @@ class Registry:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def export_events(self) -> Iterator[str]:
-        """Event log as line-delimited JSON strings, yielded one at a time, keys
-        sorted, `seq` the line index."""
-        return (_LINE % (",".join(map(_json_str, accounts)),
-                         '"meta":%s,' % _json_meta(meta) if meta else "",
-                         _json_str(op), qty, seq, _json_str(token))
-                for seq, (op, token, accounts, qty, meta) in enumerate(self.events))
+        """Event log as line-delimited JSON strings, one per event with no newline,
+        keys sorted, `seq` the line index."""
+        return chain.from_iterable(self.export_chunks())
+
+    def export_chunks(self, size: int = EXPORT_CHUNK) -> Iterator[list[str]]:
+        """The lines of `export_events`, `size` at a time.
+
+        Each line is the JSON of the event's dict form: keys "accounts", "meta"
+        (when non-empty), "op", "qty", "seq", "token" in sorted order with compact
+        separators. Op, token and accounts texts are rendered once per export, and
+        meta texts once per (key, type, value) items, so `True` and `1` render apart.
+        """
+        texts = _Texts(_json_str)  # ops and tokens
+        accounts = _Texts(lambda acc: ",".join(map(_json_str, acc)))
+        metas = _Texts(lambda items: f'"meta":{_json_meta({k: v for k, _, v in items})},')
+
+        def meta_text(meta: dict) -> str:
+            items = tuple(zip(meta, map(type, meta.values()), meta.values()))
+            try:
+                return metas[items]
+            except TypeError:  # an unhashable value, such as a replayed flag of [1]
+                return metas.render(items)
+
+        events = self.events
+        for start in range(0, len(events), size):
+            yield [f'{{"accounts":[{accounts[a]}],{meta_text(m) if m else ""}"op":{texts[o]},'
+                   f'"qty":{q},"seq":{s},"token":{texts[t]}}}'
+                   for s, (o, t, a, q, m) in enumerate(events[start:start + size], start)]
 
 
 def replay_events(events: list) -> Registry:

@@ -647,5 +647,5 @@ def export_csv(result: SimResult, path: str):
 
 def export_events(result: SimResult, path: str):
     with open(path, "w") as fh:
-        for line in result.market.registry.export_events():
-            fh.write(line + "\n")
+        for lines in result.market.registry.export_chunks():
+            fh.write("\n".join(lines) + "\n")

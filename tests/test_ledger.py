@@ -414,7 +414,9 @@ QTY = st.integers(0, 10 ** 20)
 OP = st.one_of(
     st.tuples(st.sampled_from(["mint", "burn"]), IX, IX, QTY),
     st.tuples(st.just("transfer"), IX, IX, IX, QTY),
-    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX, st.booleans()),
+    # a flag of 1 and of True are equal dict values that must render apart
+    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX,
+              st.one_of(st.booleans(), st.integers(0, 1))),
     st.tuples(st.just("set_allowlist"), IX, IX, st.booleans()),
     st.tuples(st.just("create_account"), NAME, st.sampled_from(list(AccountRole))))
 # ("block", ops, roll back)
@@ -438,9 +440,10 @@ def _apply(reg, op, authority):
                                  st.integers(0, 18)),
                        min_size=1, max_size=3, unique_by=lambda t: t[0]),
        accounts=st.lists(NAME, min_size=1, max_size=4, unique=True),
-       steps=st.lists(LEDGER_STEP, max_size=25))
+       steps=st.lists(LEDGER_STEP, max_size=25),
+       size=st.integers(1, 5))
 @settings(max_examples=examples(150), deadline=None)
-def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
+def test_export_matches_json_dumps_and_replays(tokens, accounts, steps, size):
     reg, authority = Registry(), {}
     for token, unit_label, key, kind, decimals in tokens:
         reg.create_token(TokenMeta(token=token, kind=kind, unit_label=unit_label,
@@ -463,9 +466,58 @@ def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
             pass
     lines = list(reg.export_events())
     assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+    chunks = list(reg.export_chunks(size))
+    assert [line for chunk in chunks for line in chunk] == lines
+    assert all(1 <= len(chunk) <= size for chunk in chunks)
     replayed = replay_events([json.loads(line) for line in lines])
     assert replayed.state_hash() == reg.state_hash()
     assert list(replayed.export_events()) == lines
+
+
+def test_meta_flags_render_by_type_as_json_dumps_does():
+    reg = fresh()
+    reg.set_paused("MWh", 1)
+    reg.set_paused("MWh", True)
+    reg.set_paused("MWh", 0)
+    reg.set_allowlist_enabled("MWh", False)
+    lines = list(reg.export_events())
+    assert [line.split('"flag":')[1].split("}")[0] for line in lines[-4:]] == [
+        "1", "true", "0", "false"]
+    assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+
+
+def test_an_unhashable_meta_value_still_exports_as_json_dumps_does():
+    reg = fresh()
+    reg.set_paused("MWh", [1])  # replay_events passes a parsed line's flag through as given
+    lines = list(reg.export_events())
+    assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+    assert replay_events([json.loads(line) for line in lines]).state_hash() == reg.state_hash()
+
+
+class Q(int):
+    """An int subclass whose own formatting a ledger line must not pick up."""
+
+    def __format__(self, spec):
+        return "Q"
+
+    __str__ = __repr__ = lambda self: "Q"
+
+
+@pytest.mark.parametrize("op", ["mint", "transfer", "transfers", "burn"])
+def test_int_subclass_amounts_are_logged_and_stored_as_plain_ints(op):
+    reg = fresh()
+    reg.mint("MWh", "alice", 10, MINTER)
+    {"mint": lambda: reg.mint("MWh", "bob", Q(5), MINTER),
+     "transfer": lambda: reg.transfer("MWh", "alice", "bob", Q(5)),
+     "transfers": lambda: reg.transfers("MWh", "alice", [("bob", Q(5))]),
+     "burn": lambda: reg.burn("MWh", "alice", Q(5), MINTER)}[op]()
+    assert type(reg.events[-1].qty) is int and reg.events[-1].qty == 5
+    for account in ("alice", "bob"):
+        assert type(reg.balance_of("MWh", account)) is int
+    assert type(reg.total_supply("MWh")) is int
+    lines = list(reg.export_events())
+    assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+    assert json.loads(lines[-1])["qty"] == 5
 
 
 def parsed_log() -> list[dict]:

@@ -1,6 +1,7 @@
 import copy
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from twotier.errors import (
     ParseError,
     UnknownReference,
 )
+from twotier.ledger import EXPORT_CHUNK, Registry, TokenKind, TokenMeta
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
 from twotier.yields import INDEX_SCALE, YieldVault
 
@@ -364,6 +366,66 @@ def test_determinism_identical_bytes(tmp_path):
         export_events(result, str(ev_path))
         paths.append((csv_path.read_bytes(), ev_path.read_bytes()))
     assert paths[0] == paths[1]
+
+
+def _holding(registry) -> SimpleNamespace:
+    """A stand-in for a SimResult: all `export_events` reads is its market's registry."""
+    return SimpleNamespace(market=SimpleNamespace(registry=registry))
+
+
+def _minted_registry(mints: int) -> Registry:
+    reg = Registry()
+    reg.create_token(TokenMeta(token="E", kind=TokenKind.ELEMENT), authority="key")
+    reg.create_account("a")
+    for _ in range(mints):
+        reg.mint("E", "a", 1, "key")
+    return reg
+
+
+class _WriteLog:
+    """An open text file that records each `write` call."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("registry", [
+    lambda: run(parse_config(mini_doc(epochs=8))).market.registry,
+    lambda: _minted_registry(2 * EXPORT_CHUNK + 100),
+    Registry,
+], ids=["run", "three-chunks", "empty"])
+def test_export_events_writes_each_line_and_a_newline(tmp_path, registry):
+    reg = registry()
+    path = tmp_path / "events.jsonl"
+    export_events(_holding(reg), str(path))
+    assert path.read_bytes() == "".join(line + "\n" for line in reg.export_events()).encode()
+    assert (path.stat().st_size == 0) == (not reg.events)
+
+
+def test_export_events_streams_the_log_a_chunk_per_write(tmp_path, monkeypatch):
+    reg = _minted_registry(2 * EXPORT_CHUNK + 100)
+    logs = []
+
+    def recording_open(*args):
+        logs.append(_WriteLog(open(*args)))
+        return logs[-1]
+
+    monkeypatch.setattr(sim, "open", recording_open, raising=False)
+    export_events(_holding(reg), str(tmp_path / "events.jsonl"))
+    [log] = logs
+    assert [piece.count("\n") for piece in log.writes] == [EXPORT_CHUNK, EXPORT_CHUNK,
+                                                           len(reg.events) - 2 * EXPORT_CHUNK]
+    assert "".join(log.writes) == (tmp_path / "events.jsonl").read_text()
 
 
 def test_seed_changes_noise_not_invariants():
