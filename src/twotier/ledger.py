@@ -87,6 +87,7 @@ class Event(NamedTuple):
 _new_event = tuple.__new__  # builds an Event without the Python-level Event.__new__
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
+_PLAIN = frozenset((str, int, bool))  # meta value types whose equal values render alike
 _json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -349,30 +350,34 @@ class Registry:
         keys sorted, `seq` the line index."""
         return chain.from_iterable(self.export_chunks())
 
-    def export_chunks(self, size: int = EXPORT_CHUNK) -> Iterator[list[str]]:
-        """The lines of `export_events`, `size` at a time.
+    def export_chunks(self) -> Iterator[list[str]]:
+        """The lines of `export_events`, `EXPORT_CHUNK` at a time.
 
         Each line is the JSON of the event's dict form: keys "accounts", "meta"
         (when non-empty), "op", "qty", "seq", "token" in sorted order with compact
         separators. Op, token and accounts texts are rendered once per export, and
-        meta texts once per (key, type, value) items, so `True` and `1` render apart.
+        so is each meta whose values are all of type str, int or bool, keyed by
+        its items and their types so that `True` and `1` render apart.
         """
         texts = _Texts(_json_str)  # ops and tokens
         accounts = _Texts(lambda acc: ",".join(map(_json_str, acc)))
-        metas = _Texts(lambda items: f'"meta":{_json_meta({k: v for k, _, v in items})},')
+
+        def meta_json(meta: dict) -> str:
+            return f'"meta":{_json_meta(meta)},'
+
+        metas = _Texts(lambda key: meta_json(dict(key[0])))
 
         def meta_text(meta: dict) -> str:
-            items = tuple(zip(meta, map(type, meta.values()), meta.values()))
-            try:
-                return metas[items]
-            except TypeError:  # an unhashable value, such as a replayed flag of [1]
-                return metas.render(items)
+            types = tuple(map(type, meta.values()))
+            if _PLAIN.issuperset(types):
+                return metas[tuple(meta.items()), types]
+            return meta_json(meta)  # equal values of other types may render apart: -0.0, 0.0
 
         events = self.events
-        for start in range(0, len(events), size):
+        for start in range(0, len(events), EXPORT_CHUNK):
             yield [f'{{"accounts":[{accounts[a]}],{meta_text(m) if m else ""}"op":{texts[o]},'
                    f'"qty":{q},"seq":{s},"token":{texts[t]}}}'
-                   for s, (o, t, a, q, m) in enumerate(events[start:start + size], start)]
+                   for s, (o, t, a, q, m) in enumerate(events[start:start + EXPORT_CHUNK], start)]
 
 
 def replay_events(events: list) -> Registry:
