@@ -114,6 +114,19 @@ class AmmVenues:
     def reserves(self, base: str) -> tuple[int, int]:
         return self._oriented(base, SwapDirection.BASE_IN)[1:]
 
+    def snapshot(self, bases) -> list[tuple[int, int, int]]:
+        """(rb, rn, fee_bps) of the pool of each of `bases`, in order, read once.
+
+        A base with no pool reads as (0, 0, 0), as a pool whose liquidity was
+        all removed reads as (0, 0, fee_bps).
+        """
+        pools, balance_of = self.pools, self.registry.balance_of
+        numeraire = self.registry.balances(self.numeraire)
+        return [(0, 0, 0) if (pool := pools.get(base)) is None
+                else (balance_of(base, pool.account), numeraire.get(pool.account, 0),
+                      pool.fee_bps)
+                for base in bases]
+
     def lp_supply(self, base: str) -> int:
         return self.registry.total_supply(self.get(base).lp_token)
 

@@ -21,7 +21,7 @@ from .composite import AssetDefinition
 from .errors import CompositeError, InvariantViolation, MissingPrice, NoExecutablePath, StalePlan
 from .ledger import BPS, check_amount
 from .market import Market
-from .pricing import Price, nav_report
+from .pricing import Pools, Price, basket, nav_report
 
 
 class RouteKind(str, Enum):
@@ -73,7 +73,7 @@ class ExecutionResult:
     legs_executed: int
 
 
-# --- routes, priced over one read of their pools ---
+# --- routes, priced over one snapshot of their pools ---
 
 _Flows = Callable[[int], list[int] | None]
 _Legs = Callable[[int, list[int]], list[Leg]]
@@ -83,7 +83,7 @@ _ELEMENT_ROUTE = {Side.ACQUIRE_W: RouteKind.BUY_ELEMENTS_THEN_MINT_W,
                   Side.DISPOSE_W: RouteKind.REDEEM_THEN_SELL_ELEMENTS}
 
 
-def _costs(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] | None:
+def _costs(pools: Pools, amounts: list[int]) -> list[int] | None:
     """Numeraire into the buy of each amount from its (rb, rn, fee) pool, or None."""
     paid = []
     for (rb, rn, fee), amount in zip(pools, amounts):
@@ -97,7 +97,7 @@ def _costs(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] |
     return paid
 
 
-def _proceeds(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int] | None:
+def _proceeds(pools: Pools, amounts: list[int]) -> list[int] | None:
     """Numeraire out of the sale of each nonzero amount into its (rb, rn, fee) pool, or None."""
     got = []
     for (rb, rn, fee), amount in zip(pools, amounts):
@@ -122,21 +122,14 @@ def _proceeds(pools: list[tuple[int, int, int]], amounts: list[int]) -> list[int
 # fee band of CFMM price oracles (Angeris et al., arXiv:1911.03380) taken
 # over the mint/redeem basket.
 
-def _bases(asset: AssetDefinition, kind: RouteKind) -> list[str]:
-    """The base token of each pool the route trades in."""
-    return ([asset.composite] if kind == RouteKind.DIRECT_W
-            else [element for element, _ in asset.composition])
-
-
-def _pools(market: Market, asset: AssetDefinition, kind: RouteKind) -> list[tuple[int, int, int]]:
-    """(rb, rn, fee) of each pool the route trades in; a missing pool reads as an emptied one."""
-    venues = market.venues
-    return [(*venues.reserves(base), venues.pools[base].fee_bps) if base in venues.pools
-            else (0, 0, 0) for base in _bases(asset, kind)]
+def _part(kind: RouteKind, per_base):
+    """The route's part of `per_base`, `asset.bases` or its snapshot: the composite's
+    pool for the direct route, the element pools for the other."""
+    return per_base[-1:] if kind == RouteKind.DIRECT_W else per_base[:-1]
 
 
 def _marginal(asset: AssetDefinition, kind: RouteKind, side: Side,
-              pools: list[tuple[int, int, int]]) -> Price | None:
+              pools: Pools) -> Price | None:
     """The route's numeraire flow per unit of q at q -> 0 over its `pools`, or None.
 
     A lower bound on the cost (acquire) or an upper bound on the proceeds
@@ -154,18 +147,17 @@ def _marginal(asset: AssetDefinition, kind: RouteKind, side: Side,
         weights = [a * fee_factor for _, a in asset.composition]
     else:
         return None
-    num, den = 0, 1
-    for (rb, rn, fee), weight in zip(pools, weights):
-        if rb == 0:
-            return None
-        pn, pd = (rn * BPS, rb * (BPS - fee)) if buy else (rn * (BPS - fee), rb * BPS)
-        num, den = num * pd + weight * pn * den, den * pd
+    if any(rb == 0 for rb, _, _ in pools):
+        return None
+    prices = ([(rn * BPS, rb * (BPS - fee)) for rb, rn, fee in pools] if buy
+              else [(rn * (BPS - fee), rb * BPS) for rb, rn, fee in pools])
+    num, den = basket(zip(weights, prices))
     return num, den * BPS
 
 
 def _route(market: Market, asset: AssetDefinition, kind: RouteKind, side: Side,
-           pools: list[tuple[int, int, int]]) -> tuple[_Flows, _Legs]:
-    """`(flows, legs)` of one route over `pools`, its caller's one read of `_pools`.
+           pools: Pools) -> tuple[_Flows, _Legs]:
+    """`(flows, legs)` of one route over `pools`, its part of its caller's one snapshot.
 
     `flows(q)` is the numeraire into each buy (acquire) or out of each sale
     (dispose) of the route sized q, or None where it has no quote. It is
@@ -177,7 +169,7 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind, side: Side,
     venues, cid = market.venues, asset.composite
     direct = kind == RouteKind.DIRECT_W
     buy = side == Side.ACQUIRE_W
-    bases = _bases(asset, kind)
+    bases = _part(kind, asset.bases)
     if direct:
         price = _costs if buy else _proceeds
 
@@ -216,14 +208,14 @@ def simulate_routes(market: Market, asset_id: str, side: Side,
     """All executable route plans for the request, in route-kind order; none for a
     size of 0 or for a dispose of more units than are held outside the composite pool."""
     asset = market.composites.get(asset_id)
-    cid = asset.composite
-    pooled = market.venues.reserves(cid)[0] if cid in market.venues.pools else 0
-    if check_amount(quantity_w) == 0 or (
-            side == Side.DISPOSE_W and quantity_w > market.registry.total_supply(cid) - pooled):
+    snapshot = market.venues.snapshot(asset.bases)
+    pooled = snapshot[-1][0]  # composite units in its own pool, 0 without one
+    if check_amount(quantity_w) == 0 or (side == Side.DISPOSE_W and quantity_w >
+                                         market.registry.total_supply(asset.composite) - pooled):
         return []
     plans = []
     for kind in (RouteKind.DIRECT_W, _ELEMENT_ROUTE[side]):
-        flows, legs = _route(market, asset, kind, side, _pools(market, asset, kind))
+        flows, legs = _route(market, asset, kind, side, _part(kind, snapshot))
         moved = flows(quantity_w)
         if moved is not None:
             plans.append(ExecutionPlan(Route(kind, legs(quantity_w, moved)), side,
@@ -257,11 +249,13 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     (discount). Only cycles whose numeraire cost (bought before anything is
     sold) is at most `budget` are sized; None means unbounded capital.
 
+    Every pool is read once, in one `AmmVenues.snapshot` that the premium,
+    the gate and both routes share.
+
     No-trade band gate: a cycle sized q earns at most q·(mp0 - mc0), its
-    marginal proceeds less its marginal cost at q -> 0 (`_marginal`), both
-    taken from one read of the two routes' pools. When both exist,
-    mp0 <= mc0 and `min_profit >= 1`, no size can pay, and the result is
-    None before either route or its mint/redeem schedule is built. A
+    marginal proceeds less its marginal cost at q -> 0 (`_marginal`). When
+    both exist, mp0 <= mc0 and `min_profit >= 1`, no size can pay, and the
+    result is None before either route or its mint/redeem schedule is built. A
     `min_profit` of 0 or less can be met by a losing cycle, so it is always
     searched.
 
@@ -271,7 +265,8 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     """
     try:
         asset = market.composites.get(asset_id)
-        report = nav_report(asset, market.venues)
+        snapshot = market.venues.snapshot(asset.bases)
+        report = nav_report(asset, snapshot)
     except (MissingPrice, CompositeError):
         return None
     if report.premium_bps == 0:
@@ -280,7 +275,7 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     element_kind = _ELEMENT_ROUTE[Side.ACQUIRE_W if positive else Side.DISPOSE_W]
     buy_kind, sell_kind = ((element_kind, RouteKind.DIRECT_W) if positive
                            else (RouteKind.DIRECT_W, element_kind))
-    buy_pools, sell_pools = _pools(market, asset, buy_kind), _pools(market, asset, sell_kind)
+    buy_pools, sell_pools = _part(buy_kind, snapshot), _part(sell_kind, snapshot)
     if min_profit >= 1:
         mc0 = _marginal(asset, buy_kind, Side.ACQUIRE_W, buy_pools)
         mp0 = _marginal(asset, sell_kind, Side.DISPOSE_W, sell_pools)

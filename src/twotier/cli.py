@@ -58,7 +58,7 @@ def _cmd_report(args) -> int:
     for a in cfg.assets:
         asset = market.composites.get(a.composite)
         try:
-            rep = nav_report(asset, market.venues)
+            rep = nav_report(asset, market.venues.snapshot(asset.bases))
             print(f"{a.composite:<16} {frac_str(*rep.nav):>20} "
                   f"{frac_str(*rep.composite_spot):>20} {rep.premium_bps:>12}")
         except EngineError:

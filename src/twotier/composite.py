@@ -34,10 +34,13 @@ class AssetDefinition:
     escrow: str
     fee_sink: str
     unit: int  # 10**decimals of the composite token
+    # the pools NAV reads, in `AmmVenues.snapshot` order: each element's, then the composite's
+    bases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.mint_fee_bps <= BPS and 0 <= self.redeem_fee_bps <= BPS):
             raise ValueError("fee bps out of range")
+        self.bases = (*(element for element, _ in self.composition), self.composite)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -282,15 +281,10 @@ class Registry:
 
     # --- transactions ---
 
-    @contextmanager
-    def transaction(self):
-        """Undo the block's moves on any exception, keeping multi-step operations atomic."""
-        start = len(self.events)
-        try:
-            yield
-        except BaseException:
-            self._undo(start)
-            raise
+    def transaction(self) -> _Transaction:
+        """A `with` block whose moves are undone on any exception, which then propagates,
+        keeping multi-step operations atomic."""
+        return _Transaction(self)
 
     # --- internals ---
 
@@ -325,7 +319,15 @@ class Registry:
     # --- snapshots / audit ---
 
     def audit(self):
-        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply."""
+        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply.
+
+        Two passes over every book, a sum per book and one `min` over every
+        balance; only a failure walks the books again to name the token.
+        """
+        books = self._balances.values()
+        if ([sum(book.values()) for book in books] == [book.supply for book in books]
+                and min(chain.from_iterable(map(dict.values, books)), default=0) >= 0):
+            return
         for token, book in self._balances.items():
             total = sum(book.values())
             if total != book.supply or min(book.values(), default=0) < 0:
@@ -380,6 +382,30 @@ class Registry:
                    for s, (o, t, a, q, m) in enumerate(events[start:start + EXPORT_CHUNK], start)]
 
 
+class _Transaction:
+    """The block of one `Registry.transaction()`: notes where the log stood on entry
+    and, when an exception leaves the block, undoes the moves logged since."""
+    __slots__ = ("registry", "start")
+
+    def __init__(self, registry: Registry):
+        self.registry = registry
+
+    def __enter__(self):
+        self.start = len(self.registry.events)
+
+    def __exit__(self, exc_type, exc, tb):  # returns None: the exception propagates
+        if exc_type is not None:
+            self.registry._undo(self.start)
+
+
+def _flag(index: int, meta: dict):
+    """The flag of a logged `set_*` event; a bool or an int (JSON true/false, 1/0)."""
+    flag = meta["flag"]
+    if type(flag) not in (bool, int):
+        raise ValueError(f"event {index}: flag {flag!r} is not a bool or an int")
+    return flag
+
+
 def replay_events(events: list) -> Registry:
     """Rebuild a Registry from an event log produced by another Registry.
 
@@ -387,7 +413,7 @@ def replay_events(events: list) -> Registry:
     A parsed line must carry its index as `seq`, so a log with a line
     missing, repeated or out of order is rejected. Replay applies raw state
     transitions; authority checks were already enforced when the log was
-    written.
+    written. A flag event whose flag is not a bool or an int is rejected.
     """
     reg = Registry()
     for index, ev in enumerate(events):
@@ -409,11 +435,11 @@ def replay_events(events: list) -> Registry:
             frm, to = _ENDS[op](accounts)
             reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
         elif op == "set_paused":
-            reg.set_paused(token, meta["flag"])
+            reg.set_paused(token, _flag(index, meta))
         elif op == "set_allowlist_enabled":
-            reg.set_allowlist_enabled(token, meta["flag"])
+            reg.set_allowlist_enabled(token, _flag(index, meta))
         elif op == "set_allowlist":
-            reg.set_allowlist(token, accounts[0], meta["flag"])
+            reg.set_allowlist(token, accounts[0], _flag(index, meta))
         else:
             raise ValueError(f"event {index}: unknown event op {op!r}")
     return reg

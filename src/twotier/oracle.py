@@ -9,6 +9,7 @@ than was verified.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -67,12 +68,13 @@ class ProductionLedger:
 
 def median_int(values: list[int]) -> int:
     """Integer median; even count takes the floor of the mean of the middle pair."""
-    vs = sorted(values)
-    n = len(vs)
-    mid = n // 2
-    if n % 2 == 1:
-        return vs[mid]
-    return (vs[mid - 1] + vs[mid]) // 2
+    return _median_sorted(sorted(values))
+
+
+def _median_sorted(vs: list[int]) -> int:
+    """`median_int` of values already in ascending order."""
+    mid = len(vs) // 2
+    return vs[mid] if len(vs) % 2 else (vs[mid - 1] + vs[mid]) // 2
 
 
 class OracleHub:
@@ -98,14 +100,32 @@ class OracleHub:
         return prod
 
     def submit_attestation(self, att: Attestation):
-        prod = self._record(att.element)
-        if att.epoch in prod.accepted:
-            raise EpochFinalized(f"{att.element} epoch {att.epoch}")
-        bucket = prod.pending.setdefault(att.epoch, {})
-        if att.source in bucket:
-            raise DuplicateAttestation(f"{att.source} already attested "
-                                       f"{att.element} epoch {att.epoch}")
-        bucket[att.source] = att.measured
+        self.submit_readings(att.element, att.epoch, {att.source: att.measured})
+
+    def submit_readings(self, element: str, epoch: int, readings: Mapping[str, int]):
+        """File each source's measured output of `element` at `epoch`, all or none.
+
+        The checks of one `Attestation` per reading, in this order: the epoch,
+        every amount, the element, an epoch already finalized, a source that
+        already attested it. Nothing is filed unless every reading passes, and
+        an empty round files nothing.
+        """
+        if epoch < 0:
+            raise ValueError("epoch must be >= 0")
+        readings = {source: measured if type(measured) is int and measured >= 0
+                    else check_amount(measured) for source, measured in readings.items()}
+        prod = self._record(element)
+        if epoch in prod.accepted:
+            raise EpochFinalized(f"{element} epoch {epoch}")
+        bucket = prod.pending.get(epoch)
+        if bucket is None:
+            if readings:
+                prod.pending[epoch] = readings
+            return
+        for source in readings:
+            if source in bucket:
+                raise DuplicateAttestation(f"{source} already attested {element} epoch {epoch}")
+        bucket.update(readings)
 
     def finalize_epoch(self, element: str, epoch: int, policy: OraclePolicy) -> EpochResult:
         prod = self._record(element)
@@ -115,16 +135,19 @@ class OracleHub:
         if not bucket:
             raise NoAttestations(f"{element} epoch {epoch}")
 
-        values = list(bucket.values())
-        m = median_int(values)
+        values = sorted(bucket.values())
+        m = _median_sorted(values)
         # |v - m| > m * max_deviation_bps / 10000, kept in integer arithmetic
-        outliers = {src for src, v in bucket.items()
-                    if abs(v - m) * BPS > m * policy.max_deviation_bps}
-        rejected = sorted(outliers)
-        survivors = [v for src, v in bucket.items() if src not in outliers]
+        band = m * policy.max_deviation_bps
+        if (m - values[0]) * BPS > band or (values[-1] - m) * BPS > band:
+            rejected = sorted(src for src, v in bucket.items() if abs(v - m) * BPS > band)
+            survivors = [v for v in values if abs(v - m) * BPS <= band]  # still in order
+        else:  # no value lies further from m than the lowest or the highest
+            rejected, survivors = [], values
 
         failed = len(survivors) < policy.min_sources
-        result = EpochResult(element, epoch, accepted=0 if failed else median_int(survivors),
+        result = EpochResult(element, epoch,
+                             accepted=0 if failed else _median_sorted(survivors),
                              rejected_sources=rejected, failed=failed)
 
         prod.cumulative_accepted += result.accepted
@@ -137,12 +160,13 @@ class OracleHub:
 
     def mint_verified(self, element: str, to: str, qty: int):
         check_amount(qty)
-        capacity = self.mintable_capacity(element)
+        prod = self._record(element)
+        capacity = prod.cumulative_accepted - prod.cumulative_minted
         if qty > capacity:
             raise ExceedsVerifiedOutput(
                 f"mint {qty} of {element} exceeds verified capacity {capacity}")
         self.registry.mint(element, to, qty, self.AUTHORITY)
-        self.production[element].cumulative_minted += qty
+        prod.cumulative_minted += qty
 
     def twa_output(self, element: str, epoch: int, policy: OraclePolicy) -> int:
         """Mean accepted output over the trailing window ending at `epoch`.

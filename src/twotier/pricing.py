@@ -7,27 +7,31 @@ only on the ratio's value, so no gcd is ever taken.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .amm import AmmVenues
 from .composite import AssetDefinition
 from .errors import MissingPrice
 
 Price = tuple[int, int]   # (num, den), den > 0: the value num / den
+Pools = list[tuple[int, int, int]]   # (rb, rn, fee_bps) per pool: `AmmVenues.snapshot`
+
+
+def basket(terms: Iterable[tuple[int, Price]]) -> Price:
+    """Sum of weight * price over (weight, price) terms, over the product of the
+    price denominators: the one basket formula of NAV and of the no-trade band."""
+    num, den = 0, 1
+    for weight, (pn, pd) in terms:
+        num, den = num * pd + weight * pn * den, den * pd
+    return num, den
 
 
 def nav(asset: AssetDefinition, prices: dict[str, Price]) -> Price:
-    """Basket value of one whole composite unit: sum of ratio * element price.
-
-    The terms are summed over the product of the price denominators.
-    """
-    num, den = 0, 1
-    for element, per_unit in asset.composition:
+    """Basket value of one whole composite unit: sum of ratio * element price."""
+    for element, _ in asset.composition:
         if element not in prices:
             raise MissingPrice(element)
-        pn, pd = prices[element]
-        num, den = num * pd + per_unit * pn * den, den * pd
-    return num, den
+    return basket((per_unit, prices[element]) for element, per_unit in asset.composition)
 
 
 def premium_bps(composite_spot: Price, nav_value: Price) -> int:
@@ -50,27 +54,22 @@ class NavReport:
     premium_bps: int
 
 
-def pool_price(venues: AmmVenues, token: str) -> Price:
-    """Spot price per base unit of token's pool; MissingPrice if it has no pool or is empty."""
-    if token not in venues.pools:
-        raise MissingPrice(f"no pool for {token}")
-    rn, rb = venues.spot_price(token)
-    if rn == 0 or rb == 0:
-        raise MissingPrice(f"empty pool for {token}")
-    return rn, rb
+def nav_report(asset: AssetDefinition, snapshot: Pools) -> NavReport:
+    """Compare the composite's pool spot to its NAV at `snapshot`, the venues'
+    `snapshot(asset.bases)`; MissingPrice if a pool is missing or empty.
 
-
-def nav_report(asset: AssetDefinition, venues: AmmVenues) -> NavReport:
-    """Read pool spot prices for every element and the composite, compare to NAV.
-
-    Composition ratios are ledger amounts (element base units per whole
-    composite unit) and pool spots are per base unit, so their dot product is
-    already the NAV of one whole composite; the composite pool spot is scaled
-    by the composite's unit to match.
+    A pool's spot is rn / rb, numeraire per base unit. Composition ratios are
+    ledger amounts (element base units per whole composite unit), so their
+    dot product with the element spots is already the NAV of one whole
+    composite; the composite pool spot is scaled by the composite's unit to
+    match.
     """
-    nav_value = nav(asset, {element: pool_price(venues, element)
-                            for element, _ in asset.composition})
-    rn, rb = pool_price(venues, asset.composite)
+    for base, (rb, rn, _) in zip(asset.bases, snapshot):
+        if rb == 0 or rn == 0:
+            raise MissingPrice(f"no pool, or an empty one, for {base}")
+    nav_value = basket([(per_unit, (rn, rb))
+                        for (_, per_unit), (rb, rn, _) in zip(asset.composition, snapshot)])
+    rb, rn, _ = snapshot[-1]
     spot = (rn * asset.unit, rb)
     return NavReport(asset=asset.composite, nav=nav_value, composite_spot=spot,
                      premium_bps=premium_bps(spot, nav_value))

@@ -32,13 +32,15 @@ import numpy as np
 
 from .amm import SwapDirection
 from .arbitrage import detect_arbitrage, execute_plan
-from .errors import ConfigError, EngineError, MissingPrice, ParseError, UnknownReference
+from .errors import ConfigError, EngineError, ParseError, UnknownReference
 from .ledger import BPS, MAX_DECIMALS, TokenKind, TokenMeta
 from .market import Market
-from .oracle import Attestation, OraclePolicy
-from .pricing import nav_report, pool_price
+from .oracle import OraclePolicy
+from .pricing import nav_report
 
 FRACTION_DIGITS = 12
+_FRACTION_SCALE = 10 ** FRACTION_DIGITS
+_FRACTION_FORMAT = f"0{FRACTION_DIGITS}d"  # a format spec built per call costs as much again
 
 
 def frac_str(num: int, den: int) -> str:
@@ -47,9 +49,8 @@ def frac_str(num: int, den: int) -> str:
     The digits depend only on the value, not on whether num / den is reduced.
     """
     sign = "-" if num < 0 else ""
-    scaled = abs(num) * 10 ** FRACTION_DIGITS // den
-    whole, frac = divmod(scaled, 10 ** FRACTION_DIGITS)
-    return f"{sign}{whole}.{frac:0{FRACTION_DIGITS}d}"
+    whole, frac = divmod(abs(num) * _FRACTION_SCALE // den, _FRACTION_SCALE)
+    return f"{sign}{whole}.{frac:{_FRACTION_FORMAT}}"
 
 
 # --- config schema ---
@@ -550,13 +551,15 @@ def _metrics_header(cfg: ScenarioConfig) -> list[str]:
 
 def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
                  arb_stats: dict[str, tuple[int, int]]) -> list[str]:
+    """One epoch's row; each asset's pools are read once, in one snapshot."""
     reg = market.registry
     row = [str(epoch)]
     for a in cfg.assets:
         cid = a.composite
         asset = market.composites.get(cid)
+        snapshot = market.venues.snapshot(asset.bases)
         try:
-            report = nav_report(asset, market.venues)
+            report = nav_report(asset, snapshot)
             nav_s, spot_s = frac_str(*report.nav), frac_str(*report.composite_spot)
             prem = str(report.premium_bps)
         except EngineError:
@@ -564,11 +567,8 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
         trades, profit = arb_stats.get(cid, (0, 0))
         # `run` writes a row only after `Market.audit()` has asserted exact backing
         row += [nav_s, spot_s, prem, str(trades), str(profit), str(reg.total_supply(cid)), "1"]
-        for element, _ in a.composition:
-            try:
-                row.append(frac_str(*pool_price(market.venues, element)))
-            except MissingPrice:
-                row.append("nan")
+        for (element, _), (rb, rn, _) in zip(asset.composition, snapshot):
+            row.append(frac_str(rn, rb) if rb and rn else "nan")  # a missing or empty pool
             row.append(str(reg.total_supply(element)))
     return row
 
@@ -585,19 +585,23 @@ def run(cfg: ScenarioConfig) -> SimResult:
         agent = AGENT_KINDS[spec.kind](spec, market, np.random.Generator(np.random.Philox(child)))
         (arbs if isinstance(agent, Arbitrageur) else traders).append(agent)
 
+    # the shocks and yield deposits of each epoch, in schedule order
+    shocks, deposits = defaultdict(list), defaultdict(list)
+    for s in cfg.shocks:
+        shocks[s.epoch].append(s)
+    for y in cfg.yield_schedule:
+        deposits[y.epoch].append(y)
+
     header = _metrics_header(cfg)
     rows = []
     for epoch in range(cfg.epochs):
         try:
-            # (1) oracle attestations
+            # (1) oracle attestations, one round per element
             for element, oe in cfg.oracle.elements:
                 value = oe.per_epoch[epoch] if isinstance(oe.per_epoch, list) else oe.per_epoch
                 if not oe.sources or value == 0:
                     continue
-                for src in oe.sources:
-                    market.oracle.submit_attestation(
-                        Attestation(source=src, element=element,
-                                    epoch=epoch, measured=value))
+                market.oracle.submit_readings(element, epoch, dict.fromkeys(oe.sources, value))
                 market.oracle.finalize_epoch(element, epoch, cfg.oracle.policy)
             # (2) verified mints
             for element, oe in cfg.oracle.elements:
@@ -610,9 +614,8 @@ def run(cfg: ScenarioConfig) -> SimResult:
             order = shuffle_rng.permutation(len(traders)) if traders else []
             for i in order:
                 traders[i].act(market, epoch)
-            for s in cfg.shocks:
-                if s.epoch == epoch:
-                    apply_demand_shock(market, s)
+            for s in shocks.get(epoch, ()):
+                apply_demand_shock(market, s)
             # (4) arbitrageur pass
             arb_stats: dict[str, tuple[int, int]] = {}
             for arb in arbs:
@@ -620,9 +623,8 @@ def run(cfg: ScenarioConfig) -> SimResult:
                 t0, p0 = arb_stats.get(arb.spec.asset, (0, 0))
                 arb_stats[arb.spec.asset] = (t0 + trades, p0 + profit)
             # (5) yield
-            for y in cfg.yield_schedule:
-                if y.epoch == epoch:
-                    market.yields.deposit_yield(y.asset, y.amount, y.payer)
+            for y in deposits.get(epoch, ()):
+                market.yields.deposit_yield(y.asset, y.amount, y.payer)
             if cfg.auto_claim:
                 for a in cfg.assets:
                     market.yields.claim(a.composite, *cfg.auto_claim)

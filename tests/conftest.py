@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from twotier.amm import AmmVenues
 from twotier.ledger import AccountRole, TokenKind, TokenMeta
 from twotier.market import Market
+from twotier.pricing import NavReport, nav_report
 from twotier.yields import INDEX_SCALE
 
 # `--hypothesis-profile=ci` runs the properties that take their example count from
@@ -42,6 +44,31 @@ def make_solar_market(mint_fee_bps: int = 0, redeem_fee_bps: int = 0,
                   decimals=composite_decimals),
         SOLAR_COMPOSITION, mint_fee_bps, redeem_fee_bps)
     return market, asset.composite
+
+
+def nav_report_of(market: Market, cid: str) -> NavReport:
+    """`nav_report` of composite `cid` at the market's current pools."""
+    asset = market.composites.get(cid)
+    return nav_report(asset, market.venues.snapshot(asset.bases))
+
+
+def record_snapshots(monkeypatch) -> list[tuple[str, ...]]:
+    """Record the bases of every `AmmVenues.snapshot` call, and make the per-pool
+    reads `reserves` and `spot_price` raise."""
+    calls = []
+    snapshot = AmmVenues.snapshot
+
+    def recorded(venues, bases):
+        calls.append(tuple(bases))
+        return snapshot(venues, bases)
+
+    def unread(venues, base):
+        raise AssertionError(f"pool {base} read outside AmmVenues.snapshot")
+
+    monkeypatch.setattr(AmmVenues, "snapshot", recorded)
+    monkeypatch.setattr(AmmVenues, "reserves", unread)
+    monkeypatch.setattr(AmmVenues, "spot_price", unread)
+    return calls
 
 
 def seed_solar_pools(market: Market, w_premium_bps: int = 0, pool_fee_bps: int = 30,

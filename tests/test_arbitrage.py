@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SOLAR_COMPOSITION, grant_elements, make_solar_market, seed_solar_pools
+from conftest import (SOLAR_COMPOSITION, grant_elements, make_solar_market, nav_report_of,
+                      record_snapshots, seed_solar_pools)
 from twotier import arbitrage, sim
 from twotier.amm import BPS, SwapDirection, SwapQuote
 from twotier.arbitrage import (ExecutionPlan, MintLeg, RedeemLeg, Route, RouteKind, Side,
@@ -157,7 +158,7 @@ def test_detect_on_an_emptied_pool_is_none(emptied):
 
 def test_fee_band_blocks_small_premium():
     market, cid = arb_market(w_premium_bps=20, pool_fee_bps=30)
-    assert nav_report(market.composites.get(cid), market.venues).premium_bps == 20
+    assert nav_report_of(market, cid).premium_bps == 20
     # settled by the no-trade band gate, without scoring a size
     assert gated_detect(market, cid, 1, 50_000) == (None, True)
     # a min_profit below 1 can be met by a losing cycle, so that search still runs
@@ -194,10 +195,10 @@ def test_execute_realizes_expected_profit():
 def test_execution_contracts_premium():
     market, cid = arb_market(w_premium_bps=1000)
     asset = market.composites.get(cid)
-    before = abs(nav_report(asset, market.venues).premium_bps)
+    before = abs(nav_report(asset, market.venues.snapshot(asset.bases)).premium_bps)
     plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
     execute_plan(market, plan, "arb")
-    after = abs(nav_report(asset, market.venues).premium_bps)
+    after = abs(nav_report(asset, market.venues.snapshot(asset.bases)).premium_bps)
     assert after < before
 
 
@@ -209,7 +210,7 @@ def test_repeated_cycles_reach_no_arb_band():
             break
         execute_plan(market, plan, "arb")
     assert detect_arbitrage(market, cid, min_profit=1, max_size=100_000) is None
-    report = nav_report(market.composites.get(cid), market.venues)
+    report = nav_report_of(market, cid)
     # residual premium sits inside the round-trip fee band
     assert abs(report.premium_bps) < 2 * 30 + 100
 
@@ -363,7 +364,7 @@ def reference_cycle(market, cid, q, positive, budget):
 def reference_detect(market, cid, min_profit, max_size, budget):
     """The size search with a full `reference_cycle` built for every probed size."""
     try:
-        report = nav_report(market.composites.get(cid), market.venues)
+        report = nav_report_of(market, cid)
     except MissingPrice:
         return None
     if report.premium_bps == 0:
@@ -605,7 +606,7 @@ def test_redeem_beyond_supply_is_not_quoted():
         market.composites.redemption_value(cid, too_many)
     asset, kind = market.composites.get(cid), RouteKind.REDEEM_THEN_SELL_ELEMENTS
     flows, _ = arbitrage._route(market, asset, kind, Side.DISPOSE_W,
-                                arbitrage._pools(market, asset, kind))
+                                market.venues.snapshot(asset.bases)[:-1])
     assert flows(too_many) is None and flows(too_many - 1) is not None
 
 
@@ -618,6 +619,18 @@ def test_dispose_beyond_units_held_outside_the_pool_is_not_quoted():
     assert simulate_routes(market, cid, Side.DISPOSE_W, held + 1) == []
     with pytest.raises(NoExecutablePath):
         best_route(market, cid, Side.DISPOSE_W, held + 1)
+
+
+@pytest.mark.parametrize("premium_bps", [0, 20, 1000, -1000])  # 20: inside the band
+def test_detection_and_routing_read_every_pool_once_in_one_snapshot(monkeypatch, premium_bps):
+    market, cid = arb_market(w_premium_bps=premium_bps)
+    plan = detect_arbitrage(market, cid)
+    plans = [simulate_routes(market, cid, side, 500) for side in Side]
+    calls = record_snapshots(monkeypatch)
+    assert detect_arbitrage(market, cid) == plan
+    assert [simulate_routes(market, cid, side, 500) for side in Side] == plans
+    assert calls == [market.composites.get(cid).bases] * 3
+    assert (plan is None) == (premium_bps in (0, 20))
 
 
 def break_backing_check(monkeypatch):

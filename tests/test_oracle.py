@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,12 @@ from twotier.errors import (
     EpochFinalized,
     ExceedsVerifiedOutput,
     NoAttestations,
+    Overflow,
     UnknownElement,
 )
+from twotier.ledger import BPS
 from twotier.market import Market
-from twotier.oracle import Attestation, OraclePolicy, median_int
+from twotier.oracle import Attestation, EpochResult, OraclePolicy, median_int
 
 POLICY = OraclePolicy(min_sources=2, max_deviation_bps=500, twa_window=3)
 
@@ -128,6 +132,7 @@ def test_twa_output():
 
 ENTRY_POINTS = {
     "submit_attestation": lambda oracle, e: oracle.submit_attestation(att("s1", 5, element=e)),
+    "submit_readings": lambda oracle, e: oracle.submit_readings(e, 0, {"s1": 5}),
     "finalize_epoch": lambda oracle, e: oracle.finalize_epoch(e, 0, POLICY),
     "mintable_capacity": lambda oracle, e: oracle.mintable_capacity(e),
     "mint_verified": lambda oracle, e: oracle.mint_verified(e, "issuer", 0),
@@ -191,3 +196,93 @@ def test_outlier_robustness(base, jitter, adversarial):
     band = m * POLICY.max_deviation_bps // 10_000 + 1
     assert not result.failed
     assert abs(result.accepted - m) <= band
+
+
+# --- one round of readings per element ---------------------------------------------
+
+@pytest.mark.parametrize("readings,error", [
+    ({"s2": 100, "s1": 101, "s3": 99}, DuplicateAttestation),  # s1 attested before
+    ({"s2": 100, "s3": -1}, Overflow),
+    ({"s2": 100, "s3": 1.5}, Overflow),
+    ({"s2": 100, "s3": True}, Overflow),
+])
+def test_submit_readings_is_all_or_none(readings, error):
+    market = fresh()
+    market.oracle.submit_readings("energy", 0, {"s1": 100})
+    pending = copy.deepcopy(market.oracle.production["energy"].pending)
+    with pytest.raises(error):
+        market.oracle.submit_readings("energy", 0, readings)
+    assert market.oracle.production["energy"].pending == pending
+    with pytest.raises(ValueError, match="epoch"):
+        market.oracle.submit_readings("energy", -1, {"s9": 1})
+    market.oracle.submit_readings("energy", 0, {})  # an empty round files nothing
+    market.oracle.submit_readings("energy", 1, {})
+    assert market.oracle.production["energy"].pending == pending
+
+
+def reference_finalize(prod, element, epoch, policy):
+    """The round's result by the definition: median, drop the sources outside the
+    deviation band around it, re-median the survivors."""
+    def median(values):
+        vs = sorted(values)
+        mid = len(vs) // 2
+        return vs[mid] if len(vs) % 2 else (vs[mid - 1] + vs[mid]) // 2
+
+    if epoch in prod.accepted:
+        raise AlreadyFinalized(f"{element} epoch {epoch}")
+    bucket = prod.pending.pop(epoch, None)
+    if not bucket:
+        raise NoAttestations(f"{element} epoch {epoch}")
+    m = median(bucket.values())
+    outliers = {src for src, v in bucket.items()
+                if abs(v - m) * BPS > m * policy.max_deviation_bps}
+    survivors = [v for src, v in bucket.items() if src not in outliers]
+    failed = len(survivors) < policy.min_sources
+    result = EpochResult(element, epoch, accepted=0 if failed else median(survivors),
+                         rejected_sources=sorted(outliers), failed=failed)
+    prod.cumulative_accepted += result.accepted
+    prod.accepted[epoch] = result.accepted
+    return result
+
+
+def outcome(call):
+    """The call's result, or the type of the error it raised."""
+    try:
+        return call()
+    except (DuplicateAttestation, EpochFinalized, AlreadyFinalized, NoAttestations) as exc:
+        return type(exc)
+
+
+# (epoch, {source: measured}, finalize after filing)
+ROUND = st.tuples(st.integers(0, 2),
+                  st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]),
+                                  st.integers(0, 120), min_size=1, max_size=5),
+                  st.booleans())
+
+
+@given(rounds=st.lists(ROUND, max_size=12),
+       policy=st.builds(OraclePolicy, min_sources=st.integers(1, 4),
+                        max_deviation_bps=st.integers(1, 3000)))
+@settings(max_examples=300, deadline=None)
+def test_submit_readings_and_finalize_match_sequential_attestations(rounds, policy):
+    batched, sequential = fresh(), fresh()
+    for market in (batched, sequential):  # an empty round makes no record to compare
+        market.oracle._record("energy")
+
+    def attest_each(epoch, readings):
+        before = copy.deepcopy(sequential.oracle.production["energy"].pending)
+        try:
+            for source, measured in readings.items():
+                sequential.oracle.submit_attestation(att(source, measured, epoch))
+        except Exception:  # the reference files a round all or none too
+            sequential.oracle.production["energy"].pending = before
+            raise
+
+    for epoch, readings, finalize in rounds:
+        assert (outcome(lambda: batched.oracle.submit_readings("energy", epoch, readings))
+                == outcome(lambda: attest_each(epoch, readings)))
+        if finalize:
+            assert (outcome(lambda: batched.oracle.finalize_epoch("energy", epoch, policy))
+                    == outcome(lambda: reference_finalize(
+                        sequential.oracle._record("energy"), "energy", epoch, policy)))
+        assert batched.oracle.production == sequential.oracle.production

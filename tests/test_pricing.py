@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SOLAR_COMPOSITION, make_solar_market, seed_solar_pools
+from conftest import SOLAR_COMPOSITION, make_solar_market, nav_report_of, seed_solar_pools
 from twotier.composite import AssetDefinition
 from twotier.errors import MissingPrice
-from twotier.pricing import nav, nav_report, premium_bps
+from twotier.pricing import nav, premium_bps
 from twotier.sim import frac_str
 
 
@@ -153,7 +153,7 @@ def test_premium_half_bps_ties_round_away_from_zero(navv, t, k):
 def test_nav_report_at_par():
     market, cid = make_solar_market()
     seed_solar_pools(market, w_premium_bps=0, pool_fee_bps=0)
-    report = nav_report(market.composites.assets[cid], market.venues)
+    report = nav_report_of(market, cid)
     assert value(report.nav) == 1200
     assert value(report.composite_spot) == 1200
     assert report.premium_bps == 0
@@ -162,7 +162,7 @@ def test_nav_report_at_par():
 def test_nav_report_seeded_premium():
     market, cid = make_solar_market()
     seed_solar_pools(market, w_premium_bps=500, pool_fee_bps=0)
-    report = nav_report(market.composites.assets[cid], market.venues)
+    report = nav_report_of(market, cid)
     assert abs(report.premium_bps - 500) <= 1
 
 
@@ -178,7 +178,7 @@ def test_nav_report_missing_composite_pool():
     market.venues.create_pool("land", 0, 10 ** 9, 10 ** 9, "issuer")
     market.venues.create_pool("carbon", 0, 10 ** 8, 10 ** 8, "issuer")
     with pytest.raises(MissingPrice):
-        nav_report(market.composites.assets[cid], market.venues)
+        nav_report_of(market, cid)
 
 
 @pytest.mark.parametrize("emptied", ["land", "W_SOLAR"])
@@ -189,4 +189,4 @@ def test_nav_report_of_an_emptied_pool_is_missing_price(emptied):
     market.venues.remove_liquidity(
         emptied, market.registry.balance_of(lp_token, "issuer"), "issuer")
     with pytest.raises(MissingPrice, match=emptied):
-        nav_report(market.composites.assets[cid], market.venues)
+        nav_report_of(market, cid)

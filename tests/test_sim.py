@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotier
-from conftest import reference_claim
+from conftest import record_snapshots, reference_claim
 from twotier import sim
 from twotier.cli import main as cli_main
 from twotier.errors import (
@@ -348,6 +348,18 @@ def test_metrics_row_of_an_emptied_pool_is_nan():
                              "land_spot")] == ["nan"] * 4
     assert row["energy_spot"] == "1.000000000000"
     assert row["W_SOLAR_backing_ok"] == "1"
+
+
+def test_metrics_row_reads_each_asset_pools_in_one_snapshot(monkeypatch):
+    cfg = parse_config(two_asset_doc())
+    market = sim.build_market(cfg)
+    spots = [sim.frac_str(*market.venues.spot_price(base)) for base in ("energy", "W")]
+    calls = record_snapshots(monkeypatch)
+    row = dict(zip(sim._metrics_header(cfg), sim._metrics_row(cfg, market, 0, {})))
+    assert calls == [("energy", "W"), ("energy", "V")]
+    # W has decimals 0, so its spot per whole unit is its pool's; V has no pool
+    assert [row["energy_spot"], row["W_spot"]] == spots
+    assert [row["V_nav"], row["V_spot"], row["V_premium_bps"]] == ["nan"] * 3
 
 
 def test_backing_flag_always_set():
