@@ -15,7 +15,7 @@ from .composite import AssetDefinition, CompositeEngine
 from .ledger import AccountRole, Registry, TokenKind, TokenMeta, replay_events
 from .market import Market
 from .oracle import Attestation, OracleHub, OraclePolicy
-from .pricing import NavReport, nav, nav_report, premium_bps
+from .pricing import NavReport, nav_report, premium_bps
 from .sim import ScenarioConfig, build_market, load_config, parse_config, run
 from .yields import YieldVault
 
@@ -24,6 +24,6 @@ __all__ = [
     "CompositeEngine", "ExecutionPlan", "Market", "NavReport", "OracleHub",
     "OraclePolicy", "Registry", "RouteKind", "ScenarioConfig", "Side",
     "SwapDirection", "TokenKind", "TokenMeta", "YieldVault", "best_route",
-    "build_market", "detect_arbitrage", "execute_plan", "load_config", "nav",
-    "nav_report", "parse_config", "premium_bps", "replay_events", "run",
+    "build_market", "detect_arbitrage", "execute_plan", "load_config", "nav_report",
+    "parse_config", "premium_bps", "replay_events", "run",
 ]

@@ -130,14 +130,6 @@ class AmmVenues:
     def lp_supply(self, base: str) -> int:
         return self.registry.total_supply(self.get(base).lp_token)
 
-    def spot_price(self, base: str) -> tuple[int, int]:
-        """Numeraire per base unit as the ratio (rn, rb) of the pool's reserves.
-
-        (0, 0) for a pool whose liquidity was all removed.
-        """
-        rb, rn = self.reserves(base)
-        return rn, rb
-
     # --- swaps ---
 
     def _oriented(self, base: str, direction: SwapDirection) -> tuple[Pool, int, int]:

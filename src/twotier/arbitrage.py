@@ -4,7 +4,9 @@ The router prices three ways of moving in or out of a composite position:
 trading it directly against its pool, redeeming and selling the elements, or
 buying elements and minting. The arbitrage planner chains the element-side
 route with the opposite direct trade to monetize premium or discount, sizing
-the trade on the unimodal profit curve that constant-product impact creates.
+the trade by a search that assumes the profit curve is unimodal, as
+constant-product impact makes it before integer rounding; rounding can break
+that, so the search can stop short of the best size.
 A cycle sized q earns at most q times the gap between its marginal proceeds
 and cost at q -> 0, so inside that no-trade band the planner returns None
 without sizing anything.
@@ -259,9 +261,11 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
     `min_profit` of 0 or less can be met by a losing cycle, so it is always
     searched.
 
-    Size search: geometric sweep to bracket the unimodal profit curve, then
-    ternary refinement on the bracket. Each size is scored from the two
-    routes' flows; legs are quoted only for the winning size.
+    Size search: geometric sweep to bracket the profit curve's peak, then
+    ternary refinement on the bracket. Both steps assume a unimodal curve,
+    which integer rounding can break, so the chosen size can earn less than
+    another one. Each size is scored from the two routes' flows; legs are
+    quoted only for the winning size.
     """
     try:
         asset = market.composites.get(asset_id)

@@ -235,13 +235,10 @@ class CompositeEngine:
 
     # --- audit ---
 
-    def full_backing_ok(self, asset_id: str) -> bool:
-        asset = self.get(asset_id)
-        s = self.registry.total_supply(asset.composite)
-        return all(
-            self.registry.balance_of(element, asset.escrow) == self._backing(asset, s, a)
-            for element, a in asset.composition)
-
     def _assert_backing(self, asset: AssetDefinition):
-        if not self.full_backing_ok(asset.composite):
-            raise InvariantViolation(f"full backing broken for {asset.composite}")
+        """InvariantViolation unless every escrow balance is the exact backing of the supply."""
+        s = self.registry.total_supply(asset.composite)
+        balance_of = self.registry.balance_of
+        for element, a in asset.composition:
+            if balance_of(element, asset.escrow) != self._backing(asset, s, a):
+                raise InvariantViolation(f"full backing broken for {asset.composite}")

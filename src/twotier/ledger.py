@@ -398,12 +398,12 @@ class _Transaction:
             self.registry._undo(self.start)
 
 
-def _flag(index: int, meta: dict):
-    """The flag of a logged `set_*` event; a bool or an int (JSON true/false, 1/0)."""
-    flag = meta["flag"]
-    if type(flag) not in (bool, int):
-        raise ValueError(f"event {index}: flag {flag!r} is not a bool or an int")
-    return flag
+def _field(meta: dict, key: str, *types: type):
+    """`meta[key]` of a logged event, whose type must be one of `types`."""
+    value = meta[key]
+    if type(value) not in types:
+        raise ValueError(f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
 
 
 def replay_events(events: list) -> Registry:
@@ -413,33 +413,45 @@ def replay_events(events: list) -> Registry:
     A parsed line must carry its index as `seq`, so a log with a line
     missing, repeated or out of order is rejected. Replay applies raw state
     transitions; authority checks were already enforced when the log was
-    written. A flag event whose flag is not a bool or an int is rejected.
+    written. A malformed line (not an object, a field missing, a value of the
+    wrong type or out of range) raises ValueError("event <i>: ..."); a
+    well-formed op that the ledger refuses raises its EngineError.
     """
     reg = Registry()
     for index, ev in enumerate(events):
-        if isinstance(ev, dict):
-            if ev.get("seq") != index:
-                raise ValueError(f"event {index}: seq {ev.get('seq')!r}, expected {index}")
-            ev = Event(ev["op"], ev["token"], ev["accounts"], ev["qty"], ev.get("meta"))
-        op, token, accounts, qty, meta = ev
-        meta = meta or {}
-        if op == "create_account":
-            reg.create_account(accounts[0], AccountRole(meta["role"]))
-        elif op == "create_token":
-            reg.create_token(
-                TokenMeta(token=token, kind=TokenKind(meta["kind"]),
-                          unit_label=meta.get("unit_label", ""),
-                          decimals=meta["decimals"]),
-                authority=meta["authority"])
-        elif op in _ENDS:
-            frm, to = _ENDS[op](accounts)
-            reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
-        elif op == "set_paused":
-            reg.set_paused(token, _flag(index, meta))
-        elif op == "set_allowlist_enabled":
-            reg.set_allowlist_enabled(token, _flag(index, meta))
-        elif op == "set_allowlist":
-            reg.set_allowlist(token, accounts[0], _flag(index, meta))
-        else:
-            raise ValueError(f"event {index}: unknown event op {op!r}")
+        try:
+            if isinstance(ev, dict):
+                if ev.get("seq") != index:
+                    raise ValueError(f"seq {ev.get('seq')!r}, expected {index}")
+                ev = Event(ev["op"], ev["token"], ev["accounts"], ev["qty"], ev.get("meta"))
+                if type(ev.accounts) is not list or not all(
+                        type(name) is str for name in (ev.op, ev.token, *ev.accounts)):
+                    raise ValueError("op and token must be str, accounts a list of str")
+            elif type(ev) is not Event:
+                raise ValueError(f"{type(ev).__name__} is not an event")
+            op, token, accounts, qty, meta = ev
+            meta = meta or {}
+            if op == "create_account":
+                reg.create_account(accounts[0], AccountRole(meta["role"]))
+            elif op == "create_token":
+                reg.create_token(
+                    TokenMeta(token=token, kind=TokenKind(meta["kind"]),
+                              unit_label=meta.get("unit_label", ""),
+                              decimals=_field(meta, "decimals", int)),
+                    authority=_field(meta, "authority", str))
+            elif op in _ENDS:
+                frm, to = _ENDS[op](accounts)
+                reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
+            elif op == "set_paused":
+                reg.set_paused(token, _field(meta, "flag", bool, int))
+            elif op == "set_allowlist_enabled":
+                reg.set_allowlist_enabled(token, _field(meta, "flag", bool, int))
+            elif op == "set_allowlist":
+                reg.set_allowlist(token, accounts[0], _field(meta, "flag", bool, int))
+            else:
+                raise ValueError(f"unknown event op {op!r}")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # a malformed line; an EngineError (an op the ledger refuses) propagates as is
+            reason = f"no {exc}" if type(exc) is KeyError else exc
+            raise ValueError(f"event {index}: {reason}") from exc
     return reg

@@ -40,7 +40,7 @@ class Attestation:
 class OraclePolicy:
     min_sources: int = 1
     max_deviation_bps: int = 500
-    twa_window: int = 1
+    twa_window: int = 1  # range-checked; no run reads it
 
     def __post_init__(self):
         if self.min_sources < 1 or self.max_deviation_bps < 1 or self.twa_window < 1:
@@ -167,16 +167,6 @@ class OracleHub:
                 f"mint {qty} of {element} exceeds verified capacity {capacity}")
         self.registry.mint(element, to, qty, self.AUTHORITY)
         prod.cumulative_minted += qty
-
-    def twa_output(self, element: str, epoch: int, policy: OraclePolicy) -> int:
-        """Mean accepted output over the trailing window ending at `epoch`.
-
-        Only finalized epochs contribute; failed epochs count as 0. Returns 0
-        when nothing in the window is finalized.
-        """
-        accepted = self._record(element).accepted
-        window = range(epoch - policy.twa_window + 1, epoch + 1)
-        return sum(accepted.get(e, 0) for e in window) // policy.twa_window
 
     def record_verified_output(self, element: str, amount: int):
         """Bootstrap helper: credit pre-verified production without attestations.

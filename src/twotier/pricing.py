@@ -26,14 +26,6 @@ def basket(terms: Iterable[tuple[int, Price]]) -> Price:
     return num, den
 
 
-def nav(asset: AssetDefinition, prices: dict[str, Price]) -> Price:
-    """Basket value of one whole composite unit: sum of ratio * element price."""
-    for element, _ in asset.composition:
-        if element not in prices:
-            raise MissingPrice(element)
-    return basket((per_unit, prices[element]) for element, per_unit in asset.composition)
-
-
 def premium_bps(composite_spot: Price, nav_value: Price) -> int:
     """Signed deviation of spot from NAV in basis points, rounded half away from zero."""
     sn, sd = composite_spot

@@ -11,9 +11,17 @@ from twotier.pricing import NavReport, nav_report
 from twotier.yields import INDEX_SCALE
 
 # `--hypothesis-profile=ci` runs the properties that take their example count from
-# the profile (the arbitrage detection searches, batched yield claims, and the ledger
-# properties, which keep their own larger floor) at 20 times the default 100
+# the profile (the arbitrage detection searches, batched yield claims, and the ledger,
+# oracle and full-backing properties, which keep their own larger floor through
+# `examples`) at 20 times the default 100
 settings.register_profile("ci", max_examples=2000, deadline=None)
+
+
+def examples(floor: int) -> int:
+    """`floor` examples, or the loaded hypothesis profile's count where that is larger
+    (`--hypothesis-profile=ci`)."""
+    return max(floor, settings.default.max_examples)
+
 
 SOLAR_COMPOSITION = [("energy", 100), ("land", 1000), ("carbon", 100)]
 
@@ -54,7 +62,7 @@ def nav_report_of(market: Market, cid: str) -> NavReport:
 
 def record_snapshots(monkeypatch) -> list[tuple[str, ...]]:
     """Record the bases of every `AmmVenues.snapshot` call, and make the per-pool
-    reads `reserves` and `spot_price` raise."""
+    read `reserves` raise."""
     calls = []
     snapshot = AmmVenues.snapshot
 
@@ -67,7 +75,6 @@ def record_snapshots(monkeypatch) -> list[tuple[str, ...]]:
 
     monkeypatch.setattr(AmmVenues, "snapshot", recorded)
     monkeypatch.setattr(AmmVenues, "reserves", unread)
-    monkeypatch.setattr(AmmVenues, "spot_price", unread)
     return calls
 
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SOLAR_COMPOSITION, add_element, grant_elements, make_solar_market
+from conftest import SOLAR_COMPOSITION, add_element, examples, grant_elements, make_solar_market
 from twotier.composite import ceil_div
 from twotier.errors import (
     CompositeAlreadyBound,
     EmptyComposition,
     InsufficientBalance,
+    InvariantViolation,
     UnknownElement,
     ZeroQuantity,
 )
@@ -178,10 +179,27 @@ def test_fees_route_to_fee_sink_not_escrow():
         assert reg.balance_of(e, asset.fee_sink) == exact_fee(a, 10, 100)
 
 
+@pytest.mark.parametrize("element", ["energy", "carbon"])  # the basket's first and last
+@pytest.mark.parametrize("side", ["under", "over"])
+def test_a_one_unit_escrow_corruption_fails_the_next_mint_and_redeem(side, element):
+    market, cid = make_solar_market(mint_fee_bps=100, redeem_fee_bps=100)
+    escrow = market.composites.get(cid).escrow
+    grant_elements(market, "ap", {"energy": 10 ** 6, "land": 10 ** 7, "carbon": 10 ** 6})
+    market.composites.mint_composite(cid, "ap", 10)
+    # an unchecked double-entry write, as a bug that bypasses the ledger would make:
+    # every sum stays right, the escrow is one unit off its exact backing
+    reg = market.registry
+    frm, to = (escrow, "ap") if side == "under" else ("ap", escrow)
+    reg._write(reg._balances[element], frm, to, 1)
+    for op in (market.composites.mint_composite, market.composites.redeem_composite):
+        with pytest.raises(InvariantViolation, match=f"^full backing broken for {cid}$"):
+            op(cid, "ap", 3)
+
+
 @given(qs=st.lists(st.integers(1, 500), min_size=1, max_size=20),
        mint_fee=st.integers(0, 200), redeem_fee=st.integers(0, 200),
        decimals=st.integers(0, 3))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_full_backing_invariant_fuzz(qs, mint_fee, redeem_fee, decimals):
     market, cid = make_solar_market(mint_fee, redeem_fee, composite_decimals=decimals)
     asset = market.composites.get(cid)

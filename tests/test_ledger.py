@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from twotier.errors import (
     DuplicateToken,
     InsufficientBalance,
@@ -24,12 +25,6 @@ from twotier.ledger import (
 )
 
 MINTER = "minter"
-
-
-def examples(floor: int) -> int:
-    """`floor` examples, or the loaded hypothesis profile's count where that is larger
-    (`--hypothesis-profile=ci`, tests/conftest.py)."""
-    return max(floor, settings.default.max_examples)
 
 
 def fresh() -> Registry:
@@ -582,6 +577,54 @@ def test_replay_rejects_a_flag_that_is_not_a_bool_or_an_int(flag):
     events[-1]["meta"]["flag"] = flag
     with pytest.raises(ValueError, match=f"^event {len(events) - 1}: flag "):
         replay_events(events)
+
+
+def small_log() -> list[str]:
+    """The events.jsonl lines of: create_token MWh, create_account alice and bob,
+    a mint, a transfer, set_paused."""
+    reg = fresh()
+    reg.mint("MWh", "alice", 100, MINTER)
+    reg.transfer("MWh", "alice", "bob", 30)
+    reg.set_paused("MWh", True)
+    return list(reg.export_events())
+
+
+# (line index, text in that line, its replacement)
+MALFORMED = {
+    "set_paused-without-meta": (5, '"meta":{"flag":true},', ""),
+    "no-role": (1, '"role":"user"', ""),
+    "no-authority": (0, '"authority":"minter",', ""),
+    "no-op": (3, '"op":"mint",', ""),
+    "str-decimals": (0, '"decimals":0', '"decimals":"x"'),
+    "bool-decimals": (0, '"decimals":0', '"decimals":true'),
+    "out-of-range-decimals": (0, '"decimals":0', '"decimals":19'),
+    "no-accounts": (2, '"accounts":["bob"]', '"accounts":[]'),
+    "unknown-role": (1, '"role":"user"', '"role":"bogus"'),
+    "int-account": (4, '"accounts":["alice","bob"]', '"accounts":["alice",7]'),
+    "list-line": (4, '{"accounts":["alice","bob"],"op":"transfer","qty":30,"seq":4,"token":"MWh"}',
+                  '["transfer","MWh",["alice","bob"],30,null]'),
+}
+
+
+def replay_edited(index: int, old: str, new: str) -> Registry:
+    lines = small_log()
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new)
+    return replay_events([json.loads(line) for line in lines])
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_replay_rejects_a_malformed_line_naming_its_event(case):
+    index, old, new = MALFORMED[case]
+    replay_edited(index, old, old)  # the unedited log replays
+    with pytest.raises(ValueError, match=f"^event {index}: ") as raised:
+        replay_edited(index, old, new)
+    assert type(raised.value) is ValueError
+
+
+def test_replay_keeps_the_error_of_a_well_formed_op_the_ledger_refuses():
+    with pytest.raises(InsufficientBalance):
+        replay_edited(4, '"qty":30', '"qty":300')
 
 
 # --- the epoch-end audit -----------------------------------------------------------

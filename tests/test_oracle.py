@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_element, make_solar_market
+from conftest import add_element, examples, make_solar_market
 from twotier.errors import (
     AlreadyFinalized,
     DuplicateAttestation,
@@ -115,28 +115,12 @@ def test_mint_verified_boundary_and_overshoot():
         market.oracle.mint_verified("energy", "issuer", 1)
 
 
-def test_twa_output():
-    market = fresh()
-    for epoch, values in enumerate([[100, 100], [77], [80, 80]]):
-        for i, v in enumerate(values):
-            market.oracle.submit_attestation(att(f"s{i}", v, epoch))
-        market.oracle.finalize_epoch("energy", epoch, POLICY)
-    # epoch 1 fails quorum -> contributes 0; floor(180/3) = 60
-    assert market.oracle.twa_output("energy", 2, POLICY) == 60
-    assert market.oracle.twa_output("energy", 0,
-                                    OraclePolicy(2, 500, 1)) == 100
-    assert market.oracle.twa_output("energy", 9, POLICY) == 0  # nothing finalized in 7..9
-    with pytest.raises(UnknownElement):
-        market.oracle.twa_output("other", 5, POLICY)
-
-
 ENTRY_POINTS = {
     "submit_attestation": lambda oracle, e: oracle.submit_attestation(att("s1", 5, element=e)),
     "submit_readings": lambda oracle, e: oracle.submit_readings(e, 0, {"s1": 5}),
     "finalize_epoch": lambda oracle, e: oracle.finalize_epoch(e, 0, POLICY),
     "mintable_capacity": lambda oracle, e: oracle.mintable_capacity(e),
     "mint_verified": lambda oracle, e: oracle.mint_verified(e, "issuer", 0),
-    "twa_output": lambda oracle, e: oracle.twa_output(e, 3, POLICY),
     "record_verified_output": lambda oracle, e: oracle.record_verified_output(e, 7),
 }
 
@@ -182,7 +166,7 @@ def test_supply_soundness_interleaved():
 @given(base=st.integers(100, 10 ** 6),
        jitter=st.lists(st.integers(-200, 200), min_size=3, max_size=9),
        adversarial=st.integers(0, 10 ** 12))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_outlier_robustness(base, jitter, adversarial):
     # honest sources agree within ~2%; one adversarial source (up to 10^6x
     # the honest level) moves the result at most the deviation band around
@@ -263,7 +247,7 @@ ROUND = st.tuples(st.integers(0, 2),
 @given(rounds=st.lists(ROUND, max_size=12),
        policy=st.builds(OraclePolicy, min_sources=st.integers(1, 4),
                         max_deviation_bps=st.integers(1, 3000)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_submit_readings_and_finalize_match_sequential_attestations(rounds, policy):
     batched, sequential = fresh(), fresh()
     for market in (batched, sequential):  # an empty round makes no record to compare

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SOLAR_COMPOSITION, make_solar_market, nav_report_of, seed_solar_pools
-from twotier.composite import AssetDefinition
+from conftest import (SOLAR_COMPOSITION, grant_elements, make_solar_market, nav_report_of,
+                      seed_solar_pools)
 from twotier.errors import MissingPrice
-from twotier.pricing import nav, premium_bps
+from twotier.pricing import basket, premium_bps
 from twotier.sim import frac_str
 
 
-def make_asset(composition):
-    return AssetDefinition(composite="W", composition=list(composition),
-                           mint_fee_bps=0, redeem_fee_bps=0,
-                           escrow="escrow:W", fee_sink="fee_sink:W", unit=1)
-
-
-SOLAR = make_asset(SOLAR_COMPOSITION)
+def solar_nav(prices: list[tuple[int, int]]) -> tuple[int, int]:
+    """NAV of one solar unit at the energy, land and carbon prices, in that order."""
+    return basket((per_unit, p) for (_, per_unit), p in zip(SOLAR_COMPOSITION, prices))
 
 
 def pair(x: Fraction) -> tuple[int, int]:
@@ -31,29 +27,40 @@ def value(p: tuple[int, int]) -> Fraction:
 
 
 def test_nav_unit_prices():
-    prices = {"energy": (1, 1), "land": (1, 1), "carbon": (1, 1)}
-    assert value(nav(SOLAR, prices)) == 1200
+    assert value(solar_nav([(1, 1)] * 3)) == 1200
 
 
 def test_nav_mixed_prices():
-    prices = {"energy": (3, 1), "land": (1, 2), "carbon": (10, 1)}
-    assert value(nav(SOLAR, prices)) == 100 * 3 + Fraction(1000, 2) + 100 * 10
+    assert value(solar_nav([(3, 1), (1, 2), (10, 1)])) == 100 * 3 + Fraction(1000, 2) + 100 * 10
+
+
+def solar_with_element_pools(*elements: str) -> tuple:
+    """The solar market with a unit-price pool for each of `elements` and no other."""
+    market, cid = make_solar_market()
+    market.registry.ensure_account("issuer")
+    market.fund_numeraire("issuer", 10 ** 13)
+    depth = {"energy": 10 ** 8, "land": 10 ** 9, "carbon": 10 ** 8}
+    grant_elements(market, "issuer", {element: depth[element] for element in elements})
+    for element in elements:
+        market.venues.create_pool(element, 0, depth[element], depth[element], "issuer")
+    return market, cid
 
 
 def test_nav_missing_price():
-    with pytest.raises(MissingPrice):
-        nav(SOLAR, {"energy": (1, 1), "land": (1, 1)})
+    # an element with no pool reads (0, 0, 0) in the snapshot: no price, so no NAV
+    market, cid = solar_with_element_pools("energy", "carbon")
+    with pytest.raises(MissingPrice, match="land"):
+        nav_report_of(market, cid)
 
 
 def test_nav_dot_product_oracle():
     # independent evaluation: sum of amount * price as plain Fractions
     rng = random.Random(0xFEED)
     for _ in range(1000):
-        comp = [(f"e{i}", rng.randint(1, 10 ** 6)) for i in range(rng.randint(1, 6))]
-        prices = {el: (rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6))
-                  for el, _ in comp}
-        expected = sum((qty * value(prices[el]) for el, qty in comp), Fraction(0))
-        assert value(nav(make_asset(comp), prices)) == expected
+        terms = [(rng.randint(1, 10 ** 6), (rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6)))
+                 for _ in range(rng.randint(1, 6))]
+        expected = sum((qty * value(p) for qty, p in terms), Fraction(0))
+        assert value(basket(terms)) == expected
 
 
 def test_premium_at_par_is_zero():
@@ -92,9 +99,8 @@ def test_premium_scale_invariant(spot, navv, scale):
        k=st.fractions(min_value=Fraction(1, 100), max_value=100))
 @settings(max_examples=200, deadline=None)
 def test_nav_homogeneity(prices, k):
-    p = {el: pair(v) for el, v in zip(("energy", "land", "carbon"), prices)}
-    scaled = {el: pair(value(v) * k) for el, v in p.items()}
-    assert value(nav(SOLAR, scaled)) == k * value(nav(SOLAR, p))
+    scaled = [pair(v * k) for v in prices]
+    assert value(solar_nav(scaled)) == k * value(solar_nav([pair(v) for v in prices]))
 
 
 # --- integer ratios against an exact-rational reference ---
@@ -118,14 +124,11 @@ prices_st = st.tuples(st.integers(0, 10 ** 12), st.integers(1, 10 ** 12))
        k=st.integers(1, 10 ** 9))
 @settings(max_examples=300, deadline=None)
 def test_integer_prices_match_fraction_reference(comp, spot, k):
-    asset = make_asset([(f"e{i}", a) for i, (a, _) in enumerate(comp)])
-    prices = {f"e{i}": p for i, (_, p) in enumerate(comp)}
     expected_nav = sum((a * value(p) for a, p in comp), Fraction(0))
-    navv = nav(asset, prices)
+    navv = basket(comp)
     assert value(navv) == expected_nav
     # scaling a price's num and den by k leaves every result unchanged
-    scaled_prices = {el: (k * n, k * d) for el, (n, d) in prices.items()}
-    assert value(nav(asset, scaled_prices)) == expected_nav
+    assert value(basket((a, (k * n, k * d)) for a, (n, d) in comp)) == expected_nav
     scaled_spot = (k * spot[0], k * spot[1])
     for p in (spot, navv):
         assert frac_str(*p) == ref_frac_str(value(p)) == frac_str(k * p[0], k * p[1])
@@ -167,16 +170,7 @@ def test_nav_report_seeded_premium():
 
 
 def test_nav_report_missing_composite_pool():
-    market, cid = make_solar_market()
-    # seed only the element pools
-    from conftest import grant_elements
-    market.registry.ensure_account("issuer")
-    market.fund_numeraire("issuer", 10 ** 13)
-    grant_elements(market, "issuer",
-                   {"energy": 10 ** 8, "land": 10 ** 9, "carbon": 10 ** 8})
-    market.venues.create_pool("energy", 0, 10 ** 8, 10 ** 8, "issuer")
-    market.venues.create_pool("land", 0, 10 ** 9, 10 ** 9, "issuer")
-    market.venues.create_pool("carbon", 0, 10 ** 8, 10 ** 8, "issuer")
+    market, cid = solar_with_element_pools("energy", "land", "carbon")
     with pytest.raises(MissingPrice):
         nav_report_of(market, cid)
 

@@ -353,7 +353,7 @@ def test_metrics_row_of_an_emptied_pool_is_nan():
 def test_metrics_row_reads_each_asset_pools_in_one_snapshot(monkeypatch):
     cfg = parse_config(two_asset_doc())
     market = sim.build_market(cfg)
-    spots = [sim.frac_str(*market.venues.spot_price(base)) for base in ("energy", "W")]
+    spots = [sim.frac_str(rn, rb) for rb, rn in map(market.venues.reserves, ("energy", "W"))]
     calls = record_snapshots(monkeypatch)
     row = dict(zip(sim._metrics_header(cfg), sim._metrics_row(cfg, market, 0, {})))
     assert calls == [("energy", "W"), ("energy", "V")]
