@@ -84,6 +84,7 @@ class Event(NamedTuple):
 
 
 _new_event = tuple.__new__  # builds an Event without the Python-level Event.__new__
+_INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
 _PLAIN = frozenset((str, int, bool))  # meta value types whose equal values render alike
@@ -126,6 +127,19 @@ class _Book(dict):
         self.meta, self.authority, self.supply, self.listeners = meta, authority, 0, []
 
 
+class _Pairs(dict):
+    """payee -> the (payer, payee) accounts tuple that every batched transfer event from
+    `payer` to that payee shares; holds strings only."""
+    __slots__ = ("payer",)
+
+    def __init__(self, payer: str):
+        self.payer = payer
+
+    def __missing__(self, payee):
+        pair = self[payee] = (self.payer, payee)
+        return pair
+
+
 class Registry:
     """Single-writer ledger for one simulation universe.
 
@@ -140,6 +154,7 @@ class Registry:
         self.accounts: dict[str, AccountRole] = {}
         self._balances: dict[str, _Book] = {}
         self.events: list[Event] = []
+        self._pairs: dict[str, _Pairs] = {}  # payer -> its batched events' accounts tuples
 
     # --- accounts ---
 
@@ -231,6 +246,9 @@ class Registry:
 
         Same checks, errors, events and listener calls as a loop of `transfer`;
         when a leg fails, the earlier legs are undone and the leg's error raised.
+        A batch of two or more legs on a token without balance listeners that
+        passes every check as a whole is written in one pass; any failed check
+        sends it down the per-leg path, which raises the failing leg's error.
         """
         self._move("transfer", token, frm, payouts)
 
@@ -240,7 +258,10 @@ class Registry:
         `frm=None` mints and `to=None` burns. Each leg runs every check before its
         own write, in one order: amount, token, accounts, authority (mint/burn
         only), pause, allowlist, balance. A failed leg undoes the earlier ones.
+        A transfer of two or more legs first tries `_transfer_batch`.
         """
+        if len(legs) > 1 and self._transfer_batch(token, frm, legs):
+            return
         events = self.events
         start = len(events)
         book = None
@@ -278,6 +299,43 @@ class Registry:
         except BaseException:
             self._undo(start)
             raise
+
+    def _transfer_batch(self, token: str, frm, legs) -> bool:
+        """Write a transfer of `legs` out of `frm` in one pass, or return False having
+        changed nothing when the batch as a whole fails a check or has listeners to call.
+
+        The checks are the per-leg ones over the whole batch: every amount a plain int
+        >= 0, a known token that is not paused, `frm` and every payee known (and
+        allowlisted, when the allowlist is on), and the sum of the amounts within
+        `frm`'s balance. Each leg's own balance check would then pass, since the legs
+        before it took out at most their sum, payees equal to `frm` included. `frm` is
+        debited once and the payees credited in leg order, so the book's keys come in
+        the per-leg path's order, and each event's accounts tuple is shared per pair.
+        """
+        book = self._balances.get(token)
+        if book is None or book.listeners:
+            return False
+        tos, qtys = zip(*legs)
+        meta, known = book.meta, self.accounts
+        total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
+        balance = book.get(frm, 0)
+        if (total < 0 or min(qtys) < 0 or total > balance or meta.paused
+                or frm not in known or not all(map(known.__contains__, tos))
+                or meta.allowlist_enabled and not (frm in meta.allowlist
+                                                   and meta.allowlist.issuperset(tos))):
+            return False
+        pairs = self._pairs.get(frm)
+        if pairs is None:
+            pairs = self._pairs[frm] = _Pairs(frm)
+        # built before any write: it unpacks every leg, as the per-leg path would
+        logged = [_new_event(Event, ("transfer", token, pairs[to], qty, None))
+                  for to, qty in legs]
+        book[frm] = balance - total
+        get = book.get
+        for to, qty in legs:
+            book[to] = get(to, 0) + qty
+        self.events.extend(logged)
+        return True
 
     # --- transactions ---
 

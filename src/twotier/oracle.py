@@ -59,11 +59,11 @@ class EpochResult:
 @dataclass
 class ProductionLedger:
     """One element's record: verified and minted totals, each pending epoch's
-    {source: measured} and each finalized epoch's accepted output (0 if failed)."""
+    {source: measured} and the epochs already finalized, failed ones included."""
     cumulative_accepted: int = 0
     cumulative_minted: int = 0
     pending: dict[int, dict[str, int]] = field(default_factory=dict, repr=False)
-    accepted: dict[int, int] = field(default_factory=dict, repr=False)
+    finalized: set[int] = field(default_factory=set, repr=False)
 
 
 def median_int(values: list[int]) -> int:
@@ -115,7 +115,7 @@ class OracleHub:
         readings = {source: measured if type(measured) is int and measured >= 0
                     else check_amount(measured) for source, measured in readings.items()}
         prod = self._record(element)
-        if epoch in prod.accepted:
+        if epoch in prod.finalized:
             raise EpochFinalized(f"{element} epoch {epoch}")
         bucket = prod.pending.get(epoch)
         if bucket is None:
@@ -129,7 +129,7 @@ class OracleHub:
 
     def finalize_epoch(self, element: str, epoch: int, policy: OraclePolicy) -> EpochResult:
         prod = self._record(element)
-        if epoch in prod.accepted:
+        if epoch in prod.finalized:
             raise AlreadyFinalized(f"{element} epoch {epoch}")
         bucket = prod.pending.pop(epoch, None)
         if not bucket:
@@ -151,7 +151,7 @@ class OracleHub:
                              rejected_sources=rejected, failed=failed)
 
         prod.cumulative_accepted += result.accepted
-        prod.accepted[epoch] = result.accepted
+        prod.finalized.add(epoch)
         return result
 
     def mintable_capacity(self, element: str) -> int:

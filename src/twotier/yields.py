@@ -91,25 +91,29 @@ class YieldVault:
         All or none: every account is settled against one read of the index and
         the composite's balances, the non-zero payouts go out in one
         `Registry.transfers`, and the vault changes only once that succeeded. A
-        repeated account is paid 0 the second time, as it would be in sequence.
+        repeated account is paid 0 the second time, as it would be in sequence:
+        after its first claim it is owed less than one unit.
         """
         pool = self.get(composite)
+        index = pool.index
         balance = self.registry.balances(composite).get
-        settled: dict[str, int] = {}     # account -> accrued_scaled after its claim
+        accrued, last = pool.accrued_scaled.get, pool.last_index.get
+        claimants = dict.fromkeys(accounts)
         payouts = []
-        for account in accounts:
-            owed = settled.get(account)
-            if owed is None:
-                owed = self._entitlement_scaled(pool, account, balance(account, 0))
+        left = []                        # each claimant's accrued_scaled after its claim
+        paid = 0
+        for account in claimants:
+            # _entitlement_scaled, inlined
+            owed = accrued(account, 0) + balance(account, 0) * (index - last(account, 0))
             payout = owed // INDEX_SCALE
             if payout:
                 payouts.append((account, payout))
                 owed -= payout * INDEX_SCALE
-            settled[account] = owed
+                paid += payout
+            left.append(owed)
         self.registry.transfers(self.numeraire, pool.account, payouts)
-        pool.accrued_scaled.update(settled)
-        pool.last_index.update(dict.fromkeys(settled, pool.index))
-        paid = sum(payout for _, payout in payouts)
+        pool.accrued_scaled.update(zip(claimants, left))
+        pool.last_index.update(dict.fromkeys(claimants, index))
         pool.total_paid += paid
         return paid
 

@@ -1,11 +1,11 @@
-"""Byte-level behaviour oracle for the shipped scenarios.
+"""Byte-level behaviour oracle for the shipped scenarios and the test fixtures.
 
-Each shipped scenario runs at its own seed and at seeds 0-4, the way
-`twotier run` does, and the sha256 of the written `metrics.csv` and
-`events.jsonl` must match the table below. A change that alters output
-bytes on purpose updates this table in the same commit and says why. The
-written `events.jsonl`, parsed back, must also replay to the run's state
-and re-export to the same bytes.
+Each shipped scenario, and each document under `tests/fixtures/`, runs at
+its own seed and at seeds 0-4, the way `twotier run` does, and the sha256
+of the written `metrics.csv` and `events.jsonl` must match its table below.
+A change that alters output bytes on purpose updates the table in the same
+commit and says why. The written `events.jsonl`, parsed back, must also
+replay to the run's state and re-export to the same bytes.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ from twotier.ledger import replay_events
 from twotier.sim import export_csv, export_events, load_config, run
 
 SCENARIOS = Path(twotier.__file__).parent / "scenarios"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # (scenario, seed override or None for the scenario's own seed)
 #   -> (sha256 of metrics.csv, sha256 of events.jsonl)
@@ -62,21 +63,52 @@ GOLDEN = {
 }
 
 
+# The same for the documents under tests/fixtures/. `auto_claim` pays yield
+# every epoch to an `auto_claim` list that repeats one account and names one
+# that holds no composite, while a noise trader and an arbitrageur move the
+# composite; no shipped scenario claims automatically.
+FIXTURE_GOLDEN = {
+    ("auto_claim", None): ("1764b40029cf594950016a4bdeda598ecc9fbe4ebc9c3e904897e4cf672068f6",
+                           "48a1f07f232e8d3a4abd56ea59603e56973a4f4458a805555864ce919ad06d1c"),
+    ("auto_claim", 0): ("f01e5050efb150f7407aa5e7941d386e7937776c48dbe62604f9d261d6205c2f",
+                        "e3680fba98286dd5a05e3ab2251f69dc3c3730ad6a0023bd403fb079b78dfe50"),
+    ("auto_claim", 1): ("c47f06de4afa02249f47f2e538da704eaef590ce0035213082fb3beedb638fd2",
+                        "b7bb7caed963afdf29662c4ba12e9349b2c4f3bb37651226a5393066e5b9912e"),
+    ("auto_claim", 2): ("83f0d39a389a9cd344fdf1280f71353a41f895d2958e0742a802273a562e2a33",
+                        "a00e0aa5f1a7c91ad612e5dc9bfd2d174478862558349d27efbcb0edb49ac830"),
+    ("auto_claim", 3): ("3182c39ff9920a7f2dee7f0a9341bef7be70bc2d4b2b0843e256f2b2ef8d4be3",
+                        "a091877eee5b05831ef47fe43f155aaad6dafe2a926f0e44726ba3f975e0a89d"),
+    ("auto_claim", 4): ("6ee6de5dc1e7c6506d0caebff03773d2466073eeccebdde6ce92c2b56b1f354e",
+                        "a9d324b1ee1a9919196967a8840ba6e3d9b93a0e028a36ef1e76417b398d4921"),
+}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("scenario,seed", list(GOLDEN))
-def test_shipped_scenario_bytes(tmp_path, scenario, seed):
-    cfg = load_config(str(SCENARIOS / f"{scenario}.json"))
+def _check_bytes(tmp_path: Path, doc: Path, seed, expected: tuple[str, str]):
+    """Run `doc` as `twotier run` would, compare the written files' sha256 with
+    `expected`, and replay and re-export the written event log."""
+    cfg = load_config(str(doc))
     if seed is not None:
         cfg.seed = seed
     result = run(cfg)
     metrics, events = tmp_path / "metrics.csv", tmp_path / "events.jsonl"
     export_csv(result, str(metrics))
     export_events(result, str(events))
-    assert (_sha256(metrics), _sha256(events)) == GOLDEN[scenario, seed]
+    assert (_sha256(metrics), _sha256(events)) == expected
     raw = events.read_bytes()
     replayed = replay_events([json.loads(line) for line in raw.decode().splitlines()])
     assert replayed.state_hash() == result.market.registry.state_hash()
     assert "".join(line + "\n" for line in replayed.export_events()).encode() == raw
+
+
+@pytest.mark.parametrize("scenario,seed", list(GOLDEN))
+def test_shipped_scenario_bytes(tmp_path, scenario, seed):
+    _check_bytes(tmp_path, SCENARIOS / f"{scenario}.json", seed, GOLDEN[scenario, seed])
+
+
+@pytest.mark.parametrize("fixture,seed", list(FIXTURE_GOLDEN))
+def test_fixture_bytes(tmp_path, fixture, seed):
+    _check_bytes(tmp_path, FIXTURES / f"{fixture}.json", seed, FIXTURE_GOLDEN[fixture, seed])

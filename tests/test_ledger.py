@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -253,14 +253,16 @@ def test_conservation_property(ops):
         assert total == reg.total_supply("MWh")
 
 
-def _payer_registry(paused: bool, allowlisted):
-    """alice and bob funded, carol empty, a listener logging accounts; `zed` is never created."""
+def _payer_registry(paused: bool, allowlisted, alice: int = 60, listening: bool = True):
+    """alice (`alice` units) and bob funded, carol empty, a listener logging accounts
+    when `listening`; `zed` is never created."""
     reg = fresh()
     reg.create_account("carol")
-    reg.mint("MWh", "alice", 60, MINTER)
+    reg.mint("MWh", "alice", alice, MINTER)
     reg.mint("MWh", "bob", 5, MINTER)
     seen = []
-    reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
+    if listening:
+        reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
     if allowlisted is not None:
         reg.set_allowlist_enabled("MWh", True)
         for account in sorted(allowlisted):
@@ -278,12 +280,56 @@ def _ledger_state(reg):
        legs=st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol", "zed"]),
                                st.one_of(st.integers(-2, 40), st.just(True))), max_size=6),
        paused=st.sampled_from([False, False, False, True]),
-       allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])))
+       allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])),
+       alice=st.sampled_from([60, 60, 10 ** 6]),
+       listening=st.sampled_from([True, True, False]))
+# a batch the batched branch writes: legs to the payer itself, repeated payees, zero amounts
+@example(token="MWh", frm="alice", legs=[("bob", 0), ("alice", 40), ("bob", 7), ("carol", 0),
+                                         ("bob", 3), ("alice", 1)],
+         paused=False, allowlisted=None, alice=10 ** 6, listening=False)
 @settings(max_examples=examples(300), deadline=None)
-def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted):
-    batched, seen = _payer_registry(paused, allowlisted)
-    looped, seen_looped = _payer_registry(paused, allowlisted)
+def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted, alice,
+                                              listening):
+    _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice, listening)
+
+
+# Batches aimed at the batched branch: no listener, two or more legs, mostly known
+# accounts and valid amounts, and a failed check in a share of them.
+@given(frm=st.sampled_from(["alice", "alice", "bob", "zed"]),
+       legs=st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol", "carol", "zed"]),
+                               st.one_of(st.integers(0, 40), st.integers(0, 40),
+                                         st.sampled_from([0, -1, True]))),
+                     min_size=2, max_size=6),
+       paused=st.sampled_from([False, False, False, True]),
+       allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])),
+       alice=st.sampled_from([60, 10 ** 6]))
+@settings(max_examples=examples(300), deadline=None)
+def test_unlistened_batches_match_a_loop_of_transfer(frm, legs, paused, allowlisted, alice):
+    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, alice, False)
+
+
+@pytest.mark.parametrize("frm,legs,paused,allowlisted", [
+    ("bob", [("carol", 3), ("carol", 3)], False, None),             # sum over the balance
+    ("alice", [("alice", 50), ("bob", 50)], False, None),          # the same, but each leg passes
+    ("alice", [("bob", 1), ("carol", -1)], False, None),            # a negative amount
+    ("alice", [("bob", 1), ("carol", True)], False, None),          # an amount that is no int
+    ("alice", [("bob", 1), ("carol", 1)], True, None),              # paused
+    ("zed", [("bob", 0), ("carol", 0)], False, None),               # unknown payer
+    ("alice", [("bob", 1), ("zed", 1)], False, None),               # unknown payee
+    ("alice", [("bob", 1), ("carol", 1)], False, {"bob", "carol"}),  # payer not allowlisted
+    ("alice", [("bob", 1), ("carol", 1)], False, {"alice", "bob"}),  # payee not allowlisted
+])
+def test_a_batch_that_one_check_refuses_matches_a_loop_of_transfer(frm, legs, paused,
+                                                                    allowlisted):
+    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, 60, False)
+
+
+def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice, listening):
+    """`transfers` of `legs` writes, logs and raises what a loop of `transfer` does."""
+    batched, seen = _payer_registry(paused, allowlisted, alice, listening)
+    looped, seen_looped = _payer_registry(paused, allowlisted, alice, listening)
     before = _ledger_state(batched)
+    holders_before = batched.holders("MWh")
     error = None
     for to, qty in legs:
         try:
@@ -294,6 +340,9 @@ def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlis
     if error is None:
         batched.transfers(token, frm, legs)
         assert _ledger_state(batched) == _ledger_state(looped)
+        # the same book, zero entries and key order included
+        assert list(batched.balances("MWh").items()) == list(looped.balances("MWh").items())
+        assert batched.holders("MWh") == looped.holders("MWh")
     else:
         # leg k fails as the k-th transfer would, and the earlier legs are undone
         with pytest.raises(type(error)) as raised:
@@ -301,7 +350,28 @@ def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlis
         assert str(raised.value) == str(error)
         assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
         assert _ledger_state(batched) == before
+        assert batched.holders("MWh") == holders_before
     assert seen == seen_looped
+
+
+def test_a_checked_batch_shares_its_account_tuples():
+    legs = [("bob", 7), ("carol", 0), ("bob", 3), ("alice", 2)]
+    batched, _ = _payer_registry(False, None, listening=False)
+    batched.transfers("MWh", "alice", legs)
+    one, _, two, own = (ev.accounts for ev in batched.events[-4:])
+    assert one is two and one == ("alice", "bob") and own == ("alice", "alice")
+    batched.transfers("MWh", "alice", legs)  # a later batch reuses the pair's tuple
+    assert batched.events[-4].accounts is one
+    # with a listener every leg takes the per-leg path, which logs its own tuple
+    looped, _ = _payer_registry(False, None)
+    looped.transfers("MWh", "alice", legs)
+    assert looped.events[-4].accounts is not looped.events[-2].accounts
+    assert looped.events == batched.events[:len(looped.events)]
+    # a malformed leg raises before anything is written
+    state = _ledger_state(batched)
+    with pytest.raises(ValueError):
+        batched.transfers("MWh", "alice", [("bob", 1), ("carol", 2, 3)])
+    assert _ledger_state(batched) == state
 
 
 class Abort(Exception):

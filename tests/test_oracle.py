@@ -212,7 +212,7 @@ def reference_finalize(prod, element, epoch, policy):
         mid = len(vs) // 2
         return vs[mid] if len(vs) % 2 else (vs[mid - 1] + vs[mid]) // 2
 
-    if epoch in prod.accepted:
+    if epoch in prod.finalized:
         raise AlreadyFinalized(f"{element} epoch {epoch}")
     bucket = prod.pending.pop(epoch, None)
     if not bucket:
@@ -225,7 +225,7 @@ def reference_finalize(prod, element, epoch, policy):
     result = EpochResult(element, epoch, accepted=0 if failed else median(survivors),
                          rejected_sources=sorted(outliers), failed=failed)
     prod.cumulative_accepted += result.accepted
-    prod.accepted[epoch] = result.accepted
+    prod.finalized.add(epoch)
     return result
 
 

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from twotier import sim
+from twotier.ledger import _Pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "src" / "twotier" / "scenarios").glob("*.json"))
+AUTO_CLAIM = ROOT / "tests" / "fixtures" / "auto_claim.json"
 
 
 def scenario_gen():
@@ -69,6 +71,22 @@ def test_a_dropped_market_is_freed_without_the_collector(collector_off):
     registry = weakref.ref(market.registry)
     del market
     assert registry() is None
+
+
+def test_a_dropped_market_that_auto_claimed_is_freed_with_its_pair_cache(collector_off):
+    result = sim.run(sim.load_config(str(AUTO_CLAIM)))  # 12 epochs, each ending in claims
+    registry = result.market.registry
+    (payer, pairs), = registry._pairs.items()
+    # the claims of two or more payouts logged their accounts through the pair cache
+    shared = [ev for ev in registry.events
+              if ev.op == "transfer" and ev.accounts is pairs.get(ev.accounts[1])]
+    assert payer == "yield:W" and set(pairs) == {"alice", "issuer", "bob", "carol"}
+    assert len(shared) > 12
+    pairs_before = sum(type(obj) is _Pairs for obj in gc.get_objects())
+    registry = weakref.ref(registry)
+    del result, pairs, shared
+    assert registry() is None
+    assert sum(type(obj) is _Pairs for obj in gc.get_objects()) == pairs_before - 1
 
 
 def test_event_accounts_are_exact_tuples_the_collector_untracks():
