@@ -153,6 +153,31 @@ def test_routes_output_is_pinned(capsys, scenario, side, qty):
     assert (code, captured.out, captured.err) == ROUTES[scenario, side, qty]
 
 
+# One `twotier routes` output per document under tests/fixtures/; 100 units of
+# W_GRID (decimals 2) are 1.00 composite.
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_ROUTES = {
+    ("auto_claim", "W", "acquire"): """\
+direct_w                     cost=10236 legs=1
+buy_elements_then_mint_w     cost=10143 legs=2
+best: buy_elements_then_mint_w cost=10143
+""",
+    ("two_assets", "W_GRID", "dispose"): """\
+direct_w                     proceeds=43538 legs=1
+redeem_then_sell_elements    proceeds=43797 legs=3
+best: redeem_then_sell_elements proceeds=43797
+""",
+}
+
+
+@pytest.mark.parametrize("fixture, asset, side", list(FIXTURE_ROUTES))
+def test_fixture_routes_output_is_pinned(capsys, fixture, asset, side):
+    code = main(["routes", str(FIXTURES / f"{fixture}.json"), "--asset", asset,
+                 "--side", side, "--qty", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, FIXTURE_ROUTES[fixture, asset, side], "")
+
+
 def test_routes_acquire(capsys):
     assert main(["routes", SOLAR, "--asset", "W_SOLAR", "--side", "acquire",
                  "--qty", "100"]) == 0

@@ -63,10 +63,17 @@ GOLDEN = {
 }
 
 
-# The same for the documents under tests/fixtures/. `auto_claim` pays yield
-# every epoch to an `auto_claim` list that repeats one account and names one
-# that holds no composite, while a noise trader and an arbitrageur move the
-# composite; no shipped scenario claims automatically.
+# The same for the documents under tests/fixtures/, which reach paths no
+# shipped scenario does. `auto_claim` pays yield every epoch to an
+# `auto_claim` list that repeats one account and names one that holds no
+# composite, while a noise trader and an arbitrageur move the composite.
+# `two_assets` runs two composites sharing `energy` and `carbon`, one of them
+# at decimals 2, over a numeraire at decimals 2: yield on both assets and
+# `auto_claim`, an arbitrageur per asset (one budgeted, its `max_size` of 300
+# below the 595-3,935 it sizes uncapped at the fixture's seed), an LP that joins the decimals-2
+# pool and exits it, and a down shock on the `carbon` pool. No fixture has a
+# failing oracle epoch: every source of an element reports the same
+# `per_epoch` value, and `validate` requires `min_sources` of them.
 FIXTURE_GOLDEN = {
     ("auto_claim", None): ("1764b40029cf594950016a4bdeda598ecc9fbe4ebc9c3e904897e4cf672068f6",
                            "48a1f07f232e8d3a4abd56ea59603e56973a4f4458a805555864ce919ad06d1c"),
@@ -80,6 +87,18 @@ FIXTURE_GOLDEN = {
                         "a091877eee5b05831ef47fe43f155aaad6dafe2a926f0e44726ba3f975e0a89d"),
     ("auto_claim", 4): ("6ee6de5dc1e7c6506d0caebff03773d2466073eeccebdde6ce92c2b56b1f354e",
                         "a9d324b1ee1a9919196967a8840ba6e3d9b93a0e028a36ef1e76417b398d4921"),
+    ("two_assets", None): ("0c71b492207bd2747053d0a39e58f5595248059b3772cbaaecadf6a1c4a4e06d",
+                           "724445cdfa2306c461e1d37df0077d4012999793345ff51f0091d48b3231fc99"),
+    ("two_assets", 0): ("40105030b4eb61a6ec29662b1da4074c20628e200d78f4bef2610808fb7dfff1",
+                        "5d4160f1efbdfb1782d5dcdd6d7d75ffd5011be866d854a7794abbc1735746ab"),
+    ("two_assets", 1): ("0dae58f306ee0c8ae6d6e14892f97236419a55ea60ba1af95ca498e1d5747c12",
+                        "a8f6a5a0118c02dd0328adec1bb60467f5fee6c885ff897bc97180d8a7426330"),
+    ("two_assets", 2): ("7a9c03edc7bba88a80c4dfc195b1f0a71cffe1645e7875991caaefcf75aefaca",
+                        "8ecc195b2f739b09f46b10e55b3a09c68604da5d87266878f4d170cbc53b126b"),
+    ("two_assets", 3): ("de1e0b40228fe5c912835c2abf408e54712df01b98cf6b71a41b45cec4251c8f",
+                        "42b2045d3caa605d3c148b6185153d9f732e67c04463ae3704d4db188aa97e2e"),
+    ("two_assets", 4): ("c038144e1fe1d23e4c06bc32e94856c396749b90ddd08a49c57a07d4d9eece3c",
+                        "16e2158ccca6c8cbfc3af1c3a69c4b230a4c64c3ca816b14261b1b12709e9586"),
 }
 
 
