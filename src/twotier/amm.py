@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (DrainedPool, DuplicatePool, InsufficientBalance, UnknownAccount, UnknownPool,
-                     ZeroInput)
+from .errors import DrainedPool, DuplicatePool, UnknownPool, ZeroInput
 from .ledger import BPS, AccountRole, Registry, TokenKind, TokenMeta, ceil_div, check_amount
 
 
@@ -81,26 +80,17 @@ class AmmVenues:
             raise ValueError(f"fee_bps out of range: {fee_bps}")
         if check_amount(seed_base) == 0 or check_amount(seed_numeraire) == 0:
             raise ZeroInput("pool seeds must be positive")
-        # refuse an unfundable provider before registering the pool's token and account,
-        # with the error its seed transfer would raise, so that a retry can succeed
         reg = self.registry
-        for token, seed in ((base, seed_base), (self.numeraire, seed_numeraire)):
-            have = reg.balance_of(token, provider)  # an unknown token raises first, as there
-            if provider not in reg.accounts:
-                raise UnknownAccount(provider)
-            if have < seed:
-                raise InsufficientBalance(f"transfer {seed} of {token}, balance {have}",
-                                          token=token, shortfall=seed - have)
-        lp_token = reg.create_token(
-            TokenMeta(token=f"lp:{base}", kind=TokenKind.LP_SHARE, decimals=0),
-            authority=self.AUTHORITY)
-        account = reg.create_account(f"pool_account:{base}", AccountRole.USER)
-        pool = Pool(base=base, fee_bps=fee_bps, lp_token=lp_token, account=account)
+        # all or none: a seed transfer the ledger refuses also removes the token and account
         with reg.transaction():
+            lp_token = reg.create_token(
+                TokenMeta(token=f"lp:{base}", kind=TokenKind.LP_SHARE, decimals=0),
+                authority=self.AUTHORITY)
+            account = reg.create_account(f"pool_account:{base}", AccountRole.USER)
             reg.transfer(base, provider, account, seed_base)
             reg.transfer(self.numeraire, provider, account, seed_numeraire)
             reg.mint(lp_token, provider, math.isqrt(seed_base * seed_numeraire), self.AUTHORITY)
-        self.pools[base] = pool
+        pool = self.pools[base] = Pool(base, fee_bps, lp_token, account)
         return pool
 
     def get(self, base: str) -> Pool:

@@ -90,18 +90,14 @@ class CompositeEngine:
         if composite_meta.kind != TokenKind.COMPOSITE:
             raise CompositeAlreadyBound(f"{cid} must have composite kind")
 
-        self.registry.create_token(composite_meta, authority=self.authority_for(cid))
-        escrow = self.registry.create_account(f"escrow:{cid}", AccountRole.ESCROW_RESERVE)
-        fee_sink = self.registry.create_account(f"fee_sink:{cid}", AccountRole.FEE_SINK)
-        asset = AssetDefinition(
-            composite=cid,
-            composition=[(e, a) for e, a in composition],
-            mint_fee_bps=mint_fee_bps,
-            redeem_fee_bps=redeem_fee_bps,
-            escrow=escrow,
-            fee_sink=fee_sink,
-            unit=10 ** composite_meta.decimals,
-        )
+        with self.registry.transaction():  # all or none, and only then the asset's record
+            self.registry.create_token(composite_meta, authority=self.authority_for(cid))
+            escrow = self.registry.create_account(f"escrow:{cid}", AccountRole.ESCROW_RESERVE)
+            fee_sink = self.registry.create_account(f"fee_sink:{cid}", AccountRole.FEE_SINK)
+            asset = AssetDefinition(
+                composite=cid, composition=[(e, a) for e, a in composition],
+                mint_fee_bps=mint_fee_bps, redeem_fee_bps=redeem_fee_bps,
+                escrow=escrow, fee_sink=fee_sink, unit=10 ** composite_meta.decimals)
         self.assets[cid] = asset
         return asset
 

@@ -68,6 +68,7 @@ def check_amount(qty) -> int:
 # move op -> (frm, to) from its logged accounts; None stands for the supply
 _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
+_FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_flag` writes
 
 
 class Event(NamedTuple):
@@ -105,13 +106,14 @@ class _Texts(dict):
 
 @dataclass
 class TokenMeta:
+    """A token's description; its flags start unset and change only by logged `set_*` ops."""
     token: str
     kind: TokenKind
     unit_label: str = ""
     decimals: int = 0
-    paused: bool = False
-    allowlist_enabled: bool = False
-    allowlist: set = field(default_factory=set)
+    paused: bool = field(default=False, init=False)
+    allowlist_enabled: bool = field(default=False, init=False)
+    allowlist: set = field(default_factory=set, init=False)
 
     def __post_init__(self):
         if not (0 <= self.decimals <= MAX_DECIMALS):
@@ -193,22 +195,24 @@ class Registry:
         return self._book(token).meta
 
     def set_paused(self, token: str, flag: bool):
-        self.meta(token).paused = flag
-        self._log("set_paused", token=token, accounts=(), qty=0, meta={"flag": flag})
+        self._flag("set_paused", token, (), flag)
 
     def set_allowlist_enabled(self, token: str, flag: bool):
-        self.meta(token).allowlist_enabled = flag
-        self._log("set_allowlist_enabled", token=token, accounts=(), qty=0,
-                  meta={"flag": flag})
+        self._flag("set_allowlist_enabled", token, (), flag)
 
     def set_allowlist(self, token: str, account: str, flag: bool):
+        self._flag("set_allowlist", token, (account,), flag)
+
+    def _flag(self, op: str, token: str, accounts, flag):
+        """The one flag writer and its log entry, for each op of `_FLAGS`; set_allowlist
+        sets the entry of `accounts[0]`, and the other ops take no account."""
         meta = self.meta(token)
-        if flag:
-            meta.allowlist.add(account)
+        accounts = (accounts[0],) if op == "set_allowlist" else ()
+        if accounts:
+            (meta.allowlist.add if flag else meta.allowlist.discard)(accounts[0])
         else:
-            meta.allowlist.discard(account)
-        self._log("set_allowlist", token=token, accounts=(account,), qty=0,
-                  meta={"flag": flag})
+            setattr(meta, op[len("set_"):], flag)  # set_paused -> paused, and so on
+        self._log(op, token, accounts, 0, {"flag": flag})
 
     def add_balance_listener(self, token: str, fn):
         """Register fn(account, balance) to run before any balance change of `token`,
@@ -227,7 +231,8 @@ class Registry:
         return [a for a, v in self._book(token).items() if v > 0]
 
     def balances(self, token: str) -> Mapping[str, int]:
-        """Read-only view of every balance entry of `token`, zero ones included."""
+        """Read-only view of every balance entry of `token`, zero ones included (a rolled-back
+        `transaction()` may leave some, even of deleted accounts; `state_hash` ignores them)."""
         return MappingProxyType(self._book(token))
 
     # --- mutations ---
@@ -264,7 +269,7 @@ class Registry:
             return
         events = self.events
         start = len(events)
-        book = None
+        book = size = None
         try:
             for to, qty in legs:
                 if type(qty) is not int or qty < 0:
@@ -272,6 +277,7 @@ class Registry:
                 if book is None:  # after the first leg's amount check, as the order says
                     book = self._book(token)
                     meta, listeners, known = book.meta, book.listeners, self.accounts
+                    size = len(book) if len(legs) > 1 else None  # a later leg can fail
                 accounts = (to,) if frm is None else (frm,) if to is None else (frm, to)
                 for account in accounts:
                     if account not in known:
@@ -298,6 +304,9 @@ class Registry:
                 events.append(_new_event(Event, (op, token, accounts, qty, None)))
         except BaseException:
             self._undo(start)
+            if size is not None:  # the entries this call created, zero again, come last
+                for account in list(book)[size:]:
+                    del book[account]
             raise
 
     def _transfer_batch(self, token: str, frm, legs) -> bool:
@@ -340,25 +349,34 @@ class Registry:
     # --- transactions ---
 
     def transaction(self) -> _Transaction:
-        """A `with` block whose moves are undone on any exception, which then propagates,
-        keeping multi-step operations atomic."""
+        """A `with` block whose every event is undone on any exception, which then
+        propagates, keeping multi-step operations atomic (see `_undo`)."""
         return _Transaction(self)
 
     # --- internals ---
 
     def _undo(self, start: int):
-        """Reverse the moves logged since `start`, newest first, and drop them from the log.
+        """Invert every event logged since `start`, newest first, then drop them from the log.
 
-        The event log is the undo journal. No balance listener runs. Other
-        events (accounts, tokens, flags) keep their state, so they stay in the
-        log, and the log still replays.
+        The event log is the whole undo journal, and no balance listener runs. A
+        move is written back; a created account or token is deleted, after every
+        later event that used it; a flag takes back its last earlier value in the
+        log, or its default.
         """
-        block = self.events[start:]
-        for ev in reversed(block):
-            if ev.op in _ENDS:
-                frm, to = _ENDS[ev.op](ev.accounts)
-                self._write(self._balances[ev.token], to, frm, ev.qty)
-        self.events[start:] = [ev for ev in block if ev.op not in _ENDS]
+        events = self.events
+        for i in range(len(events) - 1, start - 1, -1):
+            op, token, accounts, qty, _ = ev = events[i]
+            if op in _ENDS:
+                frm, to = _ENDS[op](accounts)
+                self._write(self._balances[token], to, frm, qty)
+            elif op == "create_account":
+                del self.accounts[accounts[0]]
+            elif op == "create_token":
+                del self.tokens[token], self._balances[token]
+            else:
+                prior = (e.meta["flag"] for e in reversed(events[:i]) if e[:3] == ev[:3])
+                self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
+        del events[start:]
 
     def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
         """Move qty of book's token from frm to to, unchecked; None on either side is the supply."""
@@ -442,7 +460,7 @@ class Registry:
 
 class _Transaction:
     """The block of one `Registry.transaction()`: notes where the log stood on entry
-    and, when an exception leaves the block, undoes the moves logged since."""
+    and, when an exception leaves the block, undoes every event logged since."""
     __slots__ = ("registry", "start")
 
     def __init__(self, registry: Registry):
@@ -500,12 +518,8 @@ def replay_events(events: list) -> Registry:
             elif op in _ENDS:
                 frm, to = _ENDS[op](accounts)
                 reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
-            elif op == "set_paused":
-                reg.set_paused(token, _field(meta, "flag", bool, int))
-            elif op == "set_allowlist_enabled":
-                reg.set_allowlist_enabled(token, _field(meta, "flag", bool, int))
-            elif op == "set_allowlist":
-                reg.set_allowlist(token, accounts[0], _field(meta, "flag", bool, int))
+            elif op in _FLAGS:
+                reg._flag(op, token, accounts, _field(meta, "flag", bool, int))
             else:
                 raise ValueError(f"unknown event op {op!r}")
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -38,13 +38,13 @@ class YieldVault:
         self.pools: dict[str, YieldPool] = {}
 
     def register_asset(self, composite: str) -> YieldPool:
-        account = self.registry.create_account(f"yield:{composite}",
-                                               AccountRole.YIELD_POOL)
-        pool = YieldPool(composite=composite, account=account)
+        with self.registry.transaction():  # an unknown composite also removes the account
+            account = self.registry.create_account(f"yield:{composite}", AccountRole.YIELD_POOL)
+            pool = YieldPool(composite=composite, account=account)
+            # the listener holds the pool record alone, not the vault or the registry, so
+            # a dropped market holds no reference cycle and refcounting frees it
+            self.registry.add_balance_listener(composite, partial(YieldVault._settle, pool))
         self.pools[composite] = pool
-        # the listener holds the pool record alone, not the vault or the registry, so
-        # a dropped market holds no reference cycle and refcounting frees it
-        self.registry.add_balance_listener(composite, partial(YieldVault._settle, pool))
         return pool
 
     def get(self, composite: str) -> YieldPool:

@@ -8,6 +8,7 @@ from conftest import SOLAR_COMPOSITION, add_element, examples, grant_elements, m
 from twotier.composite import ceil_div
 from twotier.errors import (
     CompositeAlreadyBound,
+    DuplicateAccount,
     EmptyComposition,
     InsufficientBalance,
     InvariantViolation,
@@ -66,6 +67,29 @@ def test_composite_already_bound():
     with pytest.raises(CompositeAlreadyBound):
         market.composites.define_asset(
             TokenMeta(token=cid, kind=TokenKind.COMPOSITE), [("energy", 1)])
+
+
+@pytest.mark.parametrize("taken", ["escrow:W", "fee_sink:W"])
+def test_a_failed_define_asset_registers_nothing_and_a_retry_succeeds(taken):
+    market = Market()
+    add_element(market, "energy")
+    reg = market.registry
+    reg.create_account(taken)
+    before = (reg.state_hash(), list(reg.events), dict(reg.tokens), dict(market.composites.assets))
+    for _ in range(2):  # the retry meets the same error, not CompositeAlreadyBound
+        with pytest.raises(DuplicateAccount):
+            market.composites.define_asset(
+                TokenMeta(token="W", kind=TokenKind.COMPOSITE), [("energy", 1)])
+        assert (reg.state_hash(), list(reg.events), dict(reg.tokens),
+                dict(market.composites.assets)) == before
+    # the same with fees out of range, which the asset record refuses
+    with pytest.raises(ValueError):
+        market.composites.define_asset(
+            TokenMeta(token="W2", kind=TokenKind.COMPOSITE), [("energy", 1)], 10_001)
+    assert (reg.state_hash(), list(reg.events)) == before[:2]
+    market.composites.define_asset(TokenMeta(token="W3", kind=TokenKind.COMPOSITE),
+                                   [("energy", 1)])
+    assert list(market.composites.assets) == ["W3"]
 
 
 def test_mint_zero_fee_exact_ratios():

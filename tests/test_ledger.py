@@ -53,6 +53,15 @@ def test_create_composite_kind():
     assert reg.meta("W_Solar").kind == TokenKind.COMPOSITE
 
 
+def test_token_meta_flags_are_not_constructor_arguments():
+    # every flag value a token takes is a logged set_* event, so a token starts unflagged
+    for flag in ({"paused": True}, {"allowlist_enabled": True}, {"allowlist": {"alice"}}):
+        with pytest.raises(TypeError):
+            TokenMeta(token="MWh", kind=TokenKind.ELEMENT, **flag)
+    meta = TokenMeta(token="MWh", kind=TokenKind.ELEMENT)
+    assert (meta.paused, meta.allowlist_enabled, meta.allowlist) == (False, False, set())
+
+
 def test_mint_additivity():
     reg = fresh()
     reg.mint("MWh", "alice", 100, MINTER)
@@ -329,7 +338,7 @@ def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice
     batched, seen = _payer_registry(paused, allowlisted, alice, listening)
     looped, seen_looped = _payer_registry(paused, allowlisted, alice, listening)
     before = _ledger_state(batched)
-    holders_before = batched.holders("MWh")
+    book_before = list(batched.balances("MWh").items())
     error = None
     for to, qty in legs:
         try:
@@ -350,7 +359,8 @@ def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice
         assert str(raised.value) == str(error)
         assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
         assert _ledger_state(batched) == before
-        assert batched.holders("MWh") == holders_before
+        # the same book: no zero entry is left for a payee the refused call credited
+        assert list(batched.balances("MWh").items()) == book_before
     assert seen == seen_looped
 
 
@@ -378,28 +388,36 @@ class Abort(Exception):
     pass
 
 
-MOVE = st.tuples(st.sampled_from(["mint", "burn", "transfer"]),
-                 st.sampled_from(["alice", "bob"]), st.sampled_from(["alice", "bob"]),
-                 st.integers(0, 60))
-# a step is a move or ("block", steps, raise at the end, caught by the enclosing block)
-STEP = st.recursive(MOVE, lambda step: st.tuples(
+TOKEN_ID = st.sampled_from(["MWh", "MWh", "kWh"])  # kWh exists once a step creates it
+ACCOUNT_ID = st.sampled_from(["alice", "bob", "alice", "bob", "carol"])  # carol likewise
+FLAG = st.one_of(st.booleans(), st.integers(0, 1))  # 1 and True hash apart
+QTY_60 = st.integers(0, 60)
+MOVE = st.one_of(st.tuples(st.sampled_from(["mint", "burn"]), TOKEN_ID, ACCOUNT_ID, QTY_60),
+                 st.tuples(st.just("transfer"), TOKEN_ID, ACCOUNT_ID, ACCOUNT_ID, QTY_60))
+ADMIN = st.one_of(
+    st.tuples(st.just("create_account"), ACCOUNT_ID),
+    st.tuples(st.just("create_token"), TOKEN_ID),
+    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), TOKEN_ID, FLAG),
+    st.tuples(st.just("set_allowlist"), TOKEN_ID, ACCOUNT_ID, FLAG))
+# a step is an op or ("block", steps, raise at the end, caught by the enclosing block)
+STEP = st.recursive(MOVE | ADMIN, lambda step: st.tuples(
     st.just("block"), st.lists(step, max_size=4), st.booleans(), st.booleans()),
     max_leaves=16)
 
 
 def _run(reg, step, committed):
-    """Apply one step; `committed` mirrors the moves that should survive."""
-    if step[0] != "block":
-        op, a, b, qty = step
-        if op == "mint":
-            reg.mint("MWh", a, qty, MINTER)
-        elif op == "burn":
-            reg.burn("MWh", a, qty, MINTER)
+    """Apply one step; `committed` mirrors the ops that should survive."""
+    op, *args = step
+    if op != "block":
+        if op == "create_token":
+            reg.create_token(TokenMeta(token=args[0], kind=TokenKind.ELEMENT), authority=MINTER)
+        elif op in ("mint", "burn"):
+            getattr(reg, op)(*args, MINTER)
         else:
-            reg.transfer("MWh", a, b, qty)
+            getattr(reg, op)(*args)
         committed.append(step)
         return
-    _, steps, fail, caught = step
+    steps, fail, caught = args
     mark = len(committed)
     try:
         with reg.transaction():
@@ -407,7 +425,7 @@ def _run(reg, step, committed):
                 _run(reg, inner, committed)
             if fail:
                 raise Abort
-    except (Abort, InsufficientBalance):
+    except (Abort, LedgerError):
         del committed[mark:]
         if not caught:
             raise
@@ -420,33 +438,43 @@ def test_transaction_rollback_matches_replay_of_committed_moves(steps):
     for step in steps:
         try:
             _run(reg, step, committed)
-        except (Abort, InsufficientBalance):
+        except (Abort, LedgerError):
             pass
         ref = fresh()
-        for op, a, b, qty in committed:
-            _run(ref, (op, a, b, qty), [])
+        for op in committed:
+            _run(ref, op, [])
         replayed = replay_events(ref.events)
         assert reg.state_hash() == replayed.state_hash()
         assert list(reg.export_events()) == list(replayed.export_events())
+        assert list(reg.accounts.items()) == list(replayed.accounts.items())
+        assert list(reg.tokens.items()) == list(replayed.tokens.items())
         assert ([json.loads(line)["seq"] for line in reg.export_events()]
                 == list(range(len(reg.events))))
 
 
-def test_rollback_keeps_non_move_state_and_reraises():
+def test_rollback_undoes_non_move_state_and_reraises():
     reg = fresh()
     reg.mint("MWh", "alice", 10, MINTER)
-    n_events = len(reg.events)
+    reg.set_allowlist("MWh", "bob", True)
+    reg.set_paused("MWh", 1)
+    before = (reg.state_hash(), list(reg.events), dict(reg.accounts), list(reg.tokens))
     with pytest.raises(Abort):
         with reg.transaction():
+            reg.set_paused("MWh", False)
             reg.transfer("MWh", "alice", "bob", 4)
             reg.create_account("carol")
+            reg.create_token(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), authority=MINTER)
+            reg.mint("kWh", "carol", 3, MINTER)
             reg.set_paused("MWh", True)
+            reg.set_allowlist_enabled("MWh", True)
+            reg.set_allowlist("MWh", "bob", False)
+            reg.set_allowlist("MWh", "carol", True)
             raise Abort
-    assert (reg.balance_of("MWh", "alice"), reg.balance_of("MWh", "bob")) == (10, 0)
-    assert "carol" in reg.accounts and reg.meta("MWh").paused   # state stays
-    # and so do its events, numbered after the dropped transfer
-    assert [(seq, ev.op) for seq, ev in enumerate(reg.events)][n_events:] == [
-        (n_events, "create_account"), (n_events + 1, "set_paused")]
+    # every event of the block is gone, and with it the state it made
+    assert (reg.state_hash(), list(reg.events), dict(reg.accounts), list(reg.tokens)) == before
+    meta = reg.meta("MWh")
+    assert (type(meta.paused), meta.paused, meta.allowlist_enabled, meta.allowlist) == (
+        int, 1, False, {"bob"})
 
 
 def test_keyboard_interrupt_in_a_nested_transaction_undoes_the_block_and_reraises():
@@ -470,13 +498,17 @@ def test_keyboard_interrupt_in_a_nested_transaction_undoes_the_block_and_reraise
     assert (reg.state_hash(), len(reg.events)) == (hash_before, n_events)
 
 
-def test_rolled_back_non_move_events_still_replay():
+def test_rolled_back_non_move_events_leave_the_log():
     reg = fresh()
+    n_events = len(reg.events)
     with pytest.raises(Abort):
         with reg.transaction():
             reg.mint("MWh", "alice", 3, MINTER)
             reg.create_account("b")
+            reg.set_paused("MWh", True)
             raise Abort
+    assert len(reg.events) == n_events and "b" not in reg.accounts
+    reg.create_account("b")  # the name is free again
     reg.mint("MWh", "b", 5, MINTER)
     assert replay_events(reg.events).state_hash() == reg.state_hash()
     assert ([json.loads(line)["seq"] for line in reg.export_events()]

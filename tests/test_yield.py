@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_solar_market, reference_claim
-from twotier.errors import NotAllowlisted, TokenPaused, ZeroSupply
+from twotier.errors import NotAllowlisted, TokenPaused, UnknownToken, ZeroSupply
 from twotier.yields import INDEX_SCALE
 
 
@@ -87,6 +87,17 @@ def test_a_failed_claim_keeps_every_entitlement(accounts):
     market.audit()
     assert market.yields.claim(cid, *accounts) == 500 * len({"a", "b"} & set(accounts))
     market.audit()
+
+
+def test_a_failed_register_asset_registers_nothing_and_a_retry_succeeds():
+    market, cid = make_solar_market()
+    reg = market.registry
+    before = (reg.state_hash(), list(reg.events), dict(reg.accounts))
+    with pytest.raises(UnknownToken):
+        market.yields.register_asset("W_MOON")
+    assert (reg.state_hash(), list(reg.events), dict(reg.accounts)) == before
+    assert market.yields.pools == {}
+    assert market.yields.register_asset(cid).account == f"yield:{cid}"
 
 
 def test_deposit_with_zero_supply_rejected():
