@@ -87,9 +87,10 @@ class AmmVenues:
                 TokenMeta(token=f"lp:{base}", kind=TokenKind.LP_SHARE, decimals=0),
                 authority=self.AUTHORITY)
             account = reg.create_account(f"pool_account:{base}", AccountRole.USER)
-            reg.transfer(base, provider, account, seed_base)
-            reg.transfer(self.numeraire, provider, account, seed_numeraire)
-            reg.mint(lp_token, provider, math.isqrt(seed_base * seed_numeraire), self.AUTHORITY)
+            reg.settle([(base, provider, account, seed_base),
+                        (self.numeraire, provider, account, seed_numeraire),
+                        (lp_token, None, provider, math.isqrt(seed_base * seed_numeraire))],
+                       self.AUTHORITY)
         pool = self.pools[base] = Pool(base, fee_bps, lp_token, account)
         return pool
 
@@ -148,9 +149,8 @@ class AmmVenues:
         tok_in, tok_out = ((pool.base, self.numeraire)
                            if direction == SwapDirection.BASE_IN
                            else (self.numeraire, pool.base))
-        with self.registry.transaction():
-            self.registry.transfer(tok_in, trader, pool.account, amount_in)
-            self.registry.transfer(tok_out, pool.account, trader, quote.amount_out)
+        self.registry.settle([(tok_in, trader, pool.account, amount_in),
+                              (tok_out, pool.account, trader, quote.amount_out)])
         return quote
 
     def required_in_for_out(self, base: str, direction: SwapDirection,
@@ -180,10 +180,9 @@ class AmmVenues:
             return 0
         need_base = ceil_div(minted * rb, supply)
         need_num = ceil_div(minted * rn, supply)
-        with self.registry.transaction():
-            self.registry.transfer(pool.base, provider, pool.account, need_base)
-            self.registry.transfer(self.numeraire, provider, pool.account, need_num)
-            self.registry.mint(pool.lp_token, provider, minted, self.AUTHORITY)
+        self.registry.settle([(pool.base, provider, pool.account, need_base),
+                              (self.numeraire, provider, pool.account, need_num),
+                              (pool.lp_token, None, provider, minted)], self.AUTHORITY)
         return minted
 
     def remove_liquidity(self, base: str, lp_burned: int,
@@ -198,8 +197,7 @@ class AmmVenues:
             raise DrainedPool(base)
         base_out = lp_burned * rb // supply
         num_out = lp_burned * rn // supply
-        with self.registry.transaction():
-            self.registry.burn(pool.lp_token, provider, lp_burned, self.AUTHORITY)
-            self.registry.transfer(pool.base, pool.account, provider, base_out)
-            self.registry.transfer(self.numeraire, pool.account, provider, num_out)
+        self.registry.settle([(pool.lp_token, provider, None, lp_burned),
+                              (pool.base, pool.account, provider, base_out),
+                              (self.numeraire, pool.account, provider, num_out)], self.AUTHORITY)
         return (base_out, num_out)

@@ -195,19 +195,13 @@ class CompositeEngine:
         asset = self.get(asset_id)
         reg = self.registry
         moves = self._mint_moves(asset, reg.total_supply(asset.composite), q)
+        legs = []
         for element, deposit, fee in moves:
-            have = reg.balance_of(element, caller)
-            if have < deposit + fee:
-                raise InsufficientBalance(
-                    f"mint {asset_id}: need {deposit + fee} of {element}, have {have}",
-                    token=element, shortfall=deposit + fee - have)
-
-        with reg.transaction():
-            for element, deposit, fee in moves:
-                reg.transfer(element, caller, asset.escrow, deposit)
-                if fee:
-                    reg.transfer(element, caller, asset.fee_sink, fee)
-            reg.mint(asset.composite, caller, q, self.authority_for(asset.composite))
+            legs.append((element, caller, asset.escrow, deposit))
+            if fee:
+                legs.append((element, caller, asset.fee_sink, fee))
+        legs.append((asset.composite, None, caller, q))
+        reg.settle(legs, self.authority_for(asset.composite))
         self._assert_backing(asset)
         return MintReceipt(asset=asset_id, minted=q,
                            deposits=[(e, d) for e, d, _ in moves],
@@ -218,12 +212,12 @@ class CompositeEngine:
         reg = self.registry
         moves = self._redeem_moves(asset, reg.total_supply(asset.composite), q,
                                    reg.balance_of(asset.composite, caller))
-        with reg.transaction():
-            reg.burn(asset.composite, caller, q, self.authority_for(asset.composite))
-            for element, payout, fee in moves:
-                reg.transfer(element, asset.escrow, caller, payout)
-                if fee:
-                    reg.transfer(element, asset.escrow, asset.fee_sink, fee)
+        legs = [(asset.composite, caller, None, q)]
+        for element, payout, fee in moves:
+            legs.append((element, asset.escrow, caller, payout))
+            if fee:
+                legs.append((element, asset.escrow, asset.fee_sink, fee))
+        reg.settle(legs, self.authority_for(asset.composite))
         self._assert_backing(asset)
         return RedeemReceipt(asset=asset_id, burned=q,
                              basket_out=[(e, p) for e, p, _ in moves],

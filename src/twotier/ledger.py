@@ -1,9 +1,10 @@
 """Authoritative token ledger: balances, supplies, mint/burn controls.
 
 All quantities are non-negative integers at each token's own decimal scale.
-No floating point enters this module. Every write validates its preconditions
-fully before touching state, and a multi-leg write undoes its earlier legs when
-a later one fails, so a raised error never leaves a partial write behind.
+No floating point enters this module. Every balance change is a leg of one
+`Registry.settle` call, which validates each leg fully before writing it and
+undoes the call's earlier legs when one fails, so a raised error never leaves a
+partial write behind; `transfers` alone has a batched fast path in front of it.
 """
 
 from __future__ import annotations
@@ -238,53 +239,51 @@ class Registry:
     # --- mutations ---
 
     def mint(self, token: str, to: str, qty: int, authority: str):
-        self._move("mint", token, None, [(to, qty)], authority)
+        self.settle(((token, None, to, qty),), authority)
 
     def burn(self, token: str, frm: str, qty: int, authority: str):
-        self._move("burn", token, frm, [(None, qty)], authority)
+        self.settle(((token, frm, None, qty),), authority)
 
     def transfer(self, token: str, frm: str, to: str, qty: int):
-        self._move("transfer", token, frm, [(to, qty)])
+        self.settle(((token, frm, to, qty),))
 
     def transfers(self, token: str, frm: str, payouts: list[tuple[str, int]]):
-        """Transfer each (to, qty) of `payouts` from `frm`, in order, all or none.
-
-        Same checks, errors, events and listener calls as a loop of `transfer`;
-        when a leg fails, the earlier legs are undone and the leg's error raised.
-        A batch of two or more legs on a token without balance listeners that
-        passes every check as a whole is written in one pass; any failed check
-        sends it down the per-leg path, which raises the failing leg's error.
-        """
-        self._move("transfer", token, frm, payouts)
-
-    def _move(self, op: str, token: str, frm: str | None, legs, authority: str | None = None):
-        """The one write path: moves each (to, qty) of `legs` out of `frm`, all or none.
-
-        `frm=None` mints and `to=None` burns. Each leg runs every check before its
-        own write, in one order: amount, token, accounts, authority (mint/burn
-        only), pause, allowlist, balance. A failed leg undoes the earlier ones.
-        A transfer of two or more legs first tries `_transfer_batch`.
-        """
-        if len(legs) > 1 and self._transfer_batch(token, frm, legs):
+        """Transfer each (to, qty) of `payouts` from `frm`, in order, all or none, as one
+        `settle` of the legs. A batch of two or more legs on a token without balance
+        listeners that passes every check as a whole is written by `_transfer_batch`
+        instead; any failed check leaves it to `settle`, which raises the failing
+        leg's error."""
+        if len(payouts) > 1 and self._transfer_batch(token, frm, payouts):
             return
-        events = self.events
+        self.settle([(token, frm, *leg) for leg in payouts])
+
+    def settle(self, legs, authority: str | None = None):
+        """The one write path: applies each (token, frm, to, qty) of `legs`, all or none.
+
+        `frm=None` mints and `to=None` burns, under `authority`. Each leg runs its
+        checks in one order (amount, token, accounts, authority for a mint or burn,
+        pause, allowlist, balance), calls its token's listeners with each account's
+        balance before the write, then writes and logs. A failed leg undoes the
+        earlier ones, and every book they touched drops the entries they created.
+        """
+        events, books, known = self.events, self._balances, self.accounts
         start = len(events)
-        book = size = None
+        sizes = {} if len(legs) > 1 else None  # token -> its book's size; a later leg can fail
         try:
-            for to, qty in legs:
+            for token, frm, to, qty in legs:
                 if type(qty) is not int or qty < 0:
                     qty = check_amount(qty)
-                if book is None:  # after the first leg's amount check, as the order says
-                    book = self._book(token)
-                    meta, listeners, known = book.meta, book.listeners, self.accounts
-                    size = len(book) if len(legs) > 1 else None  # a later leg can fail
-                accounts = (to,) if frm is None else (frm,) if to is None else (frm, to)
+                book = books.get(token)
+                if book is None:
+                    raise UnknownToken(token)
+                accounts, op = (((to,), "mint") if frm is None else ((frm,), "burn") if to is None
+                                else ((frm, to), "transfer"))
                 for account in accounts:
                     if account not in known:
                         raise UnknownAccount(account)
-                if (frm is None or to is None) and book.authority != authority:
+                if op != "transfer" and book.authority != authority:
                     raise Unauthorized(f"{authority!r} is not the minter of {token}")
-                if meta.paused:
+                if (meta := book.meta).paused:
                     raise TokenPaused(token)
                 if meta.allowlist_enabled:
                     for account in accounts:
@@ -295,18 +294,18 @@ class Registry:
                     if bal < qty:
                         raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
                                                   token=token, shortfall=qty - bal)
-                if listeners:
+                if book.listeners:
                     for account in accounts:
                         balance = book.get(account, 0)
-                        for fn in listeners:
+                        for fn in book.listeners:
                             fn(account, balance)
+                if sizes is not None and token not in sizes:
+                    sizes[token] = len(book)
                 self._write(book, frm, to, qty)
                 events.append(_new_event(Event, (op, token, accounts, qty, None)))
         except BaseException:
             self._undo(start)
-            if size is not None:  # the entries this call created, zero again, come last
-                for account in list(book)[size:]:
-                    del book[account]
+            self._drop_entries(sizes or {})
             raise
 
     def _transfer_batch(self, token: str, frm, legs) -> bool:
@@ -377,6 +376,13 @@ class Registry:
                 prior = (e.meta["flag"] for e in reversed(events[:i]) if e[:3] == ev[:3])
                 self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
+
+    def _drop_entries(self, sizes: dict[str, int]):
+        """Cut each token's book back to its size in `sizes`, undoing a failed `settle`."""
+        for token, size in sizes.items():
+            book = self._balances[token]
+            for account in list(book)[size:]:
+                del book[account]
 
     def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
         """Move qty of book's token from frm to to, unchecked; None on either side is the supply."""
@@ -517,7 +523,7 @@ def replay_events(events: list) -> Registry:
                     authority=_field(meta, "authority", str))
             elif op in _ENDS:
                 frm, to = _ENDS[op](accounts)
-                reg._move(op, token, frm, [(to, qty)], reg._book(token).authority)
+                reg.settle(((token, frm, to, qty),), reg._book(token).authority)
             elif op in _FLAGS:
                 reg._flag(op, token, accounts, _field(meta, "flag", bool, int))
             else:

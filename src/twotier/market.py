@@ -31,9 +31,10 @@ class Market:
         self.numeraire_minted = 0  # by fund_numeraire, the only numeraire mint path
 
     def fund_numeraire(self, account: str, qty: int):
-        """Scenario bootstrap: conjure numeraire for an account."""
-        self.registry.ensure_account(account)
-        self.registry.mint(self.numeraire, account, qty, BOOTSTRAP_AUTHORITY)
+        """Scenario bootstrap: conjure numeraire for an account, creating it if new."""
+        with self.registry.transaction():  # a refused mint also removes a new account
+            self.registry.ensure_account(account)
+            self.registry.mint(self.numeraire, account, qty, BOOTSTRAP_AUTHORITY)
         self.numeraire_minted += qty
 
     def audit(self):

@@ -12,6 +12,9 @@ from twotier.errors import (
     EmptyComposition,
     InsufficientBalance,
     InvariantViolation,
+    Overflow,
+    TokenPaused,
+    UnknownAccount,
     UnknownElement,
     ZeroQuantity,
 )
@@ -124,6 +127,57 @@ def test_mint_insufficient_reports_shortfall():
         market.composites.mint_composite(cid, "ap", 1)
     assert exc.value.token == "land"
     assert exc.value.shortfall == 1
+
+
+# (granted elements, pause energy, error, message, shortfall) of a refused 10-unit mint with
+# a 10 bps fee, which owes 1000 + 1 energy, 10000 + 10 land and 1000 + 1 carbon
+MINT_REFUSALS = {
+    # the deposit leg itself is short: the shortfall leaves out the fee
+    "deposit-short": ({"energy": 999, "land": 10010, "carbon": 1001}, False, InsufficientBalance,
+                      "transfer 1000 of energy, balance 999", 1),
+    "fee-short": ({"energy": 1000, "land": 10010, "carbon": 1001}, False, InsufficientBalance,
+                  "transfer 1 of energy, balance 0", 1),
+    "later-element-short": ({"energy": 1001, "land": 10009, "carbon": 1001}, False,
+                            InsufficientBalance, "transfer 10 of land, balance 9", 1),
+    # the first failing leg raises: a paused first element wins over a later shortfall
+    "paused-first-element": ({"energy": 1001, "land": 5, "carbon": 1001}, True, TokenPaused,
+                             "energy", None),
+}
+
+
+@pytest.mark.parametrize("case", MINT_REFUSALS)
+def test_a_refused_mint_raises_its_first_failing_legs_ledger_error(case):
+    granted, pause, error, message, shortfall = MINT_REFUSALS[case]
+    market, cid = make_solar_market(mint_fee_bps=10)
+    grant_elements(market, "ap", granted)
+    reg = market.registry
+    if pause:
+        reg.set_paused("energy", True)
+    before = (reg.state_hash(), list(reg.events), dict(reg.balances("energy")))
+    with pytest.raises(error) as raised:
+        market.composites.mint_composite(cid, "ap", 10)
+    assert str(raised.value).strip("'") == message
+    assert getattr(raised.value, "shortfall", None) == shortfall
+    assert (reg.state_hash(), list(reg.events), dict(reg.balances("energy"))) == before
+
+
+def test_a_mint_by_an_unknown_caller_raises_unknown_account():
+    market, cid = make_solar_market()
+    before = list(market.registry.events)
+    with pytest.raises(UnknownAccount, match="nobody"):
+        market.composites.mint_composite(cid, "nobody", 1)
+    assert market.registry.events == before
+
+
+def test_a_refused_fund_numeraire_leaves_no_account_and_no_event():
+    market = Market()
+    before = (dict(market.registry.accounts), list(market.registry.events))
+    with pytest.raises(Overflow):
+        market.fund_numeraire("new", -1)
+    assert (dict(market.registry.accounts), list(market.registry.events)) == before
+    assert market.numeraire_minted == 0
+    market.fund_numeraire("new", 5)  # the name is free, and a funded account is created
+    assert market.registry.balance_of(market.numeraire, "new") == 5
 
 
 def test_redeem_zero_fee_returns_basket():

@@ -384,6 +384,149 @@ def test_a_checked_batch_shares_its_account_tuples():
     assert _ledger_state(batched) == state
 
 
+# --- settle: one call per engine operation -------------------------------------
+
+SETTLE_TOKENS = ("MWh", "kWh", "NUM", "W", "lp")
+
+
+def _settle_registry(fault, listening: bool):
+    """alice, pool and escrow hold every token but lp, alice and carol hold lp, sink
+    holds nothing; `zed` is never created. `fault` is None, ("pause", token) or
+    ("allowlist", token, the one account left off its allowlist)."""
+    reg = Registry()
+    for token in SETTLE_TOKENS:
+        kind = TokenKind.COMPOSITE if token == "W" else TokenKind.ELEMENT
+        reg.create_token(TokenMeta(token=token, kind=kind), authority=MINTER)
+    for account in ("alice", "carol", "pool", "escrow", "sink"):
+        reg.create_account(account)
+    for token in ("MWh", "kWh", "NUM", "W"):
+        for account, qty in (("alice", 50), ("pool", 30), ("escrow", 30)):
+            reg.mint(token, account, qty, MINTER)
+    reg.mint("lp", "alice", 20, MINTER)
+    reg.mint("lp", "carol", 20, MINTER)
+    seen = []
+    if listening:  # W stands for a composite, whose yield vault listens to its balances
+        for token in ("W", "MWh"):
+            reg.add_balance_listener(token, lambda account, balance, token=token:
+                                     seen.append((token, account, balance)))
+    if fault is not None and fault[0] == "pause":
+        reg.set_paused(fault[1], True)
+    elif fault is not None:
+        reg.set_allowlist_enabled(fault[1], True)
+        for account in sorted(set(reg.accounts) - {fault[2]}):
+            reg.set_allowlist(fault[1], account, True)
+    return reg, seen
+
+
+def _engine_legs(op: str, base: str, who: str, q) -> list[tuple]:
+    """The legs each engine operation settles: a swap and the pool's liquidity calls on
+    `base` against NUM, and a composite W of MWh and kWh minted or redeemed with fees."""
+    if op == "swap":
+        return [(base, who, "pool", q[0]), ("NUM", "pool", who, q[1])]
+    if op == "add_liquidity":
+        return [(base, who, "pool", q[0]), ("NUM", who, "pool", q[1]), ("lp", None, who, q[2])]
+    if op == "remove_liquidity":
+        return [("lp", who, None, q[0]), (base, "pool", who, q[1]), ("NUM", "pool", who, q[2])]
+    if op == "mint_composite":
+        return [("MWh", who, "escrow", q[0]), ("MWh", who, "sink", q[1]),
+                ("kWh", who, "escrow", q[2]), ("kWh", who, "sink", q[3]), ("W", None, who, q[4])]
+    return [("W", who, None, q[0]), ("MWh", "escrow", who, q[1]), ("MWh", "escrow", "sink", q[2]),
+            ("kWh", "escrow", who, q[3]), ("kWh", "escrow", "sink", q[4])]
+
+
+def _nonzero(reg):
+    return {t: {a: v for a, v in reg.balances(t).items() if v} for t in SETTLE_TOKENS}
+
+
+def _books(reg):
+    return {t: list(reg.balances(t).items()) for t in SETTLE_TOKENS}
+
+
+def _check_settle_against_calls(op, base, who, q, authority, fault, listening):
+    """One `settle` of an engine operation's legs writes, logs, calls the listeners and
+    raises what separate mint/burn/transfer calls inside one `transaction()` do, and a
+    refused one leaves every book as it was, with no zero entry for an account it credited."""
+    legs = _engine_legs(op, base, who, q)
+    settled, seen = _settle_registry(fault, listening)
+    called, seen_called = _settle_registry(fault, listening)
+    books_before = _books(settled)
+    error = None
+    try:
+        with called.transaction():
+            for token, frm, to, qty in legs:
+                if frm is None:
+                    called.mint(token, to, qty, authority)
+                elif to is None:
+                    called.burn(token, frm, qty, authority)
+                else:
+                    called.transfer(token, frm, to, qty)
+    except LedgerError as exc:
+        error = exc
+    if error is None:
+        settled.settle(legs, authority)
+        assert _books(settled) == _books(called)  # the same entries, in the same order
+    else:
+        with pytest.raises(type(error)) as raised:
+            settled.settle(legs, authority)
+        assert str(raised.value) == str(error)
+        assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
+        assert _books(settled) == books_before
+    assert _nonzero(settled) == _nonzero(called)
+    assert settled.state_hash() == called.state_hash()
+    assert settled.events == called.events
+    assert seen == seen_called
+
+
+SETTLE_FAULT = st.one_of(
+    st.none(), st.none(),
+    st.tuples(st.just("pause"), st.sampled_from(SETTLE_TOKENS)),
+    st.tuples(st.just("allowlist"), st.sampled_from(SETTLE_TOKENS),
+              st.sampled_from(["alice", "carol", "pool", "escrow", "sink"])))
+
+
+@given(op=st.sampled_from(["swap", "add_liquidity", "remove_liquidity", "mint_composite",
+                           "redeem_composite"]),
+       base=st.sampled_from(["MWh", "W"]),
+       who=st.sampled_from(["alice", "alice", "carol", "zed"]),
+       q=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 40), st.sampled_from([-1, True])),
+                  min_size=5, max_size=5),
+       authority=st.sampled_from([MINTER, MINTER, "impostor"]),
+       fault=SETTLE_FAULT,
+       listening=st.booleans())
+@settings(max_examples=examples(300), deadline=None)
+def test_settle_matches_separate_calls_in_a_transaction(op, base, who, q, authority, fault,
+                                                        listening):
+    _check_settle_against_calls(op, base, who, q, authority, fault, listening)
+
+
+# (op, base, who, amounts, fault): refused calls whose failing leg is on a later token
+REFUSED_LATER = {
+    "swap-pool-short-of-NUM": ("swap", "MWh", "alice", [5, 31, 0, 0, 0], None),
+    # carol's new MWh entry, in the second book the call touched, must go again
+    "remove-NUM-paused": ("remove_liquidity", "MWh", "carol", [5, 3, 2, 0, 0], ("pause", "NUM")),
+    "mint-W-not-allowlisted": ("mint_composite", "MWh", "alice", [3, 1, 2, 1, 4],
+                               ("allowlist", "W", "alice")),
+    "redeem-kWh-escrow-short": ("redeem_composite", "MWh", "alice", [2, 3, 1, 31, 0], None),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_LATER)
+def test_a_refused_settle_undoes_every_book_it_touched(case):
+    op, base, who, q, fault = REFUSED_LATER[case]
+    for listening in (False, True):
+        _check_settle_against_calls(op, base, who, q, MINTER, fault, listening)
+
+
+def test_cleaning_only_the_first_touched_book_fails_the_settle_check(monkeypatch):
+    # a mutant settle that drops the created entries of the first book it touched only
+    drop_entries = Registry._drop_entries
+    monkeypatch.setattr(Registry, "_drop_entries",
+                        lambda reg, sizes: drop_entries(reg, dict(list(sizes.items())[:1])))
+    op, base, who, q, fault = REFUSED_LATER["remove-NUM-paused"]
+    with pytest.raises(AssertionError):
+        _check_settle_against_calls(op, base, who, q, MINTER, fault, False)
+
+
 class Abort(Exception):
     pass
 
