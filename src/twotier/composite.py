@@ -157,19 +157,18 @@ class CompositeEngine:
             raise ZeroQuantity(asset.composite)
         return self._mint_schedule(asset, s)(q)
 
-    def _redeem_moves(self, asset: AssetDefinition, s: int, q: int,
-                      have: int) -> list[tuple[str, int, int]]:
+    def _redeem_moves(self, asset: AssetDefinition, s: int, q: int) -> list[tuple[str, int, int]]:
         """(element, payout, fee + residue) released by burning q units of supply s.
 
-        The q units come from a holding of `have` units (the whole supply s
-        for a quote); burning more than that raises InsufficientBalance.
+        Burning more than the supply raises InsufficientBalance; a holder's own
+        balance is left to the ledger's burn.
         """
         if check_amount(q) == 0:
             raise ZeroQuantity(asset.composite)
-        if have < q:
+        if s < q:
             raise InsufficientBalance(
-                f"redeem {asset.composite}: need {q} composite, have {have}",
-                token=asset.composite, shortfall=q - have)
+                f"redeem {asset.composite}: need {q} composite, supply {s}",
+                token=asset.composite, shortfall=q - s)
         return self._redeem_schedule(asset, s)(q)
 
     # --- quotes ---
@@ -187,7 +186,7 @@ class CompositeEngine:
         """
         asset = self.get(asset_id)
         s = self.registry.total_supply(asset.composite)
-        return [(e, payout) for e, payout, _ in self._redeem_moves(asset, s, q, s)]
+        return [(e, payout) for e, payout, _ in self._redeem_moves(asset, s, q)]
 
     # --- state transitions ---
 
@@ -210,8 +209,7 @@ class CompositeEngine:
     def redeem_composite(self, asset_id: str, caller: str, q: int) -> RedeemReceipt:
         asset = self.get(asset_id)
         reg = self.registry
-        moves = self._redeem_moves(asset, reg.total_supply(asset.composite), q,
-                                   reg.balance_of(asset.composite, caller))
+        moves = self._redeem_moves(asset, reg.total_supply(asset.composite), q)
         legs = [(asset.composite, caller, None, q)]
         for element, payout, fee in moves:
             legs.append((element, asset.escrow, caller, payout))

@@ -4,7 +4,8 @@ All quantities are non-negative integers at each token's own decimal scale.
 No floating point enters this module. Every balance change is a leg of one
 `Registry.settle` call, which validates each leg fully before writing it and
 undoes the call's earlier legs when one fails, so a raised error never leaves a
-partial write behind; `transfers` alone has a batched fast path in front of it.
+partial write behind. `transfers` and `open_accounts` write a batch that passes
+every check as a whole in one pass, and leave any other batch to the per-leg path.
 """
 
 from __future__ import annotations
@@ -344,6 +345,44 @@ class Registry:
             book[to] = get(to, 0) + qty
         self.events.extend(logged)
         return True
+
+    def open_accounts(self, token: str, rows, authority: str) -> int:
+        """Create each (account, qty) of `rows` as a new USER account and mint it qty of
+        `token` under `authority`, in order, all or none; return the amount minted.
+
+        The log is that of a loop of `create_account` and, for a nonzero qty, `mint`
+        inside one `transaction()`: a zero row logs its `create_account` only. A batch
+        that passes every check as a whole is written in one pass: every id new and
+        none repeated, every amount a plain int >= 0, a known token minted by
+        `authority`, not paused and without listeners, and every funded account
+        allowlisted when the allowlist is on. Any failed check leaves the batch to
+        that loop, which raises the failing row's error and undoes the rows before it.
+        """
+        ids = [account for account, _ in rows]  # unpacks every row before any write
+        qtys = [qty for _, qty in rows]
+        book, known = self._balances.get(token), self.accounts
+        total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
+        if (book is None or book.listeners or book.authority != authority
+                or total < 0 or min(qtys, default=0) < 0 or (meta := book.meta).paused
+                or len(set(ids)) < len(ids) or not known.keys().isdisjoint(ids)
+                or meta.allowlist_enabled
+                and not meta.allowlist.issuperset([a for a, qty in rows if qty])):
+            with self.transaction():
+                for account, qty in rows:
+                    self.create_account(account)
+                    if type(qty) is not int or qty:
+                        self.mint(token, account, qty, authority)
+            return sum(qtys)
+        events, get, user, role = self.events, book.get, AccountRole.USER, AccountRole.USER.value
+        for account, qty in rows:
+            accounts = (account,)
+            known[account] = user
+            events.append(_new_event(Event, ("create_account", "", accounts, 0, {"role": role})))
+            if qty:
+                book[account] = get(account, 0) + qty
+                events.append(_new_event(Event, ("mint", token, accounts, qty, None)))
+        book.supply += total
+        return total
 
     # --- transactions ---
 

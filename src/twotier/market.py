@@ -28,7 +28,7 @@ class Market:
         self.oracle = OracleHub(self.registry)
         self.venues = AmmVenues(self.registry, numeraire)
         self.yields = YieldVault(self.registry, numeraire)
-        self.numeraire_minted = 0  # by fund_numeraire, the only numeraire mint path
+        self.numeraire_minted = 0  # by fund_numeraire and open_accounts, the only mint paths
 
     def fund_numeraire(self, account: str, qty: int):
         """Scenario bootstrap: conjure numeraire for an account, creating it if new."""
@@ -36,6 +36,12 @@ class Market:
             self.registry.ensure_account(account)
             self.registry.mint(self.numeraire, account, qty, BOOTSTRAP_AUTHORITY)
         self.numeraire_minted += qty
+
+    def open_accounts(self, rows: list[tuple[str, int]]):
+        """Scenario bootstrap: open each (account, qty) of `rows` as a new account holding
+        qty conjured numeraire, all or none (see `Registry.open_accounts`)."""
+        self.numeraire_minted += self.registry.open_accounts(self.numeraire, rows,
+                                                             BOOTSTRAP_AUTHORITY)
 
     def audit(self):
         """Raise InvariantViolation unless conservation, exact backing, minted <= accepted,

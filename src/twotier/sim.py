@@ -515,11 +515,7 @@ def build_market(cfg: ScenarioConfig) -> Market:
             a.composition, a.mint_fee_bps, a.redeem_fee_bps)
         market.yields.register_asset(a.composite)
 
-    for acct in cfg.accounts:
-        if acct.numeraire:  # creates the account, then mints into it
-            market.fund_numeraire(acct.id, acct.numeraire)
-        else:
-            reg.ensure_account(acct.id)
+    market.open_accounts([(acct.id, acct.numeraire) for acct in cfg.accounts])
 
     # pre-verified production credited before the simulated window
     for element, oe in cfg.oracle.elements:

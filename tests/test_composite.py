@@ -169,6 +169,39 @@ def test_a_mint_by_an_unknown_caller_raises_unknown_account():
     assert market.registry.events == before
 
 
+# (caller, units of W moved to it first or None, pause W, q, error, message, shortfall) of a
+# refused redeem at supply 10, held by "ap"
+REDEEM_REFUSALS = {
+    # past the supply there is no schedule to price, and the engine says so itself
+    "beyond-supply": ("ap", None, False, 11, InsufficientBalance,
+                      "redeem W_SOLAR: need 11 composite, supply 10", 1),
+    # otherwise the burn leg raises the ledger's own error, with its own cause
+    "unknown-caller": ("nobody", None, False, 1, UnknownAccount, "nobody", None),
+    "paused-short-caller": ("bob", 1, True, 3, TokenPaused, "W_SOLAR", None),
+    "short-caller": ("bob", 1, False, 3, InsufficientBalance, "burn 3 of W_SOLAR, balance 1", 2),
+}
+
+
+@pytest.mark.parametrize("case", REDEEM_REFUSALS)
+def test_a_refused_redeem_raises_its_burn_legs_ledger_error(case):
+    caller, held, pause, q, error, message, shortfall = REDEEM_REFUSALS[case]
+    market, cid = make_solar_market()
+    grant_elements(market, "ap", {"energy": 1000, "land": 10000, "carbon": 1000})
+    market.composites.mint_composite(cid, "ap", 10)
+    reg = market.registry
+    if held is not None:
+        reg.create_account(caller)
+        reg.transfer(cid, "ap", caller, held)
+    if pause:
+        reg.set_paused(cid, True)
+    before = (reg.state_hash(), list(reg.events), dict(reg.balances(cid)))
+    with pytest.raises(error) as raised:
+        market.composites.redeem_composite(cid, caller, q)
+    assert str(raised.value).strip("'") == message
+    assert getattr(raised.value, "shortfall", None) == shortfall
+    assert (reg.state_hash(), list(reg.events), dict(reg.balances(cid))) == before
+
+
 def test_a_refused_fund_numeraire_leaves_no_account_and_no_event():
     market = Market()
     before = (dict(market.registry.accounts), list(market.registry.events))

@@ -527,6 +527,167 @@ def test_cleaning_only_the_first_touched_book_fails_the_settle_check(monkeypatch
         _check_settle_against_calls(op, base, who, q, MINTER, fault, False)
 
 
+# --- open_accounts: genesis accounts in one checked pass --------------------------
+
+NEW_IDS = ("carol", "dave", "erin", "ghost")  # ghost has a stale zero MWh entry
+
+
+def _genesis_registry(fault, listening: bool):
+    """`fresh()` with alice holding 7 MWh and a stale zero MWh entry for `ghost`, which a
+    rolled-back block created and credited; `fault` is None, "pause" or ("allowlist",
+    the one account left off the allowlist). A listener logs MWh balances when `listening`."""
+    reg = fresh()
+    reg.mint("MWh", "alice", 7, MINTER)
+    with pytest.raises(Abort):
+        with reg.transaction():
+            reg.create_account("ghost")
+            reg.mint("MWh", "ghost", 3, MINTER)
+            raise Abort
+    assert "ghost" not in reg.accounts and reg.balances("MWh")["ghost"] == 0
+    seen = []
+    if listening:
+        reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
+    if fault == "pause":
+        reg.set_paused("MWh", True)
+    elif fault is not None:
+        reg.set_allowlist_enabled("MWh", True)
+        for account in ("alice", "bob", *NEW_IDS):
+            if account != fault[1]:
+                reg.set_allowlist("MWh", account, True)
+    return reg, seen
+
+
+def _open_by_loop(reg, token, rows, authority):
+    """The reference: each row's `create_account`, then its `mint` unless qty is the int
+    0, inside one `transaction()`."""
+    with reg.transaction():
+        for account, qty in rows:
+            reg.create_account(account)
+            if type(qty) is not int or qty:
+                reg.mint(token, account, qty, authority)
+
+
+def _counting_create_account(reg) -> list:
+    """Count the registry's `create_account` calls, which only the per-row path makes."""
+    calls, create_account = [], reg.create_account
+
+    def counted(*args):
+        calls.append(args)
+        return create_account(*args)
+
+    reg.create_account = counted
+    return calls
+
+
+def _check_open_accounts_against_a_loop(token, rows, authority, fault, listening):
+    """`open_accounts` writes, logs, returns and raises what the reference loop does, calls
+    the same listeners, and leaves the book entries, zero ones included, in the same order.
+    Returns the number of `create_account` calls it made."""
+    opened, seen = _genesis_registry(fault, listening)
+    looped, seen_looped = _genesis_registry(fault, listening)
+    before = _ledger_state(opened), list(opened.accounts.items())
+    calls = _counting_create_account(opened)
+    error = None
+    try:
+        _open_by_loop(looped, token, rows, authority)
+    except LedgerError as exc:
+        error = exc
+    if error is None:
+        minted = opened.open_accounts(token, rows, authority)
+        assert minted == sum(qty for _, qty in rows)
+        assert type(minted) is int
+        assert _ledger_state(opened) == _ledger_state(looped)
+        assert list(opened.accounts.items()) == list(looped.accounts.items())
+    else:
+        with pytest.raises(type(error)) as raised:
+            opened.open_accounts(token, rows, authority)
+        assert str(raised.value) == str(error)
+        assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
+        assert (_ledger_state(opened), list(opened.accounts.items())) == before
+    assert opened.events == looped.events
+    # the same book: zero entries and key order included, ghost's stale entry kept in place
+    assert list(opened.balances("MWh").items()) == list(looped.balances("MWh").items())
+    assert seen == seen_looped
+    return len(calls)
+
+
+GENESIS_FAULT = st.one_of(st.none(), st.none(), st.just("pause"),
+                          st.tuples(st.just("allowlist"), st.sampled_from(NEW_IDS)))
+
+
+@given(token=st.sampled_from(["MWh", "MWh", "MWh", "kWh"]),
+       rows=st.lists(st.tuples(st.sampled_from(["alice", *NEW_IDS, *NEW_IDS]),
+                               st.one_of(st.integers(0, 40), st.integers(0, 40),
+                                         st.sampled_from([0, 0, -1, True]))), max_size=6),
+       authority=st.sampled_from([MINTER, MINTER, "impostor"]),
+       fault=GENESIS_FAULT,
+       listening=st.sampled_from([False, False, True]))
+@settings(max_examples=examples(300), deadline=None)
+def test_open_accounts_matches_a_loop_of_create_account_and_mint(token, rows, authority, fault,
+                                                                 listening):
+    _check_open_accounts_against_a_loop(token, rows, authority, fault, listening)
+
+
+# Batches aimed at the one-pass branch: new ids, plain amounts, no listener, the minter's
+# key, and a pause or an allowlist fault in a share of them.
+@given(rows=st.lists(st.tuples(st.sampled_from(NEW_IDS), st.integers(0, 40)), min_size=1,
+                     max_size=4, unique_by=lambda row: row[0]),
+       fault=GENESIS_FAULT)
+@example(rows=[("ghost", 5), ("carol", 0), ("dave", 2)], fault=None)
+@settings(max_examples=examples(300), deadline=None)
+def test_a_batch_that_passes_every_check_is_written_in_one_pass(rows, fault):
+    funded = {account for account, qty in rows if qty}
+    one_pass = fault is None or fault != "pause" and fault[1] not in funded
+    calls = _check_open_accounts_against_a_loop("MWh", rows, MINTER, fault, False)
+    assert (calls == 0) == one_pass  # a batch that passes every check never reaches the loop
+
+
+# batches the whole-batch check must leave to the per-row loop: (rows, token, authority,
+# fault, listening), one per check
+LEFT_TO_THE_LOOP = {
+    "known-id": ([("carol", 1), ("alice", 1)], "MWh", MINTER, None, False),
+    "repeated-id": ([("carol", 1), ("dave", 1), ("carol", 1)], "MWh", MINTER, None, False),
+    "negative": ([("carol", 1), ("dave", -1)], "MWh", MINTER, None, False),
+    "not-an-int": ([("carol", 1), ("dave", True)], "MWh", MINTER, None, False),
+    "unknown-token": ([("carol", 1)], "kWh", MINTER, None, False),
+    "wrong-authority": ([("carol", 0), ("dave", 1)], "MWh", "impostor", None, False),
+    "paused": ([("carol", 0), ("dave", 1)], "MWh", MINTER, "pause", False),
+    "not-allowlisted": ([("carol", 1), ("dave", 1)], "MWh", MINTER, ("allowlist", "dave"), False),
+    "listener": ([("ghost", 2), ("carol", 0), ("dave", 1)], "MWh", MINTER, None, True),
+    # zero rows need no minting rights: the loop mints nothing and succeeds
+    "zero-rows-wrong-authority": ([("carol", 0), ("dave", 0)], "MWh", "impostor", None, False),
+    "zero-rows-paused": ([("carol", 0)], "MWh", MINTER, "pause", False),
+    "zero-rows-unknown-token": ([("carol", 0)], "kWh", MINTER, None, False),
+}
+
+
+@pytest.mark.parametrize("case", LEFT_TO_THE_LOOP)
+def test_a_batch_that_one_check_refuses_matches_the_loop(case):
+    rows, token, authority, fault, listening = LEFT_TO_THE_LOOP[case]
+    assert _check_open_accounts_against_a_loop(token, rows, authority, fault, listening) > 0
+
+
+def test_a_malformed_row_raises_before_anything_is_written():
+    reg, _ = _genesis_registry(None, False)
+    state = _ledger_state(reg), list(reg.accounts.items())
+    with pytest.raises(ValueError):
+        reg.open_accounts("MWh", [("carol", 1), ("dave", 2, 3)], MINTER)
+    assert (_ledger_state(reg), list(reg.accounts.items())) == state
+
+
+def test_opened_accounts_replay_and_roll_back():
+    reg, _ = _genesis_registry(None, False)
+    before = _ledger_state(reg), list(reg.accounts.items())
+    with pytest.raises(Abort):
+        with reg.transaction():
+            reg.open_accounts("MWh", [("carol", 4), ("ghost", 0), ("dave", 9)], MINTER)
+            raise Abort
+    assert (_ledger_state(reg), list(reg.accounts.items())) == before
+    assert reg.open_accounts("MWh", [("carol", 4), ("ghost", 0), ("dave", 9)], MINTER) == 13
+    assert reg.accounts["carol"] is AccountRole.USER
+    assert replay_events(reg.events).state_hash() == reg.state_hash()
+
+
 class Abort(Exception):
     pass
 

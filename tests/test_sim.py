@@ -20,6 +20,7 @@ from twotier.errors import (
     UnknownReference,
 )
 from twotier.ledger import EXPORT_CHUNK, Registry, TokenKind, TokenMeta
+from twotier.market import Market
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
 from twotier.yields import INDEX_SCALE, YieldVault
 
@@ -552,6 +553,42 @@ def test_run_error_keeps_attributes_and_adds_epoch():
     assert exc.value.token == "NUM"
     assert exc.value.shortfall > 0
     assert "epoch 1" in str(exc.value)
+
+
+# --- genesis accounts ---------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["two_assets", "auto_claim"])
+def test_genesis_accounts_open_in_one_call_and_a_zero_row_logs_no_mint(monkeypatch, name):
+    cfg = load_config(FIXTURES / f"{name}.json")
+    assert any(not acct.numeraire for acct in cfg.accounts)  # the fixture has a zero row
+    opened = []
+    open_accounts = Market.open_accounts
+    monkeypatch.setattr(Market, "open_accounts",
+                        lambda market, rows: opened.append(rows) or open_accounts(market, rows))
+    monkeypatch.setattr(Market, "fund_numeraire", None)  # no per-account funding in set-up
+    monkeypatch.setattr(Registry, "ensure_account", None)
+    market = sim.build_market(cfg)
+    assert opened == [[(acct.id, acct.numeraire) for acct in cfg.accounts]]
+    # each row's create_account, then its mint when funded, in row order
+    expected = []
+    for acct in cfg.accounts:
+        expected.append(("create_account", "", (acct.id,), 0, {"role": "user"}))
+        if acct.numeraire:
+            expected.append(("mint", cfg.numeraire.id, (acct.id,), acct.numeraire, None))
+    events = market.registry.events
+    start = events.index(expected[0])
+    assert events[start:start + len(expected)] == expected
+    assert market.numeraire_minted == sum(acct.numeraire for acct in cfg.accounts)
+
+
+def test_fund_numeraire_of_zero_logs_a_mint_of_zero():
+    market = Market()
+    market.fund_numeraire("new", 0)
+    assert market.registry.events[-2:] == [("create_account", "", ("new",), 0, {"role": "user"}),
+                                           ("mint", "NUM", ("new",), 0, None)]
 
 
 # --- mid-run corruption is caught by the end of its epoch ----------------------
