@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .amm import SwapDirection, SwapQuote, cp_in, cp_out
-from .composite import AssetDefinition
+from .composite import AssetDefinition, MintReceipt, RedeemReceipt
 from .errors import CompositeError, InvariantViolation, MissingPrice, NoExecutablePath, StalePlan
 from .ledger import BPS, check_amount
 from .market import Market
@@ -37,21 +37,8 @@ class Side(str, Enum):
     DISPOSE_W = "dispose"
 
 
-@dataclass
-class MintLeg:
-    asset: str
-    q: int
-
-
-@dataclass
-class RedeemLeg:
-    asset: str
-    q: int
-    basket_out: list[tuple[str, int]]
-
-
-# a swap leg is the quote it executes
-Leg = SwapQuote | MintLeg | RedeemLeg
+# a leg is the quote or receipt its execution must return
+Leg = SwapQuote | MintReceipt | RedeemReceipt
 
 
 @dataclass
@@ -165,8 +152,9 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind, side: Side,
     (dispose) of the route sized q, or None where it has no quote. It is
     integer arithmetic alone, so a size search can score many sizes.
     `legs(q, flows(q))` quotes that route's swaps at the unchanged state and
-    adds its mint or redeem leg, for the one size a caller keeps. An element
-    route reads the composite supply once, here.
+    adds its mint or redeem receipt from the schedule `flows` scored, for the
+    one size a caller keeps. An element route reads the composite supply
+    once, here.
     """
     venues, cid = market.venues, asset.composite
     direct = kind == RouteKind.DIRECT_W
@@ -195,12 +183,12 @@ def _route(market: Market, asset: AssetDefinition, kind: RouteKind, side: Side,
         quote = venues.quote_exact_in
         if buy:
             swaps = [quote(base, _BUY, d) for base, d in zip(bases, numeraire) if d]
-            return swaps if direct else swaps + [MintLeg(cid, q)]
+            return swaps if direct else swaps + [MintReceipt.of(cid, q, mint(q))]
         if direct:
             return [quote(cid, _SELL, q)]
-        basket = [(element, payout) for element, payout, _ in redeem(q)]
-        return [RedeemLeg(cid, q, basket)] + [quote(element, _SELL, payout)
-                                              for element, payout in basket if payout]
+        moves = redeem(q)
+        return [RedeemReceipt.of(cid, q, moves)] + [quote(element, _SELL, payout)
+                                                    for element, payout, _ in moves if payout]
 
     return flows, legs
 
@@ -337,18 +325,19 @@ def detect_arbitrage(market: Market, asset_id: str, min_profit: int = 1,
 # --- execution ---
 
 def _execute_leg(market: Market, leg: Leg, account: str) -> Leg:
-    """Run one leg for account and return it as executed."""
+    """Run one leg for account and return the engine's quote or receipt of it."""
     if isinstance(leg, SwapQuote):
         return market.venues.swap_exact_in(leg.base, leg.direction, leg.amount_in, account)
-    if isinstance(leg, MintLeg):
-        receipt = market.composites.mint_composite(leg.asset, account, leg.q)
-        return MintLeg(receipt.asset, receipt.minted)
-    receipt = market.composites.redeem_composite(leg.asset, account, leg.q)
-    return RedeemLeg(receipt.asset, receipt.burned, receipt.basket_out)
+    if isinstance(leg, MintReceipt):
+        return market.composites.mint_composite(leg.asset, account, leg.minted)
+    return market.composites.redeem_composite(leg.asset, account, leg.burned)
 
 
 def execute_plan(market: Market, plan: ExecutionPlan | None, account: str) -> ExecutionResult:
     """Run every leg atomically; any deviation from the simulation aborts.
+
+    Each leg is compared in full with what its execution returns: a swap's
+    amounts, a mint's deposits and fees, a redeem's payouts and fees.
 
     The caller's numeraire delta is the realized profit (meaningful for
     arbitrage cycle plans; for one-sided plans it is the signed cash flow).

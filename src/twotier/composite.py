@@ -43,8 +43,15 @@ class AssetDefinition:
         self.bases = (*(element for element, _ in self.composition), self.composite)
 
 
+class _Receipt:
+    @classmethod
+    def of(cls, asset: str, q: int, moves: list[tuple[str, int, int]]):
+        """The receipt of q units of asset from its schedule's (element, amount, fee) moves."""
+        return cls(asset, q, [(e, a) for e, a, _ in moves], [(e, f) for e, _, f in moves])
+
+
 @dataclass
-class MintReceipt:
+class MintReceipt(_Receipt):
     asset: str
     minted: int
     deposits: list[tuple[str, int]]
@@ -52,7 +59,7 @@ class MintReceipt:
 
 
 @dataclass
-class RedeemReceipt:
+class RedeemReceipt(_Receipt):
     asset: str
     burned: int
     basket_out: list[tuple[str, int]]
@@ -202,9 +209,7 @@ class CompositeEngine:
         legs.append((asset.composite, None, caller, q))
         reg.settle(legs, self.authority_for(asset.composite))
         self._assert_backing(asset)
-        return MintReceipt(asset=asset_id, minted=q,
-                           deposits=[(e, d) for e, d, _ in moves],
-                           fees=[(e, f) for e, _, f in moves])
+        return MintReceipt.of(asset_id, q, moves)
 
     def redeem_composite(self, asset_id: str, caller: str, q: int) -> RedeemReceipt:
         asset = self.get(asset_id)
@@ -217,9 +222,7 @@ class CompositeEngine:
                 legs.append((element, asset.escrow, asset.fee_sink, fee))
         reg.settle(legs, self.authority_for(asset.composite))
         self._assert_backing(asset)
-        return RedeemReceipt(asset=asset_id, burned=q,
-                             basket_out=[(e, p) for e, p, _ in moves],
-                             fees=[(e, f) for e, _, f in moves])
+        return RedeemReceipt.of(asset_id, q, moves)
 
     # --- audit ---
 

@@ -412,7 +412,8 @@ class Registry:
             elif op == "create_token":
                 del self.tokens[token], self._balances[token]
             else:
-                prior = (e.meta["flag"] for e in reversed(events[:i]) if e[:3] == ev[:3])
+                prior = (events[j].meta["flag"] for j in range(i - 1, -1, -1)
+                         if events[j][:3] == ev[:3])
                 self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
 

@@ -160,13 +160,12 @@ class OracleHub:
 
     def mint_verified(self, element: str, to: str, qty: int):
         check_amount(qty)
-        prod = self._record(element)
-        capacity = prod.cumulative_accepted - prod.cumulative_minted
+        capacity = self.mintable_capacity(element)
         if qty > capacity:
             raise ExceedsVerifiedOutput(
                 f"mint {qty} of {element} exceeds verified capacity {capacity}")
         self.registry.mint(element, to, qty, self.AUTHORITY)
-        prod.cumulative_minted += qty
+        self.production[element].cumulative_minted += qty
 
     def record_verified_output(self, element: str, amount: int):
         """Bootstrap helper: credit pre-verified production without attestations.

@@ -11,12 +11,12 @@ from conftest import (SOLAR_COMPOSITION, grant_elements, make_solar_market, nav_
                       record_snapshots, seed_solar_pools)
 from twotier import arbitrage, sim
 from twotier.amm import BPS, SwapDirection, SwapQuote
-from twotier.arbitrage import (ExecutionPlan, MintLeg, RedeemLeg, Route, RouteKind, Side,
-                               best_route, detect_arbitrage, execute_plan, simulate_routes)
+from twotier.arbitrage import (ExecutionPlan, Route, RouteKind, Side, best_route,
+                               detect_arbitrage, execute_plan, simulate_routes)
 from twotier.cli import main
-from twotier.composite import CompositeEngine
-from twotier.errors import (AmmError, CompositeError, InsufficientBalance, InvariantViolation,
-                            MissingPrice, NoExecutablePath, StalePlan)
+from twotier.composite import CompositeEngine, MintReceipt, RedeemReceipt
+from twotier.errors import (AmmError, InsufficientBalance, InvariantViolation, MissingPrice,
+                            NoExecutablePath, StalePlan)
 from twotier.pricing import nav_report
 
 
@@ -256,7 +256,45 @@ def test_detect_respects_max_size():
     assert detect_arbitrage(market, cid, min_profit=1, max_size=7) is None
 
 
-# --- reference route builders through the venue and composite quote API --
+# --- reference routes from venue quotes and the backing formula ----------
+
+def ceil(n, d):
+    return -(-n // d)
+
+
+def ref_backing(asset, s):
+    """Each element's exact escrow requirement at composite supply s: ceil(a·s/unit)."""
+    return [ceil(a * s, asset.unit) for _, a in asset.composition]
+
+
+def ref_mint_receipt(market, asset, q):
+    """The receipt of minting q at the live supply: each element's backing increase as
+    its deposit, and a fee of ceil(q·a·fee_bps / (BPS·unit)); None for q = 0."""
+    if q == 0:
+        return None
+    s = market.registry.total_supply(asset.composite)
+    elements = [element for element, _ in asset.composition]
+    deposits = [after - before for after, before
+                in zip(ref_backing(asset, s + q), ref_backing(asset, s))]
+    fees = [ceil(q * a * asset.mint_fee_bps, BPS * asset.unit) for _, a in asset.composition]
+    return MintReceipt(asset.composite, q, list(zip(elements, deposits)),
+                       list(zip(elements, fees)))
+
+
+def ref_redeem_receipt(market, asset, q):
+    """The receipt of burning q of the live supply: of each element's backing decrease,
+    floor(released·(BPS - redeem_fee_bps) / BPS) is paid out and the rest is the fee;
+    None for q = 0 or beyond the supply."""
+    s = market.registry.total_supply(asset.composite)
+    if q == 0 or q > s:
+        return None
+    elements = [element for element, _ in asset.composition]
+    released = [before - after for before, after
+                in zip(ref_backing(asset, s), ref_backing(asset, s - q))]
+    payouts = [r * (BPS - asset.redeem_fee_bps) // BPS for r in released]
+    return RedeemReceipt(asset.composite, q, list(zip(elements, payouts)),
+                         [(e, r - p) for e, r, p in zip(elements, released, payouts)])
+
 
 def ref_buy(market, token, amount_out):
     """Swap leg buying at least amount_out of token with numeraire, or None."""
@@ -282,19 +320,18 @@ def ref_acquire_direct(market, asset, q):
 
 
 def ref_acquire_via_elements(market, asset, q):
-    try:
-        needs = market.composites.required_deposit(asset.composite, q)
-    except CompositeError:
+    receipt = ref_mint_receipt(market, asset, q)
+    if receipt is None:
         return None
     legs = []
-    for element, need in needs:
-        if need == 0:  # nothing owed is not bought
+    for (element, deposit), (_, fee) in zip(receipt.deposits, receipt.fees):
+        if deposit + fee == 0:  # nothing owed is not bought
             continue
-        leg = ref_buy(market, element, need)
+        leg = ref_buy(market, element, deposit + fee)
         if leg is None:
             return None
         legs.append(leg)
-    legs.append(MintLeg(asset.composite, q))
+    legs.append(receipt)
     return Route(RouteKind.BUY_ELEMENTS_THEN_MINT_W, legs)
 
 
@@ -304,12 +341,11 @@ def ref_dispose_direct(market, asset, q):
 
 
 def ref_dispose_via_elements(market, asset, q):
-    try:
-        payouts = market.composites.redemption_value(asset.composite, q)
-    except (CompositeError, InsufficientBalance):
+    receipt = ref_redeem_receipt(market, asset, q)
+    if receipt is None:
         return None
-    legs = [RedeemLeg(asset.composite, q, payouts)]
-    for element, payout in payouts:
+    legs = [receipt]
+    for element, payout in receipt.basket_out:
         if payout == 0:
             continue
         leg = ref_sell(market, element, payout)
@@ -328,7 +364,8 @@ def ref_proceeds(route):
 
 
 def reference_routes(market, cid, side, q):
-    """`simulate_routes` with every route built leg by leg through the quote API."""
+    """`simulate_routes` with every route built leg by leg through the venue quote API
+    and the backing formula above."""
     asset = market.composites.get(cid)
     reg, pool = market.registry, market.venues.get(cid)
     if side == Side.DISPOSE_W and q > reg.total_supply(cid) - reg.balance_of(cid, pool.account):
@@ -481,7 +518,9 @@ def test_a_mint_owing_nothing_is_offered_and_executes():
     assert [plan.route.kind for plan in plans] == [RouteKind.DIRECT_W,
                                                    RouteKind.BUY_ELEMENTS_THEN_MINT_W]
     mint = plans[1]
-    assert mint.route.legs == [MintLeg(cid, 1)] and mint.simulated_cost_or_proceeds == 0
+    nothing = [(element, 0) for element, _ in SOLAR_COMPOSITION]
+    assert mint.route.legs == [MintReceipt(cid, 1, nothing, nothing)]
+    assert mint.simulated_cost_or_proceeds == 0
     reg = market.registry
     num0 = reg.balance_of("NUM", "arb")
     assert execute_plan(market, mint, "arb").legs_executed == 1
@@ -566,6 +605,85 @@ def test_one_sided_plans_go_stale_atomically(side):
         assert reg.state_hash() == state
 
 
+def drifted_plan(state, sold, max_size, drift):
+    """The market and its detected plan (or None): the issuer sells `sold` units of W
+    into its pool before the detection and mints (drift > 0) or redeems (drift < 0)
+    |drift| units of W after it."""
+    market, cid = arb_state(**state)
+    if sold:
+        market.venues.swap_exact_in(cid, SwapDirection.BASE_IN, sold, "issuer")
+    plan = detect_arbitrage(market, cid, 1, max_size)
+    if drift > 0:
+        market.composites.mint_composite(cid, "issuer", drift)
+    elif drift < 0:
+        market.composites.redeem_composite(cid, "issuer", -drift)
+    return market, plan
+
+
+def record_results(market):
+    """Make `market`'s swaps, mints and redeems record, in call order, what they return."""
+    results = []
+    for engine, name in ((market.venues, "swap_exact_in"),
+                         (market.composites, "mint_composite"),
+                         (market.composites, "redeem_composite")):
+        def recorded(*args, run=getattr(engine, name)):
+            results.append(run(*args))
+            return results[-1]
+        setattr(engine, name, recorded)
+    return results
+
+
+# a mint drift: a mint of 7777 deposits 77/777/77 of energy/land/carbon, not 78/778/78
+MINT_DRIFT = {"state": {**tiny_units(0), "w_premium_bps": 1000},
+              "sold": 0, "max_size": 7777, "drift": 1}
+# a redeem fee drift: the energy and carbon fees of a redeem of 3333 grow from 1 to 2,
+# while every payout stays the same
+REDEEM_FEE_DRIFT = {"state": {**tiny_units(0), "w_premium_bps": -9990, "redeem_fee_bps": 30,
+                              "composite_decimals": 3},
+                    "sold": 50_000, "max_size": 3333, "drift": 1}
+
+
+# Every element pool is kept: without one there is no NAV, and so no plan. Only a
+# composite unit below a whole element amount makes the backing, and so the receipts,
+# move with the supply; a W pool priced near 1 raw unit's NAV can trade at a discount.
+drift_states = st.builds(
+    lambda state, decimals, premium: {**state, "element_pool": "kept",
+                                      "composite_decimals": decimals, "w_premium_bps": premium},
+    arb_states, st.sampled_from((0, 3, 4)), st.integers(-9999, 3000))
+
+
+@given(state=drift_states, sold=st.one_of(st.just(0), st.integers(1, 2 * 10 ** 5)),
+       max_size=st.integers(1, 2 ** 31), drift=st.integers(-10 ** 4, 10 ** 4))
+@example(**MINT_DRIFT)
+@example(**REDEEM_FEE_DRIFT)
+# whole units: a drift changes no receipt, and the plan executes
+@example(state={**tiny_units(0), "w_premium_bps": -1000, "redeem_fee_bps": 30,
+                "composite_decimals": 0}, sold=0, max_size=3333, drift=41)
+@settings(deadline=None)  # max_examples from the hypothesis profile (tests/conftest.py)
+def test_a_drifted_plan_goes_stale_or_executes_every_leg_as_planned(state, sold, max_size,
+                                                                     drift):
+    market, plan = drifted_plan(state, sold, max_size, drift)
+    if plan is None:
+        return
+    state_hash = market.registry.state_hash()
+    executed = record_results(market)
+    try:
+        result = execute_plan(market, plan, "arb")
+    except StalePlan:
+        assert market.registry.state_hash() == state_hash
+        return
+    assert executed == plan.route.legs and result.realized_profit == plan.expected_profit
+
+
+@pytest.mark.parametrize("drift", [MINT_DRIFT, REDEEM_FEE_DRIFT], ids=["mint", "redeem_fee"])
+def test_a_receipt_drift_goes_stale_atomically(drift):
+    market, plan = drifted_plan(**drift)
+    state_hash = market.registry.state_hash()
+    with pytest.raises(StalePlan, match="leg changed"):
+        execute_plan(market, plan, "arb")
+    assert market.registry.state_hash() == state_hash
+
+
 def test_rollback_after_the_mint_leg_keeps_yield_entitlements():
     # yield state is not journaled: a settle inside the block records the
     # entitlement at the pre-move balance, which the rollback restores
@@ -573,7 +691,7 @@ def test_rollback_after_the_mint_leg_keeps_yield_entitlements():
     market.yields.register_asset(cid)
     market.yields.deposit_yield(cid, 10 ** 9 + 7, "issuer")
     plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
-    assert isinstance(plan.route.legs[-2], MintLeg)  # the W pool is traded last
+    assert isinstance(plan.route.legs[-2], MintReceipt)  # the W pool is traded last
     reg = market.registry
     reg.ensure_account("rival")
     market.fund_numeraire("rival", 10 ** 12)
