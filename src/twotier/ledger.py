@@ -6,6 +6,14 @@ No floating point enters this module. Every balance change is a leg of one
 undoes the call's earlier legs when one fails, so a raised error never leaves a
 partial write behind. `transfers` and `open_accounts` write a batch that passes
 every check as a whole in one pass, and leave any other batch to the per-leg path.
+
+`Registry.events` logs each state transition as a plain 5-tuple
+`(op, token, accounts, qty, meta)`, whose `seq` is its index in the log and whose
+`accounts` is a tuple of account ids (a list in `events.jsonl`). An event is an
+exact tuple, not a tuple subclass, because the cycle collector untracks only exact
+tuples none of whose members it tracks: an event without a meta (every transfer,
+mint and burn) leaves the collector's lists at the first collection that finds
+its accounts tuple untracked, so a full collection does not walk the whole log.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import (
     DuplicateAccount,
@@ -71,22 +78,6 @@ def check_amount(qty) -> int:
 _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
 _FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_flag` writes
-
-
-class Event(NamedTuple):
-    """One logged state transition. Its `seq` is its index in `Registry.events`.
-
-    `accounts` is an exact tuple of account ids (a list in `events.jsonl`), which
-    the cycle collector stops tracking.
-    """
-    op: str
-    token: str
-    accounts: tuple
-    qty: int
-    meta: dict | None = None
-
-
-_new_event = tuple.__new__  # builds an Event without the Python-level Event.__new__
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
@@ -157,7 +148,7 @@ class Registry:
         self.tokens: dict[str, TokenMeta] = {}
         self.accounts: dict[str, AccountRole] = {}
         self._balances: dict[str, _Book] = {}
-        self.events: list[Event] = []
+        self.events: list[tuple] = []  # (op, token, accounts, qty, meta) per event
         self._pairs: dict[str, _Pairs] = {}  # payer -> its batched events' accounts tuples
 
     # --- accounts ---
@@ -303,7 +294,7 @@ class Registry:
                 if sizes is not None and token not in sizes:
                     sizes[token] = len(book)
                 self._write(book, frm, to, qty)
-                events.append(_new_event(Event, (op, token, accounts, qty, None)))
+                events.append((op, token, accounts, qty, None))
         except BaseException:
             self._undo(start)
             self._drop_entries(sizes or {})
@@ -337,8 +328,7 @@ class Registry:
         if pairs is None:
             pairs = self._pairs[frm] = _Pairs(frm)
         # built before any write: it unpacks every leg, as the per-leg path would
-        logged = [_new_event(Event, ("transfer", token, pairs[to], qty, None))
-                  for to, qty in legs]
+        logged = [("transfer", token, pairs[to], qty, None) for to, qty in legs]
         book[frm] = balance - total
         get = book.get
         for to, qty in legs:
@@ -377,10 +367,10 @@ class Registry:
         for account, qty in rows:
             accounts = (account,)
             known[account] = user
-            events.append(_new_event(Event, ("create_account", "", accounts, 0, {"role": role})))
+            events.append(("create_account", "", accounts, 0, {"role": role}))
             if qty:
                 book[account] = get(account, 0) + qty
-                events.append(_new_event(Event, ("mint", token, accounts, qty, None)))
+                events.append(("mint", token, accounts, qty, None))
         book.supply += total
         return total
 
@@ -412,7 +402,7 @@ class Registry:
             elif op == "create_token":
                 del self.tokens[token], self._balances[token]
             else:
-                prior = (events[j].meta["flag"] for j in range(i - 1, -1, -1)
+                prior = (events[j][4]["flag"] for j in range(i - 1, -1, -1)
                          if events[j][:3] == ev[:3])
                 self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
@@ -436,7 +426,7 @@ class Registry:
             book[to] = book.get(to, 0) + qty
 
     def _log(self, op: str, token: str, accounts: tuple, qty: int, meta: dict | None = None):
-        self.events.append(_new_event(Event, (op, token, accounts, qty, meta)))
+        self.events.append((op, token, accounts, qty, meta))
 
     # --- snapshots / audit ---
 
@@ -531,7 +521,8 @@ def _field(meta: dict, key: str, *types: type):
 def replay_events(events: list) -> Registry:
     """Rebuild a Registry from an event log produced by another Registry.
 
-    Takes the live `Event` records or the dicts parsed from `events.jsonl`.
+    Takes the live event tuples of `Registry.events` or the dicts parsed from
+    `events.jsonl`.
     A parsed line must carry its index as `seq`, so a log with a line
     missing, repeated or out of order is rejected. Replay applies raw state
     transitions; authority checks were already enforced when the log was
@@ -545,13 +536,15 @@ def replay_events(events: list) -> Registry:
             if isinstance(ev, dict):
                 if ev.get("seq") != index:
                     raise ValueError(f"seq {ev.get('seq')!r}, expected {index}")
-                ev = Event(ev["op"], ev["token"], ev["accounts"], ev["qty"], ev.get("meta"))
-                if type(ev.accounts) is not list or not all(
-                        type(name) is str for name in (ev.op, ev.token, *ev.accounts)):
+                op, token, accounts, qty, meta = (ev["op"], ev["token"], ev["accounts"],
+                                                  ev["qty"], ev.get("meta"))
+                if type(accounts) is not list or not all(
+                        type(name) is str for name in (op, token, *accounts)):
                     raise ValueError("op and token must be str, accounts a list of str")
-            elif type(ev) is not Event:
+            elif type(ev) is tuple:
+                op, token, accounts, qty, meta = ev
+            else:
                 raise ValueError(f"{type(ev).__name__} is not an event")
-            op, token, accounts, qty, meta = ev
             meta = meta or {}
             if op == "create_account":
                 reg.create_account(accounts[0], AccountRole(meta["role"]))

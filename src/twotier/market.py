@@ -7,7 +7,7 @@ engines bound to it, and `audit` checks the invariants that span them.
 from __future__ import annotations
 
 from .amm import AmmVenues
-from .composite import CompositeEngine
+from .composite import AssetDefinition, CompositeEngine
 from .errors import InvariantViolation
 from .ledger import Registry, TokenKind, TokenMeta
 from .oracle import OracleHub
@@ -29,6 +29,21 @@ class Market:
         self.venues = AmmVenues(self.registry, numeraire)
         self.yields = YieldVault(self.registry, numeraire)
         self.numeraire_minted = 0  # by fund_numeraire and open_accounts, the only mint paths
+
+    def define_asset(self, composite_meta: TokenMeta, composition: list[tuple[str, int]],
+                     mint_fee_bps: int = 0, redeem_fee_bps: int = 0) -> AssetDefinition:
+        """Define a composite in the composite engine and register it in the yield vault,
+        all or none: a refused registration also removes the composite's token, its
+        escrow and fee-sink accounts and its asset record."""
+        with self.registry.transaction():
+            asset = self.composites.define_asset(composite_meta, composition,
+                                                 mint_fee_bps, redeem_fee_bps)
+            try:
+                self.yields.register_asset(asset.composite)
+            except BaseException:
+                del self.composites.assets[asset.composite]
+                raise
+        return asset
 
     def fund_numeraire(self, account: str, qty: int):
         """Scenario bootstrap: conjure numeraire for an account, creating it if new."""

@@ -509,11 +509,10 @@ def build_market(cfg: ScenarioConfig) -> Market:
                                    unit_label=t.unit_label, decimals=t.decimals),
                          authority=market.oracle.AUTHORITY)
     for a in cfg.assets:
-        market.composites.define_asset(
+        market.define_asset(
             TokenMeta(token=a.composite, kind=TokenKind.COMPOSITE,
                       unit_label=a.unit_label, decimals=a.decimals),
             a.composition, a.mint_fee_bps, a.redeem_fee_bps)
-        market.yields.register_asset(a.composite)
 
     market.open_accounts([(acct.id, acct.numeraire) for acct in cfg.accounts])
 

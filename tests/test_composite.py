@@ -95,6 +95,23 @@ def test_a_failed_define_asset_registers_nothing_and_a_retry_succeeds(taken):
     assert list(market.composites.assets) == ["W3"]
 
 
+def test_an_asset_the_vault_refuses_is_defined_in_neither_engine():
+    market = Market()
+    add_element(market, "energy")
+    reg = market.registry
+    reg.create_account("yield:W")
+    n_events = len(reg.events)
+    with pytest.raises(DuplicateAccount):
+        market.define_asset(TokenMeta(token="W", kind=TokenKind.COMPOSITE), [("energy", 1)])
+    assert "W" not in reg.tokens and "escrow:W" not in reg.accounts
+    assert "fee_sink:W" not in reg.accounts
+    assert market.composites.assets == {} and market.yields.pools == {}
+    assert len(reg.events) == n_events
+    asset = market.define_asset(TokenMeta(token="W2", kind=TokenKind.COMPOSITE),
+                                [("energy", 1)])
+    assert list(market.composites.assets) == list(market.yields.pools) == [asset.composite]
+
+
 def test_mint_zero_fee_exact_ratios():
     market, cid = make_solar_market()
     grant_elements(market, "ap", {"energy": 100, "land": 1000, "carbon": 100})

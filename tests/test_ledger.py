@@ -142,7 +142,7 @@ def test_zero_transfer_is_noop_with_event():
     reg.transfer("MWh", "alice", "bob", 0)
     assert reg.balance_of("MWh", "bob") == 0
     assert len(reg.events) == n_events + 1
-    assert reg.events[-1].op == "transfer"
+    assert reg.events[-1][0] == "transfer"
 
 
 def test_balance_of_examples():
@@ -368,14 +368,14 @@ def test_a_checked_batch_shares_its_account_tuples():
     legs = [("bob", 7), ("carol", 0), ("bob", 3), ("alice", 2)]
     batched, _ = _payer_registry(False, None, listening=False)
     batched.transfers("MWh", "alice", legs)
-    one, _, two, own = (ev.accounts for ev in batched.events[-4:])
+    one, _, two, own = (accounts for _, _, accounts, _, _ in batched.events[-4:])
     assert one is two and one == ("alice", "bob") and own == ("alice", "alice")
     batched.transfers("MWh", "alice", legs)  # a later batch reuses the pair's tuple
-    assert batched.events[-4].accounts is one
+    assert batched.events[-4][2] is one
     # with a listener every leg takes the per-leg path, which logs its own tuple
     looped, _ = _payer_registry(False, None)
     looped.transfers("MWh", "alice", legs)
-    assert looped.events[-4].accounts is not looped.events[-2].accounts
+    assert looped.events[-4][2] is not looped.events[-2][2]
     assert looped.events == batched.events[:len(looped.events)]
     # a malformed leg raises before anything is written
     state = _ledger_state(batched)
@@ -791,7 +791,7 @@ def test_keyboard_interrupt_in_a_nested_transaction_undoes_the_block_and_reraise
                 reg.transfer("MWh", "alice", "bob", 2)
                 raise KeyboardInterrupt
         assert reg.balance_of("MWh", "bob") == 1   # only the inner block was undone
-    assert [ev.qty for ev in reg.events if ev.op == "transfer"] == [1]
+    assert [qty for op, _, _, qty, _ in reg.events if op == "transfer"] == [1]
     hash_before, n_events = reg.state_hash(), len(reg.events)
     with pytest.raises(KeyboardInterrupt):
         with reg.transaction():
@@ -823,9 +823,10 @@ def test_rolled_back_non_move_events_leave_the_log():
 
 def reference_line(seq: int, ev) -> str:
     """An event's line as json.dumps renders its dict form."""
-    doc = {"seq": seq, "op": ev.op, "token": ev.token, "accounts": ev.accounts, "qty": ev.qty}
-    if ev.meta:
-        doc["meta"] = ev.meta
+    op, token, accounts, qty, meta = ev
+    doc = {"seq": seq, "op": op, "token": token, "accounts": accounts, "qty": qty}
+    if meta:
+        doc["meta"] = meta
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -935,7 +936,8 @@ def test_int_subclass_amounts_are_logged_and_stored_as_plain_ints(op):
      "transfer": lambda: reg.transfer("MWh", "alice", "bob", Q(5)),
      "transfers": lambda: reg.transfers("MWh", "alice", [("bob", Q(5))]),
      "burn": lambda: reg.burn("MWh", "alice", Q(5), MINTER)}[op]()
-    assert type(reg.events[-1].qty) is int and reg.events[-1].qty == 5
+    qty = reg.events[-1][3]
+    assert type(qty) is int and qty == 5
     for account in ("alice", "bob"):
         assert type(reg.balance_of("MWh", account)) is int
     assert type(reg.total_supply("MWh")) is int
@@ -1031,6 +1033,25 @@ def test_replay_rejects_a_malformed_line_naming_its_event(case):
 def test_replay_keeps_the_error_of_a_well_formed_op_the_ledger_refuses():
     with pytest.raises(InsufficientBalance):
         replay_edited(4, '"qty":30', '"qty":300')
+
+
+class Logged(tuple):
+    """A tuple subclass: replay takes only the exact tuples a Registry logs."""
+
+
+@pytest.mark.parametrize("wrong", [list, lambda ev: ev[:4], Logged],
+                         ids=["list", "4-tuple", "tuple-subclass"])
+def test_replay_rejects_a_live_record_that_is_not_an_exact_5_tuple(wrong):
+    reg = fresh()
+    reg.mint("MWh", "alice", 100, MINTER)
+    reg.transfer("MWh", "alice", "bob", 30)
+    events = list(reg.events)
+    assert replay_events(events).state_hash() == reg.state_hash()
+    index = len(events) - 1
+    events[index] = wrong(events[index])
+    with pytest.raises(ValueError, match=f"^event {index}: ") as raised:
+        replay_events(events)
+    assert type(raised.value) is ValueError
 
 
 # --- the epoch-end audit -----------------------------------------------------------
