@@ -23,6 +23,7 @@ import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
@@ -81,20 +82,30 @@ _FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_f
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
-_PLAIN = frozenset((str, int, bool))  # meta value types whose equal values render alike
 _json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class _Texts(dict):
-    """key -> JSON text, rendered by `render` on a key's first lookup; lives for one export."""
-    __slots__ = ("render",)
+def _typed(name: str, value, kind: type):
+    """`value`, an event field `name` that must be exactly of type `kind`."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} {value!r} is not {kind.__name__}")
+    return value
 
-    def __init__(self, render):
-        self.render = render
+
+def _pair(payer: str, payee: str) -> tuple[str, str]:
+    return payer, payee
+
+
+class _Memo(dict):
+    """key -> the value `build(key)` makes on the key's first lookup, stored for later ones."""
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
 
     def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
+        value = self[key] = self.build(key)
+        return value
 
 
 @dataclass
@@ -109,7 +120,9 @@ class TokenMeta:
     allowlist: set = field(default_factory=set, init=False)
 
     def __post_init__(self):
-        if not (0 <= self.decimals <= MAX_DECIMALS):
+        _typed("kind", self.kind, TokenKind)
+        _typed("unit_label", self.unit_label, str)
+        if not 0 <= _typed("decimals", self.decimals, int) <= MAX_DECIMALS:
             raise ValueError(f"decimals out of range: {self.decimals}")
 
 
@@ -122,26 +135,17 @@ class _Book(dict):
         self.meta, self.authority, self.supply, self.listeners = meta, authority, 0, []
 
 
-class _Pairs(dict):
-    """payee -> the (payer, payee) accounts tuple that every batched transfer event from
-    `payer` to that payee shares; holds strings only."""
-    __slots__ = ("payer",)
-
-    def __init__(self, payer: str):
-        self.payer = payer
-
-    def __missing__(self, payee):
-        pair = self[payee] = (self.payer, payee)
-        return pair
-
-
 class Registry:
     """Single-writer ledger for one simulation universe.
 
     Mint/burn are gated per token by a registered authority key (an opaque
     string handed out at token creation). An append-only event log records
     every state transition; replaying it from genesis reproduces the ledger
-    exactly (see `replay_events`).
+    exactly (see `replay_events`). Each meta field of a logged event has one
+    type, checked where it enters and before anything is written: a token's
+    `TokenKind`, int decimals and str unit label (by `TokenMeta`), its str
+    authority, an account's `AccountRole` and a bool flag. Any other type is
+    refused with a ValueError naming the field.
     """
 
     def __init__(self):
@@ -149,13 +153,15 @@ class Registry:
         self.accounts: dict[str, AccountRole] = {}
         self._balances: dict[str, _Book] = {}
         self.events: list[tuple] = []  # (op, token, accounts, qty, meta) per event
-        self._pairs: dict[str, _Pairs] = {}  # payer -> its batched events' accounts tuples
+        # payer -> payee -> the (payer, payee) accounts tuple its batched events share
+        self._pairs: dict[str, _Memo] = {}
 
     # --- accounts ---
 
     def create_account(self, account_id: str, role: AccountRole = AccountRole.USER) -> str:
         if account_id in self.accounts:
             raise DuplicateAccount(account_id)
+        _typed("role", role, AccountRole)
         self.accounts[account_id] = role
         self._log("create_account", token="", accounts=(account_id,), qty=0,
                   meta={"role": role.value})
@@ -171,6 +177,7 @@ class Registry:
     def create_token(self, meta: TokenMeta, authority: str) -> str:
         if meta.token in self.tokens:
             raise DuplicateToken(meta.token)
+        _typed("authority", authority, str)
         self.tokens[meta.token] = meta
         self._balances[meta.token] = _Book(meta, authority)
         self._log("create_token", token=meta.token, accounts=(), qty=0,
@@ -199,6 +206,7 @@ class Registry:
     def _flag(self, op: str, token: str, accounts, flag):
         """The one flag writer and its log entry, for each op of `_FLAGS`; set_allowlist
         sets the entry of `accounts[0]`, and the other ops take no account."""
+        _typed("flag", flag, bool)
         meta = self.meta(token)
         accounts = (accounts[0],) if op == "set_allowlist" else ()
         if accounts:
@@ -326,7 +334,7 @@ class Registry:
             return False
         pairs = self._pairs.get(frm)
         if pairs is None:
-            pairs = self._pairs[frm] = _Pairs(frm)
+            pairs = self._pairs[frm] = _Memo(partial(_pair, frm))
         # built before any write: it unpacks every leg, as the per-leg path would
         logged = [("transfer", token, pairs[to], qty, None) for to, qty in legs]
         book[frm] = balance - total
@@ -431,15 +439,7 @@ class Registry:
     # --- snapshots / audit ---
 
     def audit(self):
-        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply.
-
-        Two passes over every book, a sum per book and one `min` over every
-        balance; only a failure walks the books again to name the token.
-        """
-        books = self._balances.values()
-        if ([sum(book.values()) for book in books] == [book.supply for book in books]
-                and min(chain.from_iterable(map(dict.values, books)), default=0) >= 0):
-            return
+        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply."""
         for token, book in self._balances.items():
             total = sum(book.values())
             if total != book.supply or min(book.values(), default=0) < 0:
@@ -469,28 +469,17 @@ class Registry:
 
         Each line is the JSON of the event's dict form: keys "accounts", "meta"
         (when non-empty), "op", "qty", "seq", "token" in sorted order with compact
-        separators. Op, token and accounts texts are rendered once per export, and
-        so is each meta whose values are all of type str, int or bool, keyed by
-        its items and their types so that `True` and `1` render apart.
+        separators. Op, token, accounts and meta texts are rendered once per export.
+        A meta is keyed by its items, since each of its keys holds values of one
+        type only (see `Registry`), so equal items render alike.
         """
-        texts = _Texts(_json_str)  # ops and tokens
-        accounts = _Texts(lambda acc: ",".join(map(_json_str, acc)))
-
-        def meta_json(meta: dict) -> str:
-            return f'"meta":{_json_meta(meta)},'
-
-        metas = _Texts(lambda key: meta_json(dict(key[0])))
-
-        def meta_text(meta: dict) -> str:
-            types = tuple(map(type, meta.values()))
-            if _PLAIN.issuperset(types):
-                return metas[tuple(meta.items()), types]
-            return meta_json(meta)  # equal values of other types may render apart: -0.0, 0.0
-
+        texts = _Memo(_json_str)  # ops and tokens
+        accounts = _Memo(lambda acc: ",".join(map(_json_str, acc)))
+        metas = _Memo(lambda items: f'"meta":{_json_meta(dict(items))},')
         events = self.events
         for start in range(0, len(events), EXPORT_CHUNK):
-            yield [f'{{"accounts":[{accounts[a]}],{meta_text(m) if m else ""}"op":{texts[o]},'
-                   f'"qty":{q},"seq":{s},"token":{texts[t]}}}'
+            yield [f'{{"accounts":[{accounts[a]}],{metas[tuple(m.items())] if m else ""}'
+                   f'"op":{texts[o]},"qty":{q},"seq":{s},"token":{texts[t]}}}'
                    for s, (o, t, a, q, m) in enumerate(events[start:start + EXPORT_CHUNK], start)]
 
 
@@ -508,14 +497,6 @@ class _Transaction:
     def __exit__(self, exc_type, exc, tb):  # returns None: the exception propagates
         if exc_type is not None:
             self.registry._undo(self.start)
-
-
-def _field(meta: dict, key: str, *types: type):
-    """`meta[key]` of a logged event, whose type must be one of `types`."""
-    value = meta[key]
-    if type(value) not in types:
-        raise ValueError(f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}")
-    return value
 
 
 def replay_events(events: list) -> Registry:
@@ -549,16 +530,15 @@ def replay_events(events: list) -> Registry:
             if op == "create_account":
                 reg.create_account(accounts[0], AccountRole(meta["role"]))
             elif op == "create_token":
-                reg.create_token(
-                    TokenMeta(token=token, kind=TokenKind(meta["kind"]),
-                              unit_label=meta.get("unit_label", ""),
-                              decimals=_field(meta, "decimals", int)),
-                    authority=_field(meta, "authority", str))
+                reg.create_token(TokenMeta(token=token, kind=TokenKind(meta["kind"]),
+                                           unit_label=meta.get("unit_label", ""),
+                                           decimals=meta["decimals"]),
+                                 authority=meta["authority"])
             elif op in _ENDS:
                 frm, to = _ENDS[op](accounts)
                 reg.settle(((token, frm, to, qty),), reg._book(token).authority)
             elif op in _FLAGS:
-                reg._flag(op, token, accounts, _field(meta, "flag", bool, int))
+                reg._flag(op, token, accounts, meta["flag"])
             else:
                 raise ValueError(f"unknown event op {op!r}")
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -684,6 +684,20 @@ def test_a_receipt_drift_goes_stale_atomically(drift):
     assert market.registry.state_hash() == state_hash
 
 
+def test_a_plan_whose_legs_all_match_goes_stale_on_a_drifted_profit():
+    # run from the W pool's own account, a discount plan's W purchase pays the numeraire
+    # back to the buyer: every leg executes as planned, but the realized profit differs
+    market, cid = arb_market(w_premium_bps=-1000)
+    plan = detect_arbitrage(market, cid, min_profit=1, max_size=100_000)
+    reg = market.registry
+    before = (reg.state_hash(), len(reg.events))
+    executed = record_results(market)
+    with pytest.raises(StalePlan, match="^profit drifted: expected 468537, got 9659118$"):
+        execute_plan(market, plan, market.venues.get(cid).account)
+    assert executed == list(plan.route.legs)
+    assert (reg.state_hash(), len(reg.events)) == before
+
+
 def test_rollback_after_the_mint_leg_keeps_yield_entitlements():
     # yield state is not journaled: a settle inside the block records the
     # entitlement at the pre-move balance, which the rollback restores

@@ -17,6 +17,7 @@ from twotier.errors import (
     UnknownToken,
 )
 from twotier.ledger import (
+    MAX_DECIMALS,
     AccountRole,
     Registry,
     TokenKind,
@@ -60,6 +61,41 @@ def test_token_meta_flags_are_not_constructor_arguments():
             TokenMeta(token="MWh", kind=TokenKind.ELEMENT, **flag)
     meta = TokenMeta(token="MWh", kind=TokenKind.ELEMENT)
     assert (meta.paused, meta.allowlist_enabled, meta.allowlist) == (False, False, set())
+
+
+def create_kwh(reg: Registry, authority=MINTER, **fields):
+    reg.create_token(TokenMeta(**{"token": "kWh", "kind": TokenKind.ELEMENT, **fields}),
+                     authority=authority)
+
+
+# an input of the wrong type for one event field: (the field, the call that passes it)
+REFUSED = {
+    "bool-decimals": ("decimals", lambda reg: create_kwh(reg, decimals=True)),
+    "float-decimals": ("decimals", lambda reg: create_kwh(reg, decimals=2.0)),
+    "int-unit_label": ("unit_label", lambda reg: create_kwh(reg, unit_label=7)),
+    "str-kind": ("kind", lambda reg: create_kwh(reg, kind="element")),
+    "int-authority": ("authority", lambda reg: create_kwh(reg, authority=7)),
+    "str-role": ("role", lambda reg: reg.create_account("carol", "user")),
+    "int-paused-flag": ("flag", lambda reg: reg.set_paused("MWh", 1)),
+    "float-allowlist_enabled-flag": ("flag",
+                                     lambda reg: reg.set_allowlist_enabled("MWh", 0.0)),
+    "int-allowlist-flag": ("flag", lambda reg: reg.set_allowlist("MWh", "alice", 0)),
+}
+
+
+def ledger_state(reg: Registry):
+    return (list(reg.events), dict(reg.tokens), dict(reg.accounts), reg.state_hash())
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_field_of_the_wrong_type_is_refused_before_anything_is_written(case):
+    name, call = REFUSED[case]
+    reg = fresh()
+    before = ledger_state(reg)
+    with pytest.raises(ValueError, match=f"^{name} ") as raised:
+        call(reg)
+    assert type(raised.value) is ValueError
+    assert ledger_state(reg) == before
 
 
 def test_mint_additivity():
@@ -694,7 +730,7 @@ class Abort(Exception):
 
 TOKEN_ID = st.sampled_from(["MWh", "MWh", "kWh"])  # kWh exists once a step creates it
 ACCOUNT_ID = st.sampled_from(["alice", "bob", "alice", "bob", "carol"])  # carol likewise
-FLAG = st.one_of(st.booleans(), st.integers(0, 1))  # 1 and True hash apart
+FLAG = st.booleans()
 QTY_60 = st.integers(0, 60)
 MOVE = st.one_of(st.tuples(st.sampled_from(["mint", "burn"]), TOKEN_ID, ACCOUNT_ID, QTY_60),
                  st.tuples(st.just("transfer"), TOKEN_ID, ACCOUNT_ID, ACCOUNT_ID, QTY_60))
@@ -760,7 +796,7 @@ def test_rollback_undoes_non_move_state_and_reraises():
     reg = fresh()
     reg.mint("MWh", "alice", 10, MINTER)
     reg.set_allowlist("MWh", "bob", True)
-    reg.set_paused("MWh", 1)
+    reg.set_paused("MWh", True)
     before = (reg.state_hash(), list(reg.events), dict(reg.accounts), list(reg.tokens))
     with pytest.raises(Abort):
         with reg.transaction():
@@ -777,8 +813,7 @@ def test_rollback_undoes_non_move_state_and_reraises():
     # every event of the block is gone, and with it the state it made
     assert (reg.state_hash(), list(reg.events), dict(reg.accounts), list(reg.tokens)) == before
     meta = reg.meta("MWh")
-    assert (type(meta.paused), meta.paused, meta.allowlist_enabled, meta.allowlist) == (
-        int, 1, False, {"bob"})
+    assert (meta.paused, meta.allowlist_enabled, meta.allowlist) == (True, False, {"bob"})
 
 
 def test_keyboard_interrupt_in_a_nested_transaction_undoes_the_block_and_reraises():
@@ -838,9 +873,7 @@ QTY = st.integers(0, 10 ** 20)
 OP = st.one_of(
     st.tuples(st.sampled_from(["mint", "burn"]), IX, IX, QTY),
     st.tuples(st.just("transfer"), IX, IX, IX, QTY),
-    # a flag of 1 and of True are equal dict values that must render apart
-    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX,
-              st.one_of(st.booleans(), st.integers(0, 1))),
+    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX, st.booleans()),
     st.tuples(st.just("set_allowlist"), IX, IX, st.booleans()),
     st.tuples(st.just("create_account"), NAME, st.sampled_from(list(AccountRole))))
 # ("block", ops, roll back)
@@ -894,29 +927,80 @@ def test_export_matches_json_dumps_and_replays(tokens, accounts, steps):
     assert list(replayed.export_events()) == lines
 
 
+# per field of a create_token, values of a type the ledger refuses
+WRONG = {"kind": st.sampled_from([kind.value for kind in TokenKind]),
+         "unit_label": st.one_of(st.integers(), st.none()),
+         "decimals": st.one_of(st.booleans(), st.floats(0, MAX_DECIMALS)),
+         "authority": st.one_of(st.integers(), st.none())}
+# a create_token's fields, half the time with one of them of a refused type
+TOKEN_FIELDS = st.builds(
+    lambda fields, wrong: {**fields, **wrong},
+    st.fixed_dictionaries({"token": NAME, "kind": st.sampled_from(list(TokenKind)),
+                           "unit_label": NAME, "decimals": st.integers(0, MAX_DECIMALS),
+                           "authority": NAME}),
+    st.one_of(st.just({}), st.sampled_from(list(WRONG)).flatmap(
+        lambda key: st.fixed_dictionaries({key: WRONG[key]}))))
+# each drawn role or flag is of its field's type or of one the ledger refuses
+ANY_ROLE = st.sampled_from([*AccountRole, *(role.value for role in AccountRole)])
+ANY_FLAG = st.one_of(st.booleans(), st.integers(0, 1), st.floats(0, 1))
+CALL = st.one_of(
+    st.tuples(st.just("create_token"), TOKEN_FIELDS),
+    st.tuples(st.just("create_account"), NAME, ANY_ROLE),
+    st.tuples(st.sampled_from(["set_paused", "set_allowlist_enabled"]), IX, ANY_FLAG),
+    st.tuples(st.just("set_allowlist"), IX, IX, ANY_FLAG),
+    st.tuples(st.just("mint"), IX, IX, QTY))
+META_TYPES = {"role": str, "kind": str, "decimals": int, "unit_label": str, "authority": str,
+              "flag": bool}
+
+
+@given(st.lists(CALL, max_size=25))
+@settings(max_examples=examples(150), deadline=None)
+def test_every_logged_meta_value_has_its_keys_one_type_and_the_log_replays(calls):
+    reg, authority = fresh(), {"MWh": MINTER}
+    for call in calls:
+        op, *args = call
+        try:
+            if op == "create_token":
+                fields = dict(args[0])
+                key = fields.pop("authority")
+                reg.create_token(TokenMeta(**fields), authority=key)
+                authority[fields["token"]] = key
+            elif op == "create_account":
+                reg.create_account(*args)
+            else:
+                _apply(reg, call, authority)
+        except (ValueError, LedgerError):
+            pass
+    assert [type(value) for *_, meta in reg.events for value in (meta or {}).values()] == [
+        META_TYPES[key] for *_, meta in reg.events for key in (meta or {})]
+    lines = list(reg.export_events())
+    assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
+    assert replay_events([json.loads(line) for line in lines]).state_hash() == reg.state_hash()
+
+
 def test_meta_flags_render_by_type_as_json_dumps_does():
     reg = fresh()
-    reg.set_paused("MWh", 1)
     reg.set_paused("MWh", True)
-    reg.set_paused("MWh", 0)
-    reg.set_allowlist_enabled("MWh", False)
+    reg.set_paused("MWh", False)
+    reg.set_allowlist_enabled("MWh", True)
+    reg.set_allowlist("MWh", "bob", False)
     lines = list(reg.export_events())
     assert [line.split('"flag":')[1].split("}")[0] for line in lines[-4:]] == [
-        "1", "true", "0", "false"]
+        "true", "false", "true", "false"]
     assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
 
 
 @pytest.mark.parametrize("flags", [([1],), (-0.0, 0.0), ((1,), (True,))],
                          ids=["unhashable", "signed-zeros", "equal-tuples"])
 def test_meta_values_of_other_types_export_as_json_dumps_does(flags):
+    # a flag of any type but bool is refused, so no meta value of another type is logged
     reg = fresh()
-    for flag in flags:  # the live API stores a flag as given
-        reg.set_paused("MWh", flag)
     lines = list(reg.export_events())
+    for flag in flags:
+        with pytest.raises(ValueError, match="^flag "):
+            reg.set_paused("MWh", flag)
+    assert list(reg.export_events()) == lines
     assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
-    # a replay takes only bool or int flags, and names the first other one's event
-    with pytest.raises(ValueError, match=f"^event {len(lines) - len(flags)}: flag "):
-        replay_events([json.loads(line) for line in lines])
 
 
 class Q(int):
@@ -987,6 +1071,16 @@ def test_replay_rejects_a_flag_that_is_not_a_bool_or_an_int(flag):
         replay_events(events)
 
 
+@pytest.mark.parametrize("flag", [1, 0])
+def test_replay_rejects_an_int_flag(flag):
+    reg = fresh()
+    reg.set_paused("MWh", bool(flag))
+    events = [json.loads(line) for line in reg.export_events()]
+    events[-1]["meta"]["flag"] = flag
+    with pytest.raises(ValueError, match=f"^event {len(events) - 1}: flag {flag} is not bool$"):
+        replay_events(events)
+
+
 def small_log() -> list[str]:
     """The events.jsonl lines of: create_token MWh, create_account alice and bob,
     a mint, a transfer, set_paused."""
@@ -1027,6 +1121,12 @@ def test_replay_rejects_a_malformed_line_naming_its_event(case):
     replay_edited(index, old, old)  # the unedited log replays
     with pytest.raises(ValueError, match=f"^event {index}: ") as raised:
         replay_edited(index, old, new)
+    assert type(raised.value) is ValueError
+
+
+def test_replay_rejects_an_unknown_op_naming_its_event():
+    with pytest.raises(ValueError, match="^event 4: unknown event op 'teleport'$") as raised:
+        replay_edited(4, '"op":"transfer"', '"op":"teleport"')
     assert type(raised.value) is ValueError
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from twotier import sim
-from twotier.ledger import _Pairs
+from twotier.ledger import _Memo
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "src" / "twotier" / "scenarios").glob("*.json"))
@@ -83,11 +83,11 @@ def test_a_dropped_market_that_auto_claimed_is_freed_with_its_pair_cache(collect
               if ev[0] == "transfer" and ev[2] is pairs.get(ev[2][1])]
     assert payer == "yield:W" and set(pairs) == {"alice", "issuer", "bob", "carol"}
     assert len(shared) > 12
-    pairs_before = sum(type(obj) is _Pairs for obj in gc.get_objects())
+    pairs_before = sum(type(obj) is _Memo for obj in gc.get_objects())
     registry = weakref.ref(registry)
     del result, pairs, shared
     assert registry() is None
-    assert sum(type(obj) is _Pairs for obj in gc.get_objects()) == pairs_before - 1
+    assert sum(type(obj) is _Memo for obj in gc.get_objects()) == pairs_before - 1
 
 
 def test_event_accounts_are_exact_tuples_the_collector_untracks():

@@ -458,6 +458,23 @@ def test_solar_scenario_anchors_after_shock():
     assert all(abs(p) <= 170 for p in premiums[15:])
 
 
+def test_an_up_shock_mints_the_numeraire_its_account_lacks():
+    doc = solar_doc()
+    doc["accounts"].append({"id": "shocker"})  # holds no numeraire
+    market = sim.build_market(parse_config(doc))
+    reg, venues = market.registry, market.venues
+    assert reg.balance_of(market.numeraire, "shocker") == 0
+    rb, rn = venues.reserves("W_SOLAR")
+    minted = market.numeraire_minted
+    sim.apply_demand_shock(market, sim.ShockSpec(pool="W_SOLAR", epoch=1, magnitude_bps=500,
+                                                 account="shocker"))
+    rb_after, rn_after = venues.reserves("W_SOLAR")
+    assert market.numeraire_minted - minted == rn_after - rn == 2_968_440  # what it spent
+    assert reg.balance_of(market.numeraire, "shocker") == 0
+    assert rn_after * rb * 10_000 >= rn * rb_after * 10_500  # spot rose by >= 500 bps
+    market.audit()
+
+
 def test_solar_disabled_arb_premium_persists():
     doc = solar_doc()
     for agent in doc["agents"]:
