@@ -67,7 +67,11 @@ class RedeemReceipt(_Receipt):
 
 
 class CompositeEngine:
-    """Per-registry engine holding all asset definitions and their escrows."""
+    """Per-registry engine holding all asset definitions and their escrows.
+
+    A mint, a batch of mints and a redeem each write their legs in one
+    `Registry.settle` and then check full backing once.
+    """
 
     def __init__(self, registry: Registry):
         self.registry = registry
@@ -198,18 +202,35 @@ class CompositeEngine:
     # --- state transitions ---
 
     def mint_composite(self, asset_id: str, caller: str, q: int) -> MintReceipt:
-        asset = self.get(asset_id)
-        reg = self.registry
-        moves = self._mint_moves(asset, reg.total_supply(asset.composite), q)
-        legs = []
-        for element, deposit, fee in moves:
-            legs.append((element, caller, asset.escrow, deposit))
-            if fee:
-                legs.append((element, caller, asset.fee_sink, fee))
-        legs.append((asset.composite, None, caller, q))
-        reg.settle(legs, self.authority_for(asset.composite))
-        self._assert_backing(asset)
+        (moves,) = self.mint_composites(asset_id, [(caller, q)])
         return MintReceipt.of(asset_id, q, moves)
+
+    def mint_composites(self, asset_id: str,
+                        rows: list[tuple[str, int]]) -> list[list[tuple[str, int, int]]]:
+        """Mint each (caller, q) of `rows` in order, all or none; return each row's
+        (element, deposit, fee) moves, which `MintReceipt.of` makes its receipt.
+
+        Each row's moves are owed at the supply the rows before it leave, so the
+        legs and events are those of a loop of `mint_composite`, in one
+        `Registry.settle`: a failing row raises its leg's own ledger error and
+        nothing is written. Full backing is checked once, after the last row.
+        """
+        asset = self.get(asset_id)
+        s = self.registry.total_supply(asset.composite)
+        escrow, fee_sink, composite = asset.escrow, asset.fee_sink, asset.composite
+        legs, done = [], []
+        for caller, q in rows:
+            moves = self._mint_moves(asset, s, q)
+            for element, deposit, fee in moves:
+                legs.append((element, caller, escrow, deposit))
+                if fee:
+                    legs.append((element, caller, fee_sink, fee))
+            legs.append((composite, None, caller, q))
+            done.append(moves)
+            s += q
+        self.registry.settle(legs, self.authority_for(composite))
+        self._assert_backing(asset)
+        return done
 
     def redeem_composite(self, asset_id: str, caller: str, q: int) -> RedeemReceipt:
         asset = self.get(asset_id)

@@ -80,6 +80,7 @@ _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
 _FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_flag` writes
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
+_STR_ONLY = frozenset((str,))  # the one account id type
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
 _json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -120,6 +121,11 @@ class TokenMeta:
     allowlist: set = field(default_factory=set, init=False)
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """ValueError naming the first field of the wrong type or out of range."""
+        _typed("token", self.token, str)
         _typed("kind", self.kind, TokenKind)
         _typed("unit_label", self.unit_label, str)
         if not 0 <= _typed("decimals", self.decimals, int) <= MAX_DECIMALS:
@@ -141,11 +147,12 @@ class Registry:
     Mint/burn are gated per token by a registered authority key (an opaque
     string handed out at token creation). An append-only event log records
     every state transition; replaying it from genesis reproduces the ledger
-    exactly (see `replay_events`). Each meta field of a logged event has one
-    type, checked where it enters and before anything is written: a token's
-    `TokenKind`, int decimals and str unit label (by `TokenMeta`), its str
-    authority, an account's `AccountRole` and a bool flag. Any other type is
-    refused with a ValueError naming the field.
+    exactly (see `replay_events`). Each field of a logged event has one type,
+    checked where it enters and before anything is written: a str account id,
+    a token's str name, `TokenKind`, int decimals and str unit label (by
+    `TokenMeta`, again when `create_token` logs them), its str authority, an
+    account's `AccountRole` and a bool flag. Any other type is refused with a
+    ValueError naming the field.
     """
 
     def __init__(self):
@@ -159,7 +166,7 @@ class Registry:
     # --- accounts ---
 
     def create_account(self, account_id: str, role: AccountRole = AccountRole.USER) -> str:
-        if account_id in self.accounts:
+        if _typed("account", account_id, str) in self.accounts:
             raise DuplicateAccount(account_id)
         _typed("role", role, AccountRole)
         self.accounts[account_id] = role
@@ -175,6 +182,7 @@ class Registry:
     # --- token admin ---
 
     def create_token(self, meta: TokenMeta, authority: str) -> str:
+        meta.check()  # the fields as logged here, even if changed since construction
         if meta.token in self.tokens:
             raise DuplicateToken(meta.token)
         _typed("authority", authority, str)
@@ -208,7 +216,7 @@ class Registry:
         sets the entry of `accounts[0]`, and the other ops take no account."""
         _typed("flag", flag, bool)
         meta = self.meta(token)
-        accounts = (accounts[0],) if op == "set_allowlist" else ()
+        accounts = (_typed("account", accounts[0], str),) if op == "set_allowlist" else ()
         if accounts:
             (meta.allowlist.add if flag else meta.allowlist.discard)(accounts[0])
         else:
@@ -323,7 +331,8 @@ class Registry:
         book = self._balances.get(token)
         if book is None or book.listeners:
             return False
-        tos, qtys = zip(*legs)
+        tos = [to for to, _ in legs]  # no per-leg iterator, unlike zip(*legs)
+        qtys = [qty for _, qty in legs]
         meta, known = book.meta, self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         balance = book.get(frm, 0)
@@ -355,9 +364,13 @@ class Registry:
         `authority`, not paused and without listeners, and every funded account
         allowlisted when the allowlist is on. Any failed check leaves the batch to
         that loop, which raises the failing row's error and undoes the rows before it.
+        An id that is not a str is refused first, with `create_account`'s ValueError.
         """
         ids = [account for account, _ in rows]  # unpacks every row before any write
         qtys = [qty for _, qty in rows]
+        if not _STR_ONLY.issuperset(map(type, ids)):  # refused before any write
+            for account in ids:
+                _typed("account", account, str)
         book, known = self._balances.get(token), self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         if (book is None or book.listeners or book.authority != authority

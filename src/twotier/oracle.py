@@ -81,7 +81,8 @@ class OracleHub:
     """Holds one production record per element token, created on its first use.
 
     Every entry point raises UnknownElement for an id that is not a registered
-    ELEMENT token, before it reads or creates a record.
+    ELEMENT token, before it reads or creates a record. Genesis credits of
+    one element are one `Registry.settle` (`credit_genesis`).
     """
 
     AUTHORITY = "oracle-hub"
@@ -170,8 +171,28 @@ class OracleHub:
     def record_verified_output(self, element: str, amount: int):
         """Bootstrap helper: credit pre-verified production without attestations.
 
-        Used by scenario setup to model output verified before the simulated
-        window starts. Keeps the minted <= accepted invariant intact.
+        It models output verified before the simulated window starts, and keeps
+        the minted <= accepted invariant intact; scenario set-up credits and
+        mints each element's genesis rows at once, through `credit_genesis`.
         """
         check_amount(amount)
         self._record(element).cumulative_accepted += amount
+
+    def credit_genesis(self, element: str, rows: list[tuple[str, int]]):
+        """Bootstrap: mint each (account, amount) of `rows` as production verified
+        before the simulated window, in order, all or none.
+
+        The log is that of `record_verified_output` then `mint_verified` per row:
+        one mint event per row, written in one `Registry.settle`. Every amount is
+        checked first; a failing leg raises its own ledger error and nothing is
+        written. The totals grow only once the settle succeeded, so minted never
+        exceeds accepted.
+        """
+        amounts = [amount if type(amount) is int and amount >= 0 else check_amount(amount)
+                   for _, amount in rows]
+        prod = self._record(element)
+        self.registry.settle([(element, None, account, amount)
+                              for (account, _), amount in zip(rows, amounts)], self.AUTHORITY)
+        total = sum(amounts)
+        prod.cumulative_accepted += total
+        prod.cumulative_minted += total

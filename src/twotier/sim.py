@@ -329,6 +329,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
     return parse_config(doc)
 
 
@@ -516,15 +518,15 @@ def build_market(cfg: ScenarioConfig) -> Market:
 
     market.open_accounts([(acct.id, acct.numeraire) for acct in cfg.accounts])
 
-    # pre-verified production credited before the simulated window
+    # pre-verified production credited before the simulated window, then the
+    # genesis composites: one ledger settlement per element and per asset
     for element, oe in cfg.oracle.elements:
-        for g in oe.genesis:
-            market.oracle.record_verified_output(element, g.amount)
-            market.oracle.mint_verified(element, g.account, g.amount)
-
+        if oe.genesis:
+            market.oracle.credit_genesis(element, [(g.account, g.amount) for g in oe.genesis])
     for a in cfg.assets:
-        for g in a.genesis_mint:
-            market.composites.mint_composite(a.composite, g.account, g.q)
+        if a.genesis_mint:
+            market.composites.mint_composites(a.composite,
+                                              [(g.account, g.q) for g in a.genesis_mint])
 
     for p in cfg.pools:
         market.venues.create_pool(p.base, p.fee_bps, p.seed_base,

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -108,6 +111,39 @@ def reference_claim(vault, composite: str, account: str) -> int:
     vault.registry.transfer(vault.numeraire, pool.account, account, payout)
     pool.total_paid += payout
     return payout
+
+
+def credit_by_rows(oracle, element: str, rows: list[tuple[str, int]]):
+    """Each (account, amount) credited and minted on its own: the reference for
+    `OracleHub.credit_genesis`, which writes every row in one settle."""
+    for account, amount in rows:
+        oracle.record_verified_output(element, amount)
+        oracle.mint_verified(element, account, amount)
+
+
+def mint_by_rows(engine, asset_id: str, rows: list[tuple[str, int]]):
+    """Each (caller, q) minted in a settle of its own, backing checked after each: the
+    reference for `CompositeEngine.mint_composites`, which writes every row in one."""
+    asset, reg = engine.get(asset_id), engine.registry
+    for caller, q in rows:
+        legs = []
+        for element, deposit, fee in engine._mint_moves(asset, reg.total_supply(asset_id), q):
+            legs.append((element, caller, asset.escrow, deposit))
+            if fee:
+                legs.append((element, caller, asset.fee_sink, fee))
+        legs.append((asset_id, None, caller, q))
+        reg.settle(legs, engine.authority_for(asset_id))
+        engine._assert_backing(asset)
+
+
+def scenario_gen():
+    """The benchmark's seeded document generator, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -33,6 +33,14 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_a_too_deeply_nested_document_exits_1_with_one_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 2000 + "]" * 2000)  # deeper than json.load recurses
+    assert main([command, str(deep)]) == 1
+    assert capsys.readouterr().err == f"error: {deep}: nested too deeply to parse\n"
+
+
 def test_validate_unknown_reference(tmp_path, capsys):
     doc = json.loads(Path(SOLAR).read_text())
     doc["pools"][0]["base"] = "unobtainium"

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SOLAR_COMPOSITION, add_element, examples, grant_elements, make_solar_market
-from twotier.composite import ceil_div
+from twotier.composite import CompositeEngine, MintReceipt, ceil_div
 from twotier.errors import (
     CompositeAlreadyBound,
     DuplicateAccount,
     EmptyComposition,
+    EngineError,
     InsufficientBalance,
     InvariantViolation,
     Overflow,
@@ -322,6 +323,70 @@ def test_a_one_unit_escrow_corruption_fails_the_next_mint_and_redeem(side, eleme
     for op in (market.composites.mint_composite, market.composites.redeem_composite):
         with pytest.raises(InvariantViolation, match=f"^full backing broken for {cid}$"):
             op(cid, "ap", 3)
+
+
+def _ledger_state(reg):
+    return (list(reg.events), reg.state_hash(),
+            [dict(reg.balances(e)) for e, _ in SOLAR_COMPOSITION])
+
+
+# "bp" can pay for a few units only, and "nobody" has no account
+@given(rows=st.lists(st.tuples(st.sampled_from(["ap", "ap", "bp", "nobody"]),
+                               st.one_of(st.integers(1, 8), st.integers(0, 400))), max_size=6),
+       mint_fee=st.integers(0, 200), decimals=st.integers(0, 3),
+       pause=st.sampled_from([False, False, False, True]))
+@settings(max_examples=examples(150), deadline=None)
+def test_mint_composites_matches_a_loop_of_one_row_mints(rows, mint_fee, decimals, pause):
+    markets = [make_solar_market(mint_fee, composite_decimals=decimals)[0] for _ in range(2)]
+    for market in markets:
+        grant_elements(market, "ap", {"energy": 10 ** 9, "land": 10 ** 10, "carbon": 10 ** 9})
+        grant_elements(market, "bp", {"energy": 500, "land": 5000, "carbon": 500})
+        market.composites.mint_composite("W_SOLAR", "ap", 3)  # a batch starts at any supply
+        if pause:
+            market.registry.set_paused("land", True)
+    batched, looped = markets
+    error, receipts = None, []
+    try:
+        if any(q == 0 for _, q in rows):  # every row's moves are built before any leg
+            raise ZeroQuantity("W_SOLAR")
+        for caller, q in rows:
+            receipts.append(looped.composites.mint_composite("W_SOLAR", caller, q))
+    except EngineError as exc:
+        error = exc
+    reg = batched.registry
+    before = _ledger_state(reg)
+    if error is None:
+        moves = batched.composites.mint_composites("W_SOLAR", rows)
+        assert [MintReceipt.of("W_SOLAR", q, m) for (_, q), m in zip(rows, moves)] == receipts
+        assert _ledger_state(reg) == _ledger_state(looped.registry)
+    else:  # the failing row's own error, and nothing written
+        with pytest.raises(type(error)) as raised:
+            batched.composites.mint_composites("W_SOLAR", rows)
+        assert str(raised.value) == str(error)
+        assert getattr(raised.value, "shortfall", None) == getattr(error, "shortfall", None)
+        assert _ledger_state(reg) == before
+    batched.audit()
+
+
+def test_a_deposit_one_unit_short_on_a_middle_row_fails_the_batch_backing_check(monkeypatch):
+    market, cid = make_solar_market(mint_fee_bps=10)
+    grant_elements(market, "ap", {"energy": 10 ** 6, "land": 10 ** 7, "carbon": 10 ** 6})
+    rows = [("ap", q) for q in (5, 7, 11, 13, 17)]
+    moves_of, built = CompositeEngine._mint_moves, []
+
+    def short_on_the_middle_row(engine, asset, s, q):
+        (element, deposit, fee), *rest = moves_of(engine, asset, s, q)
+        built.append(q)
+        return [(element, deposit - (len(built) == 3), fee), *rest]
+
+    monkeypatch.setattr(CompositeEngine, "_mint_moves", short_on_the_middle_row)
+    with pytest.raises(InvariantViolation, match=f"^full backing broken for {cid}$"):
+        market.composites.mint_composites(cid, rows)
+    assert built == [q for _, q in rows]  # one check, after every row was built
+    monkeypatch.undo()
+    market, cid = make_solar_market(mint_fee_bps=10)  # and the unmutated batch passes it
+    grant_elements(market, "ap", {"energy": 10 ** 6, "land": 10 ** 7, "carbon": 10 ** 6})
+    market.composites.mint_composites(cid, rows)
 
 
 @given(qs=st.lists(st.integers(1, 500), min_size=1, max_size=20),

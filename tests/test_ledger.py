@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -80,7 +81,25 @@ REFUSED = {
     "float-allowlist_enabled-flag": ("flag",
                                      lambda reg: reg.set_allowlist_enabled("MWh", 0.0)),
     "int-allowlist-flag": ("flag", lambda reg: reg.set_allowlist("MWh", "alice", 0)),
+    # an id that the JSON export could not render, refused where it enters
+    "int-account": ("account", lambda reg: reg.create_account(7)),
+    "list-account": ("account", lambda reg: reg.create_account(["carol"])),
+    "int-opened-account": ("account", lambda reg: reg.open_accounts(
+        "MWh", [("carol", 1), (5, 1)], MINTER)),
+    "int-allowlist-account": ("account", lambda reg: reg.set_allowlist("MWh", 7, True)),
+    "int-token": ("token", lambda reg: create_kwh(reg, token=5)),
+    # a description changed after its construction is checked again where it is logged
+    "mutated-decimals": ("decimals", lambda reg: reg.create_token(
+        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), decimals=True), MINTER)),
+    "mutated-token": ("token", lambda reg: reg.create_token(
+        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), token=5), MINTER)),
 }
+
+
+def mutated(meta: TokenMeta, **fields) -> TokenMeta:
+    for name, value in fields.items():
+        setattr(meta, name, value)
+    return meta
 
 
 def ledger_state(reg: Registry):
@@ -418,6 +437,34 @@ def test_a_checked_batch_shares_its_account_tuples():
     with pytest.raises(ValueError):
         batched.transfers("MWh", "alice", [("bob", 1), ("carol", 2, 3)])
     assert _ledger_state(batched) == state
+
+
+def test_a_wide_batch_leaves_no_tuple_iterator_for_the_collector():
+    # transposing the legs with zip(*legs) makes one tracked iterator per leg, all alive
+    # until it ends, and the collections a 10k-leg batch runs promote them
+    reg = fresh()
+    payees = [f"payee{i:05d}" for i in range(10_000)]
+    reg.open_accounts("MWh", [(payee, 0) for payee in payees], MINTER)
+    reg.mint("MWh", "alice", len(payees), MINTER)
+    tuple_iterator = type(iter(()))
+    older = [o for o in gc.get_objects() if type(o) is tuple_iterator]  # kept alive: ids hold
+    known = set(map(id, older))
+    found = []  # per collection during the call: the new iterators in the generations it collects
+
+    def count(phase, info):
+        if phase == "start":
+            found.append(sum(type(o) is tuple_iterator and id(o) not in known
+                             for generation in range(info["generation"] + 1)
+                             for o in gc.get_objects(generation)))
+
+    gc.callbacks.append(count)
+    try:
+        reg.transfers("MWh", "alice", [(payee, 1) for payee in payees])
+    finally:
+        gc.callbacks.remove(count)
+    assert found, "no collection ran during the batch"
+    assert max(found) == 0
+    assert reg.balance_of("MWh", "alice") == 0 and reg.balance_of("MWh", payees[-1]) == 1
 
 
 # --- settle: one call per engine operation -------------------------------------

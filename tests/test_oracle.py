@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_element, examples, make_solar_market
+from conftest import add_element, credit_by_rows, examples, make_solar_market
 from twotier.errors import (
     AlreadyFinalized,
     DuplicateAttestation,
+    EngineError,
     EpochFinalized,
     ExceedsVerifiedOutput,
     NoAttestations,
     Overflow,
     UnknownElement,
 )
-from twotier.ledger import BPS
+from twotier.ledger import BPS, check_amount
 from twotier.market import Market
 from twotier.oracle import Attestation, EpochResult, OraclePolicy, median_int
 
@@ -122,6 +123,7 @@ ENTRY_POINTS = {
     "mintable_capacity": lambda oracle, e: oracle.mintable_capacity(e),
     "mint_verified": lambda oracle, e: oracle.mint_verified(e, "issuer", 0),
     "record_verified_output": lambda oracle, e: oracle.record_verified_output(e, 7),
+    "credit_genesis": lambda oracle, e: oracle.credit_genesis(e, [("issuer", 7)]),
 }
 
 
@@ -180,6 +182,46 @@ def test_outlier_robustness(base, jitter, adversarial):
     band = m * POLICY.max_deviation_bps // 10_000 + 1
     assert not result.failed
     assert abs(result.accepted - m) <= band
+
+
+# --- genesis credits ----------------------------------------------------------------
+
+def totals(oracle) -> tuple[int, int]:
+    prod = oracle.production.get("energy")
+    return (prod.cumulative_accepted, prod.cumulative_minted) if prod else (0, 0)
+
+
+# "nobody" has no account
+@given(rows=st.lists(st.tuples(st.sampled_from(["issuer", "issuer", "bob", "nobody"]),
+                               st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                         st.sampled_from([-1, True, 1.0]))), max_size=6),
+       pause=st.sampled_from([False, False, False, True]))
+@settings(max_examples=examples(300), deadline=None)
+def test_credit_genesis_matches_a_loop_of_record_and_mint(rows, pause):
+    markets = [fresh() for _ in range(2)]
+    for market in markets:
+        market.registry.create_account("bob")
+        market.registry.set_paused("energy", pause)
+    batched, looped = markets
+    error = None
+    try:
+        for _, amount in rows:  # every amount is checked before any leg is written
+            check_amount(amount)
+        credit_by_rows(looped.oracle, "energy", rows)
+    except EngineError as exc:
+        error = exc
+    reg = batched.registry
+    before = list(reg.events), reg.state_hash(), totals(batched.oracle)
+    if error is None:
+        batched.oracle.credit_genesis("energy", rows)
+        assert (list(reg.events), reg.state_hash(), totals(batched.oracle)) == (
+            looped.registry.events, looped.registry.state_hash(), totals(looped.oracle))
+    else:  # the failing row's own error, nothing written and no total moved
+        with pytest.raises(type(error)) as raised:
+            batched.oracle.credit_genesis("energy", rows)
+        assert str(raised.value) == str(error)
+        assert (list(reg.events), reg.state_hash(), totals(batched.oracle)) == before
+    batched.audit()
 
 
 # --- one round of readings per element ---------------------------------------------

@@ -6,29 +6,18 @@ freed by a collection stays alive and the test sees it.
 """
 
 import gc
-import importlib.util
-import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
+from conftest import scenario_gen
 from twotier import sim
 from twotier.ledger import _Memo
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "src" / "twotier" / "scenarios").glob("*.json"))
 AUTO_CLAIM = ROOT / "tests" / "fixtures" / "auto_claim.json"
-
-
-def scenario_gen():
-    """The benchmark's seeded document generator, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("scenario_gen",
-                                                  ROOT / "perfbench" / "scenario_gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # where its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def yield_holders_doc() -> dict:

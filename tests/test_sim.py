@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotier
-from conftest import record_snapshots, reference_claim
+from conftest import credit_by_rows, mint_by_rows, record_snapshots, reference_claim, scenario_gen
 from twotier import sim
 from twotier.cli import main as cli_main
+from twotier.composite import CompositeEngine
 from twotier.errors import (
     ConfigError,
     EngineError,
@@ -21,6 +22,7 @@ from twotier.errors import (
 )
 from twotier.ledger import EXPORT_CHUNK, Registry, TokenKind, TokenMeta
 from twotier.market import Market
+from twotier.oracle import OracleHub
 from twotier.sim import export_csv, export_events, load_config, parse_config, run
 from twotier.yields import INDEX_SCALE, YieldVault
 
@@ -606,6 +608,52 @@ def test_fund_numeraire_of_zero_logs_a_mint_of_zero():
     market.fund_numeraire("new", 0)
     assert market.registry.events[-2:] == [("create_account", "", ("new",), 0, {"role": "user"}),
                                            ("mint", "NUM", ("new",), 0, None)]
+
+
+# --- genesis mints and credits ------------------------------------------------
+
+def test_genesis_is_one_settle_per_element_and_per_asset_and_matches_a_loop_of_rows(monkeypatch):
+    gen = scenario_gen()
+    cfg = parse_config(gen.generate(gen.Shape(epochs=1, genesis_holders=1_000), seed=3))
+    settles = []  # (authority, the tokens of its legs) per Registry.settle call
+    settle = Registry.settle
+
+    def noted(reg, legs, authority=None):
+        settles.append((authority, [leg[0] for leg in legs]))
+        settle(reg, legs, authority)
+
+    monkeypatch.setattr(Registry, "settle", noted)
+
+    def genesis_settles(market):
+        authorities = {market.oracle.AUTHORITY, *map(market.composites.authority_for,
+                                                     market.composites.assets)}
+        return [(authority, tokens) for authority, tokens in settles if authority in authorities]
+
+    market = sim.build_market(cfg)
+    (cid,) = market.composites.assets
+    rows = len(cfg.assets[0].genesis_mint)
+    assert rows == 1_001
+    batched = genesis_settles(market)
+    assert batched[:-1] == [(market.oracle.AUTHORITY, [e] * len(oe.genesis))
+                            for e, oe in cfg.oracle.elements]
+    authority, tokens = batched[-1]
+    assert authority == market.composites.authority_for(cid) and tokens.count(cid) == rows
+
+    settles.clear()
+    monkeypatch.setattr(OracleHub, "credit_genesis", credit_by_rows)
+    monkeypatch.setattr(CompositeEngine, "mint_composites", mint_by_rows)
+    reference = sim.build_market(cfg)
+    assert len(genesis_settles(reference)) == sum(len(oe.genesis)
+                                                  for _, oe in cfg.oracle.elements) + rows
+    assert market.registry.events == reference.registry.events
+    assert market.registry.state_hash() == reference.registry.state_hash()
+    pool, reference_pool = market.yields.get(cid), reference.yields.get(cid)
+    # the yield listener ran for every genesis holder
+    assert pool.last_index.keys() >= {g.account for g in cfg.assets[0].genesis_mint}
+    for field in ("last_index", "accrued_scaled"):
+        assert list(getattr(pool, field).items()) == list(getattr(reference_pool, field).items())
+    assert market.oracle.production == reference.oracle.production
+    market.audit()
 
 
 # --- mid-run corruption is caught by the end of its epoch ----------------------
