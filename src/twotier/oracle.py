@@ -188,11 +188,11 @@ class OracleHub:
         written. The totals grow only once the settle succeeded, so minted never
         exceeds accepted.
         """
-        amounts = [amount if type(amount) is int and amount >= 0 else check_amount(amount)
-                   for _, amount in rows]
+        legs = [(element, None, account,
+                 amount if type(amount) is int and amount >= 0 else check_amount(amount))
+                for account, amount in rows]
         prod = self._record(element)
-        self.registry.settle([(element, None, account, amount)
-                              for (account, _), amount in zip(rows, amounts)], self.AUTHORITY)
-        total = sum(amounts)
+        self.registry.settle(legs, self.AUTHORITY)
+        total = sum(leg[3] for leg in legs)
         prod.cumulative_accepted += total
         prod.cumulative_minted += total
