@@ -206,7 +206,7 @@ class CompositeEngine:
         return MintReceipt.of(asset_id, q, moves)
 
     def mint_composites(self, asset_id: str,
-                        rows: list[tuple[str, int]]) -> list[list[tuple[str, int, int]]]:
+                        rows: list[tuple[str, int]]) -> list[tuple[tuple[str, int, int], ...]]:
         """Mint each (caller, q) of `rows` in order, all or none; return each row's
         (element, deposit, fee) moves, which `MintReceipt.of` makes its receipt.
 
@@ -214,13 +214,16 @@ class CompositeEngine:
         legs and events are those of a loop of `mint_composite`, in one
         `Registry.settle`: a failing row raises its leg's own ledger error and
         nothing is written. Full backing is checked once, after the last row.
+        Each row's moves are kept as an exact tuple, which the cycle collector
+        untracks, so a genesis of many rows leaves no tracked container per row
+        for the collections during the settle to promote.
         """
         asset = self.get(asset_id)
         s = self.registry.total_supply(asset.composite)
         escrow, fee_sink, composite = asset.escrow, asset.fee_sink, asset.composite
         legs, done = [], []
         for caller, q in rows:
-            moves = self._mint_moves(asset, s, q)
+            moves = tuple(self._mint_moves(asset, s, q))
             for element, deposit, fee in moves:
                 legs.append((element, caller, escrow, deposit))
                 if fee:

@@ -9,11 +9,13 @@ every check as a whole in one pass, and leave any other batch to the per-leg pat
 
 `Registry.events` logs each state transition as a plain 5-tuple
 `(op, token, accounts, qty, meta)`, whose `seq` is its index in the log and whose
-`accounts` is a tuple of account ids (a list in `events.jsonl`). An event is an
-exact tuple, not a tuple subclass, because the cycle collector untracks only exact
-tuples none of whose members it tracks: an event without a meta (every transfer,
-mint and burn) leaves the collector's lists at the first collection that finds
-its accounts tuple untracked, so a full collection does not walk the whole log.
+`accounts` is a tuple of account ids (a list in `events.jsonl`). A `meta` is None
+or a tuple of `(key, value)` pairs, e.g. `(("role", "user"),)` (an object in
+`events.jsonl`), and every key and value is a str, int or bool. An event is an exact
+tuple, not a tuple subclass, because the cycle collector untracks only exact tuples
+none of whose members it tracks: every event leaves the collector's lists once a
+collection has found its accounts and meta untracked, so a full collection walks
+neither the log nor the accounts it created.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ def check_amount(qty) -> int:
 _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
 _FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_flag` writes
+# the shared metas of create_account and of the ops of `_FLAGS`
+_ROLE_META = {role: (("role", role.value),) for role in AccountRole}
+_FLAG_META = {flag: (("flag", flag),) for flag in (False, True)}
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 _STR_ONLY = frozenset((str,))  # the one account id type
 
@@ -111,7 +116,8 @@ class _Memo(dict):
 
 @dataclass
 class TokenMeta:
-    """A token's description; its flags start unset and change only by logged `set_*` ops."""
+    """A token's description. `Registry.create_token` keeps a copy whose flags start unset
+    and change only by logged `set_*` ops."""
     token: str
     kind: TokenKind
     unit_label: str = ""
@@ -121,9 +127,6 @@ class TokenMeta:
     allowlist: set = field(default_factory=set, init=False)
 
     def __post_init__(self):
-        self.check()
-
-    def check(self):
         """ValueError naming the first field of the wrong type or out of range."""
         _typed("token", self.token, str)
         _typed("kind", self.kind, TokenKind)
@@ -159,7 +162,7 @@ class Registry:
         self.tokens: dict[str, TokenMeta] = {}
         self.accounts: dict[str, AccountRole] = {}
         self._balances: dict[str, _Book] = {}
-        self.events: list[tuple] = []  # (op, token, accounts, qty, meta) per event
+        self.events: list[tuple] = []  # (op, token, accounts, qty, meta pairs or None) per event
         # payer -> payee -> the (payer, payee) accounts tuple its batched events share
         self._pairs: dict[str, _Memo] = {}
 
@@ -171,7 +174,7 @@ class Registry:
         _typed("role", role, AccountRole)
         self.accounts[account_id] = role
         self._log("create_account", token="", accounts=(account_id,), qty=0,
-                  meta={"role": role.value})
+                  meta=_ROLE_META[role])
         return account_id
 
     def ensure_account(self, account_id: str, role: AccountRole = AccountRole.USER) -> str:
@@ -182,16 +185,27 @@ class Registry:
     # --- token admin ---
 
     def create_token(self, meta: TokenMeta, authority: str) -> str:
-        meta.check()  # the fields as logged here, even if changed since construction
-        if meta.token in self.tokens:
-            raise DuplicateToken(meta.token)
+        """Register a copy of the description `meta` as a new token minted by `authority`.
+
+        The registry keeps its own copy, with its own flags, so a description shared
+        with another registry or changed later changes nothing here. A description with
+        a flag already set is refused with a ValueError naming the flag, since only
+        logged `set_*` ops set flags.
+        """
+        # the copy checks the fields as logged here, even if changed since construction
+        own = TokenMeta(meta.token, meta.kind, meta.unit_label, meta.decimals)
+        if meta.paused or meta.allowlist_enabled or meta.allowlist:
+            flag = next(f for f in ("paused", "allowlist_enabled", "allowlist") if getattr(meta, f))
+            raise ValueError(f"{flag} is set on the description of {meta.token}")
+        if own.token in self.tokens:
+            raise DuplicateToken(own.token)
         _typed("authority", authority, str)
-        self.tokens[meta.token] = meta
-        self._balances[meta.token] = _Book(meta, authority)
-        self._log("create_token", token=meta.token, accounts=(), qty=0,
-                  meta={"kind": meta.kind.value, "decimals": meta.decimals,
-                        "unit_label": meta.unit_label, "authority": authority})
-        return meta.token
+        self.tokens[own.token] = own
+        self._balances[own.token] = _Book(own, authority)
+        self._log("create_token", token=own.token, accounts=(), qty=0,
+                  meta=(("kind", own.kind.value), ("decimals", own.decimals),
+                        ("unit_label", own.unit_label), ("authority", authority)))
+        return own.token
 
     def _book(self, token: str) -> _Book:
         try:
@@ -221,7 +235,7 @@ class Registry:
             (meta.allowlist.add if flag else meta.allowlist.discard)(accounts[0])
         else:
             setattr(meta, op[len("set_"):], flag)  # set_paused -> paused, and so on
-        self._log(op, token, accounts, 0, {"flag": flag})
+        self._log(op, token, accounts, 0, _FLAG_META[flag])
 
     def add_balance_listener(self, token: str, fn):
         """Register fn(account, balance) to run before any balance change of `token`,
@@ -384,11 +398,12 @@ class Registry:
                     if type(qty) is not int or qty:
                         self.mint(token, account, qty, authority)
             return sum(qtys)
-        events, get, user, role = self.events, book.get, AccountRole.USER, AccountRole.USER.value
+        events, get, user = self.events, book.get, AccountRole.USER
+        role = _ROLE_META[user]
         for account, qty in rows:
             accounts = (account,)
             known[account] = user
-            events.append(("create_account", "", accounts, 0, {"role": role}))
+            events.append(("create_account", "", accounts, 0, role))
             if qty:
                 book[account] = get(account, 0) + qty
                 events.append(("mint", token, accounts, qty, None))
@@ -423,7 +438,7 @@ class Registry:
             elif op == "create_token":
                 del self.tokens[token], self._balances[token]
             else:
-                prior = (events[j][4]["flag"] for j in range(i - 1, -1, -1)
+                prior = (events[j][4][0][1] for j in range(i - 1, -1, -1)  # (("flag", value),)
                          if events[j][:3] == ev[:3])
                 self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
@@ -446,7 +461,7 @@ class Registry:
         else:
             book[to] = book.get(to, 0) + qty
 
-    def _log(self, op: str, token: str, accounts: tuple, qty: int, meta: dict | None = None):
+    def _log(self, op: str, token: str, accounts: tuple, qty: int, meta: tuple | None = None):
         self.events.append((op, token, accounts, qty, meta))
 
     # --- snapshots / audit ---
@@ -483,15 +498,15 @@ class Registry:
         Each line is the JSON of the event's dict form: keys "accounts", "meta"
         (when non-empty), "op", "qty", "seq", "token" in sorted order with compact
         separators. Op, token, accounts and meta texts are rendered once per export.
-        A meta is keyed by its items, since each of its keys holds values of one
-        type only (see `Registry`), so equal items render alike.
+        A meta's pairs are its own key, since each of its keys holds values of one
+        type only (see `Registry`), so equal pairs render alike.
         """
         texts = _Memo(_json_str)  # ops and tokens
         accounts = _Memo(lambda acc: ",".join(map(_json_str, acc)))
-        metas = _Memo(lambda items: f'"meta":{_json_meta(dict(items))},')
+        metas = _Memo(lambda meta: f'"meta":{_json_meta(dict(meta))},')
         events = self.events
         for start in range(0, len(events), EXPORT_CHUNK):
-            yield [f'{{"accounts":[{accounts[a]}],{metas[tuple(m.items())] if m else ""}'
+            yield [f'{{"accounts":[{accounts[a]}],{metas[m] if m else ""}'
                    f'"op":{texts[o]},"qty":{q},"seq":{s},"token":{texts[t]}}}'
                    for s, (o, t, a, q, m) in enumerate(events[start:start + EXPORT_CHUNK], start)]
 
@@ -515,8 +530,9 @@ class _Transaction:
 def replay_events(events: list) -> Registry:
     """Rebuild a Registry from an event log produced by another Registry.
 
-    Takes the live event tuples of `Registry.events` or the dicts parsed from
-    `events.jsonl`.
+    Takes the live event tuples of `Registry.events`, whose meta is a tuple of
+    (key, value) pairs, or the dicts parsed from `events.jsonl`, whose meta is an
+    object.
     A parsed line must carry its index as `seq`, so a log with a line
     missing, repeated or out of order is rejected. Replay applies raw state
     transitions; authority checks were already enforced when the log was
@@ -535,11 +551,13 @@ def replay_events(events: list) -> Registry:
                 if type(accounts) is not list or not all(
                         type(name) is str for name in (op, token, *accounts)):
                     raise ValueError("op and token must be str, accounts a list of str")
+                if meta is not None and type(meta) is not dict:
+                    raise ValueError(f"meta {meta!r} is not an object")
             elif type(ev) is tuple:
                 op, token, accounts, qty, meta = ev
             else:
                 raise ValueError(f"{type(ev).__name__} is not an event")
-            meta = meta or {}
+            meta = dict(meta or ())  # a logged tuple of (key, value) pairs, or a parsed object
             if op == "create_account":
                 reg.create_account(accounts[0], AccountRole(meta["role"]))
             elif op == "create_token":

@@ -60,6 +60,11 @@ def frac_str(num: int, den: int) -> str:
 # declared before it is referenced), and rejects unknown keys. A missing key
 # takes its default, read as if given (None stays None), or is an error.
 # Errors carry their path (`agents[0].sigma: ...`), added on the way out.
+# The per-account rows (`AccountSpec`, `GenesisMint`, `GenesisCredit`) are read
+# into exact tuples of their fields, in field order, such as `(id, numeraire)`:
+# the cycle collector untracks those, so a config of many accounts adds nothing
+# for a full collection to walk, and `build_market` passes them straight to the
+# batch calls.
 
 _REQUIRED = object()
 
@@ -144,8 +149,9 @@ def _each(read_value, read_key=None):
 
 
 @cache
-def _object(cls, **rows):
-    """Reads a JSON object into `cls`, one row per field (`rows` override)."""
+def _object(cls, as_tuple=False, **rows):
+    """Reads a JSON object into `cls`, or with `as_tuple` into the exact tuple of its
+    values in field order, one row per field (`rows` override)."""
     meta = {f.name: f.metadata for f in fields(cls)} | {k: r.metadata for k, r in rows.items()}
     table = [(name, m["read"], m["default"]) for name, m in meta.items()]
 
@@ -166,7 +172,7 @@ def _object(cls, **rows):
             exc.path = (name, *exc.path)
             raise
         walk.objects.pop()
-        return cls(*values.values())  # the table is in field order
+        return tuple(values.values()) if as_tuple else cls(*values.values())  # in field order
     return read
 
 
@@ -215,13 +221,13 @@ class TokenSpec:
 
 
 @dataclass
-class AccountSpec:
+class AccountSpec:  # read as an (id, numeraire) tuple
     id: str = _row(_new("account"))
     numeraire: int = _row(_AMOUNT, 0)   # funding
 
 
 @dataclass
-class GenesisMint:
+class GenesisMint:  # read as an (account, q) tuple
     account: str = _row(_ref("account"))
     q: int = _row(_num(1))
 
@@ -235,11 +241,11 @@ class AssetSpec:
     redeem_fee_bps: int = _row(_num(0, BPS), 0)
     decimals: int = _row(_DECIMALS, 0)
     unit_label: str = _row(_text, "")
-    genesis_mint: list[GenesisMint] = _row(_each(_object(GenesisMint)), [])
+    genesis_mint: list[tuple[str, int]] = _row(_each(_object(GenesisMint, as_tuple=True)), [])
 
 
 @dataclass
-class GenesisCredit:
+class GenesisCredit:  # read as an (account, amount) tuple
     account: str = _row(_ref("account"))
     amount: int = _row(_AMOUNT)
 
@@ -258,7 +264,7 @@ class OracleElementSpec:
     sources: list[str] = _row(_sources, [])
     per_epoch: int | list[int] = _row(_per_epoch, 0)
     mint_to: str | None = _row(_ref("account"), None)
-    genesis: list[GenesisCredit] = _row(_each(_object(GenesisCredit)), [])
+    genesis: list[tuple[str, int]] = _row(_each(_object(GenesisCredit, as_tuple=True)), [])
 
 
 @dataclass
@@ -301,7 +307,7 @@ class ScenarioConfig:
     epochs: int = _row(_AMOUNT, 0)
     numeraire: NumeraireSpec = _row(_object(NumeraireSpec), {})
     tokens: list[TokenSpec] = _row(_each(_object(TokenSpec)), [])
-    accounts: list[AccountSpec] = _row(_each(_object(AccountSpec)), [])
+    accounts: list[tuple[str, int]] = _row(_each(_object(AccountSpec, as_tuple=True)), [])
     assets: list[AssetSpec] = _row(_each(_object(AssetSpec)), [])
     oracle: OracleSpec = _row(_object(OracleSpec), {})
     pools: list[PoolSpec] = _row(_each(_object(PoolSpec)), [])
@@ -516,17 +522,17 @@ def build_market(cfg: ScenarioConfig) -> Market:
                       unit_label=a.unit_label, decimals=a.decimals),
             a.composition, a.mint_fee_bps, a.redeem_fee_bps)
 
-    market.open_accounts([(acct.id, acct.numeraire) for acct in cfg.accounts])
+    market.open_accounts(cfg.accounts)
 
     # pre-verified production credited before the simulated window, then the
-    # genesis composites: one ledger settlement per element and per asset
+    # genesis composites: one ledger settlement per element and per asset, each
+    # taking the parsed (account, amount) rows as they are
     for element, oe in cfg.oracle.elements:
         if oe.genesis:
-            market.oracle.credit_genesis(element, [(g.account, g.amount) for g in oe.genesis])
+            market.oracle.credit_genesis(element, oe.genesis)
     for a in cfg.assets:
         if a.genesis_mint:
-            market.composites.mint_composites(a.composite,
-                                              [(g.account, g.q) for g in a.genesis_mint])
+            market.composites.mint_composites(a.composite, a.genesis_mint)
 
     for p in cfg.pools:
         market.venues.create_pool(p.base, p.fee_bps, p.seed_base,

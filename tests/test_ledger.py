@@ -93,6 +93,14 @@ REFUSED = {
         mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), decimals=True), MINTER)),
     "mutated-token": ("token", lambda reg: reg.create_token(
         mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), token=5), MINTER)),
+    # a flag set on a description before create_token, which no event would log
+    "preset-paused": ("paused", lambda reg: reg.create_token(
+        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), paused=True), MINTER)),
+    "preset-allowlist_enabled": ("allowlist_enabled", lambda reg: reg.create_token(
+        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), allowlist_enabled=True),
+        MINTER)),
+    "preset-allowlist": ("allowlist", lambda reg: reg.create_token(
+        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), allowlist={"alice"}), MINTER)),
 }
 
 
@@ -115,6 +123,38 @@ def test_a_field_of_the_wrong_type_is_refused_before_anything_is_written(case):
         call(reg)
     assert type(raised.value) is ValueError
     assert ledger_state(reg) == before
+
+
+def test_each_registry_keeps_its_own_flags_of_a_shared_description():
+    meta = TokenMeta(token="kWh", kind=TokenKind.ELEMENT, unit_label="kWh", decimals=3)
+    first, second = Registry(), Registry()
+    for reg in (first, second):
+        reg.create_token(meta, MINTER)
+        reg.create_account("alice")
+    first.set_paused("kWh", True)
+    first.set_allowlist_enabled("kWh", True)
+    first.set_allowlist("kWh", "alice", True)
+    for unflagged in (second.meta("kWh"), meta):
+        assert (unflagged.paused, unflagged.allowlist_enabled, unflagged.allowlist) == (
+            False, False, set())
+    assert second.meta("kWh") == meta  # the description's fields, with unset flags
+    second.mint("kWh", "alice", 5, MINTER)  # not paused there
+    with pytest.raises(TokenPaused):
+        first.mint("kWh", "alice", 5, MINTER)
+    for reg in (first, second):
+        assert replay_events(reg.events).state_hash() == reg.state_hash()
+
+
+def test_a_description_changed_after_create_token_changes_nothing_in_the_registry():
+    meta = TokenMeta(token="kWh", kind=TokenKind.ELEMENT)
+    reg = Registry()
+    reg.create_token(meta, MINTER)
+    reg.create_account("alice")
+    before = reg.state_hash()
+    mutated(meta, decimals=True, paused=True, allowlist_enabled=True)
+    assert reg.state_hash() == before
+    reg.mint("kWh", "alice", 5, MINTER)
+    assert replay_events(reg.events).state_hash() == reg.state_hash()
 
 
 def test_mint_additivity():
@@ -904,11 +944,11 @@ def test_rolled_back_non_move_events_leave_the_log():
 # --- events.jsonl encoding ------------------------------------------------------
 
 def reference_line(seq: int, ev) -> str:
-    """An event's line as json.dumps renders its dict form."""
+    """An event's line as json.dumps renders its dict form, the meta's pairs an object."""
     op, token, accounts, qty, meta = ev
     doc = {"seq": seq, "op": op, "token": token, "accounts": accounts, "qty": qty}
     if meta:
-        doc["meta"] = meta
+        doc["meta"] = dict(meta)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -1018,8 +1058,8 @@ def test_every_logged_meta_value_has_its_keys_one_type_and_the_log_replays(calls
                 _apply(reg, call, authority)
         except (ValueError, LedgerError):
             pass
-    assert [type(value) for *_, meta in reg.events for value in (meta or {}).values()] == [
-        META_TYPES[key] for *_, meta in reg.events for key in (meta or {})]
+    assert [type(value) for *_, meta in reg.events for _, value in meta or ()] == [
+        META_TYPES[key] for *_, meta in reg.events for key, _ in meta or ()]
     lines = list(reg.export_events())
     assert lines == [reference_line(seq, ev) for seq, ev in enumerate(reg.events)]
     assert replay_events([json.loads(line) for line in lines]).state_hash() == reg.state_hash()
@@ -1150,6 +1190,7 @@ MALFORMED = {
     "no-accounts": (2, '"accounts":["bob"]', '"accounts":[]'),
     "unknown-role": (1, '"role":"user"', '"role":"bogus"'),
     "int-account": (4, '"accounts":["alice","bob"]', '"accounts":["alice",7]'),
+    "list-meta": (5, '"meta":{"flag":true}', '"meta":[["flag",true]]'),
     "list-line": (4, '{"accounts":["alice","bob"],"op":"transfer","qty":30,"seq":4,"token":"MWh"}',
                   '["transfer","MWh",["alice","bob"],30,null]'),
 }

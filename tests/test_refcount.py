@@ -99,3 +99,58 @@ def test_the_event_log_is_exact_tuples_the_collector_drops(path):
     gc.collect()
     gc.collect()
     assert not any(map(gc.is_tracked, plain))
+
+
+def holders_doc(holders: int) -> dict:
+    gen = scenario_gen()
+    return gen.generate(gen.Shape(epochs=3, genesis_holders=holders), seed=7)
+
+
+def funded_doc(accounts: int) -> dict:
+    gen = scenario_gen()
+    return gen.generate(gen.Shape(epochs=3, funded_accounts=accounts, noise_traders=4,
+                                  arbitrage=False), seed=7)
+
+
+def rows_of(cfg: sim.ScenarioConfig) -> list:
+    """Every parsed per-account row: funded accounts, genesis mints and genesis credits."""
+    return [*cfg.accounts, *(row for a in cfg.assets for row in a.genesis_mint),
+            *(row for _, oe in cfg.oracle.elements for row in oe.genesis)]
+
+
+@pytest.mark.parametrize("name", [path.stem for path in SCENARIOS] + ["holders"])
+def test_every_event_and_config_row_is_an_exact_tuple_the_collector_drops(name):
+    cfg = sim.parse_config(holders_doc(1_000)) if name == "holders" else load(name)
+    reg = sim.run(cfg).market.registry
+    rows = rows_of(cfg)
+    assert rows and {type(row) for row in rows} == {tuple}
+    assert {type(meta) for *_, meta in reg.events} == {tuple, type(None)}
+    # a collection untracks at least the innermost tracked tuples, and a create_token
+    # event nests three deep: the event, its meta and the meta's (key, value) pairs
+    for _ in range(3):
+        gc.collect()
+    assert not any(map(gc.is_tracked, reg.events))
+    assert not any(map(gc.is_tracked, rows))
+
+
+def tracked_kept_by_a_run(doc: dict) -> int:
+    """How many more objects the cycle collector tracks while a run of `doc` and its
+    config are alive than before the run."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = sim.run(sim.parse_config(doc))
+    gc.collect()
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    del result
+    return kept
+
+
+@pytest.mark.parametrize("make,small,large", [(holders_doc, 100, 1_000),
+                                              (funded_doc, 200, 2_000)],
+                         ids=["genesis_holders", "funded_accounts"])
+def test_the_tracked_objects_a_run_keeps_do_not_grow_with_its_accounts(make, small, large):
+    small_doc, large_doc = make(small), make(large)
+    tracked_kept_by_a_run(small_doc)  # fills the caches a first run fills
+    grown = tracked_kept_by_a_run(large_doc) - tracked_kept_by_a_run(small_doc)
+    assert grown < 100

@@ -582,7 +582,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("name", ["two_assets", "auto_claim"])
 def test_genesis_accounts_open_in_one_call_and_a_zero_row_logs_no_mint(monkeypatch, name):
     cfg = load_config(FIXTURES / f"{name}.json")
-    assert any(not acct.numeraire for acct in cfg.accounts)  # the fixture has a zero row
+    assert any(not numeraire for _, numeraire in cfg.accounts)  # the fixture has a zero row
     opened = []
     open_accounts = Market.open_accounts
     monkeypatch.setattr(Market, "open_accounts",
@@ -590,24 +590,26 @@ def test_genesis_accounts_open_in_one_call_and_a_zero_row_logs_no_mint(monkeypat
     monkeypatch.setattr(Market, "fund_numeraire", None)  # no per-account funding in set-up
     monkeypatch.setattr(Registry, "ensure_account", None)
     market = sim.build_market(cfg)
-    assert opened == [[(acct.id, acct.numeraire) for acct in cfg.accounts]]
+    # the parsed (id, numeraire) rows, passed as they are
+    assert len(opened) == 1 and opened[0] is cfg.accounts
     # each row's create_account, then its mint when funded, in row order
     expected = []
-    for acct in cfg.accounts:
-        expected.append(("create_account", "", (acct.id,), 0, {"role": "user"}))
-        if acct.numeraire:
-            expected.append(("mint", cfg.numeraire.id, (acct.id,), acct.numeraire, None))
+    for account, numeraire in cfg.accounts:
+        expected.append(("create_account", "", (account,), 0, (("role", "user"),)))
+        if numeraire:
+            expected.append(("mint", cfg.numeraire.id, (account,), numeraire, None))
     events = market.registry.events
     start = events.index(expected[0])
     assert events[start:start + len(expected)] == expected
-    assert market.numeraire_minted == sum(acct.numeraire for acct in cfg.accounts)
+    assert market.numeraire_minted == sum(numeraire for _, numeraire in cfg.accounts)
 
 
 def test_fund_numeraire_of_zero_logs_a_mint_of_zero():
     market = Market()
     market.fund_numeraire("new", 0)
-    assert market.registry.events[-2:] == [("create_account", "", ("new",), 0, {"role": "user"}),
-                                           ("mint", "NUM", ("new",), 0, None)]
+    assert market.registry.events[-2:] == [
+        ("create_account", "", ("new",), 0, (("role", "user"),)),
+        ("mint", "NUM", ("new",), 0, None)]
 
 
 # --- genesis mints and credits ------------------------------------------------
@@ -649,11 +651,26 @@ def test_genesis_is_one_settle_per_element_and_per_asset_and_matches_a_loop_of_r
     assert market.registry.state_hash() == reference.registry.state_hash()
     pool, reference_pool = market.yields.get(cid), reference.yields.get(cid)
     # the yield listener ran for every genesis holder
-    assert pool.last_index.keys() >= {g.account for g in cfg.assets[0].genesis_mint}
+    assert pool.last_index.keys() >= {account for account, _ in cfg.assets[0].genesis_mint}
     for field in ("last_index", "accrued_scaled"):
         assert list(getattr(pool, field).items()) == list(getattr(reference_pool, field).items())
     assert market.oracle.production == reference.oracle.production
     market.audit()
+
+
+def test_build_market_passes_the_parsed_genesis_rows_as_they_are(monkeypatch):
+    cfg = load_config(FIXTURES / "two_assets.json")
+    passed = []  # the rows object of each genesis batch call
+    credit, mint = OracleHub.credit_genesis, CompositeEngine.mint_composites
+    monkeypatch.setattr(OracleHub, "credit_genesis",
+                        lambda hub, e, rows: passed.append(rows) or credit(hub, e, rows))
+    monkeypatch.setattr(CompositeEngine, "mint_composites",
+                        lambda engine, cid, rows: passed.append(rows) or mint(engine, cid, rows))
+    sim.build_market(cfg)
+    expected = [oe.genesis for _, oe in cfg.oracle.elements if oe.genesis]
+    expected += [a.genesis_mint for a in cfg.assets if a.genesis_mint]
+    assert len(passed) == len(expected) > 2
+    assert all(rows is parsed for rows, parsed in zip(passed, expected))
 
 
 # --- mid-run corruption is caught by the end of its epoch ----------------------
