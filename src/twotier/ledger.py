@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -114,17 +114,14 @@ class _Memo(dict):
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenMeta:
-    """A token's description. `Registry.create_token` keeps a copy whose flags start unset
-    and change only by logged `set_*` ops."""
+    """A token's description, fixed once constructed. It holds no flags: the registry
+    that creates the token keeps them on its book, changed only by logged `set_*` ops."""
     token: str
     kind: TokenKind
     unit_label: str = ""
     decimals: int = 0
-    paused: bool = field(default=False, init=False)
-    allowlist_enabled: bool = field(default=False, init=False)
-    allowlist: set = field(default_factory=set, init=False)
 
     def __post_init__(self):
         """ValueError naming the first field of the wrong type or out of range."""
@@ -136,12 +133,14 @@ class TokenMeta:
 
 
 class _Book(dict):
-    """One token's account -> balance map, carrying its meta, minting authority, supply
-    and the fn(account, balance) listeners that run just before any balance change."""
-    __slots__ = ("meta", "authority", "supply", "listeners")
+    """One token's account -> balance map, carrying its meta, minting authority, supply,
+    flags and the fn(account, balance) listeners that run just before any balance change."""
+    __slots__ = ("meta", "authority", "supply", "listeners", "paused", "allowlist_enabled",
+                 "allowlist")
 
     def __init__(self, meta: TokenMeta, authority: str):
         self.meta, self.authority, self.supply, self.listeners = meta, authority, 0, []
+        self.paused, self.allowlist_enabled, self.allowlist = False, False, set()
 
 
 class Registry:
@@ -152,10 +151,10 @@ class Registry:
     every state transition; replaying it from genesis reproduces the ledger
     exactly (see `replay_events`). Each field of a logged event has one type,
     checked where it enters and before anything is written: a str account id,
-    a token's str name, `TokenKind`, int decimals and str unit label (by
-    `TokenMeta`, again when `create_token` logs them), its str authority, an
-    account's `AccountRole` and a bool flag. Any other type is refused with a
-    ValueError naming the field.
+    a token's str name, `TokenKind`, int decimals and str unit label (by the
+    frozen `TokenMeta`), its str authority, an account's `AccountRole` and a bool
+    flag. Any other type is refused with a ValueError naming the field. A token's
+    flags are kept on its book, and `meta()` returns the registered description.
     """
 
     def __init__(self):
@@ -185,27 +184,18 @@ class Registry:
     # --- token admin ---
 
     def create_token(self, meta: TokenMeta, authority: str) -> str:
-        """Register a copy of the description `meta` as a new token minted by `authority`.
-
-        The registry keeps its own copy, with its own flags, so a description shared
-        with another registry or changed later changes nothing here. A description with
-        a flag already set is refused with a ValueError naming the flag, since only
-        logged `set_*` ops set flags.
-        """
-        # the copy checks the fields as logged here, even if changed since construction
-        own = TokenMeta(meta.token, meta.kind, meta.unit_label, meta.decimals)
-        if meta.paused or meta.allowlist_enabled or meta.allowlist:
-            flag = next(f for f in ("paused", "allowlist_enabled", "allowlist") if getattr(meta, f))
-            raise ValueError(f"{flag} is set on the description of {meta.token}")
-        if own.token in self.tokens:
-            raise DuplicateToken(own.token)
+        """Register the description `meta`, exactly a `TokenMeta`, as a new token minted
+        by `authority`, with its flags unset."""
+        _typed("meta", meta, TokenMeta)
+        if meta.token in self.tokens:
+            raise DuplicateToken(meta.token)
         _typed("authority", authority, str)
-        self.tokens[own.token] = own
-        self._balances[own.token] = _Book(own, authority)
-        self._log("create_token", token=own.token, accounts=(), qty=0,
-                  meta=(("kind", own.kind.value), ("decimals", own.decimals),
-                        ("unit_label", own.unit_label), ("authority", authority)))
-        return own.token
+        self.tokens[meta.token] = meta
+        self._balances[meta.token] = _Book(meta, authority)
+        self._log("create_token", token=meta.token, accounts=(), qty=0,
+                  meta=(("kind", meta.kind.value), ("decimals", meta.decimals),
+                        ("unit_label", meta.unit_label), ("authority", authority)))
+        return meta.token
 
     def _book(self, token: str) -> _Book:
         try:
@@ -229,12 +219,12 @@ class Registry:
         """The one flag writer and its log entry, for each op of `_FLAGS`; set_allowlist
         sets the entry of `accounts[0]`, and the other ops take no account."""
         _typed("flag", flag, bool)
-        meta = self.meta(token)
+        book = self._book(token)
         accounts = (_typed("account", accounts[0], str),) if op == "set_allowlist" else ()
         if accounts:
-            (meta.allowlist.add if flag else meta.allowlist.discard)(accounts[0])
+            (book.allowlist.add if flag else book.allowlist.discard)(accounts[0])
         else:
-            setattr(meta, op[len("set_"):], flag)  # set_paused -> paused, and so on
+            setattr(book, op[len("set_"):], flag)  # set_paused -> paused, and so on
         self._log(op, token, accounts, 0, _FLAG_META[flag])
 
     def add_balance_listener(self, token: str, fn):
@@ -267,16 +257,19 @@ class Registry:
         self.settle(((token, frm, None, qty),), authority)
 
     def transfer(self, token: str, frm: str, to: str, qty: int):
-        self.settle(((token, frm, to, qty),))
+        self.transfers(token, frm, [(to, qty)])
 
     def transfers(self, token: str, frm: str, payouts: list[tuple[str, int]]):
         """Transfer each (to, qty) of `payouts` from `frm`, in order, all or none, as one
         `settle` of the legs. A batch of two or more legs on a token without balance
         listeners that passes every check as a whole is written by `_transfer_batch`
-        instead; any failed check leaves it to `settle`, which raises the failing
-        leg's error."""
+        instead; any other batch is refused as UnknownAccount when a leg has a None
+        account (the supply to `settle`), else left to `settle`, which raises the
+        failing leg's error."""
         if len(payouts) > 1 and self._transfer_batch(token, frm, payouts):
             return
+        if any(frm is None or to is None for to, _ in payouts):
+            raise UnknownAccount(None)
         self.settle([(token, frm, *leg) for leg in payouts])
 
     def settle(self, legs, authority: str | None = None):
@@ -305,11 +298,11 @@ class Registry:
                         raise UnknownAccount(account)
                 if op != "transfer" and book.authority != authority:
                     raise Unauthorized(f"{authority!r} is not the minter of {token}")
-                if (meta := book.meta).paused:
+                if book.paused:
                     raise TokenPaused(token)
-                if meta.allowlist_enabled:
+                if book.allowlist_enabled:
                     for account in accounts:
-                        if account not in meta.allowlist:
+                        if account not in book.allowlist:
                             raise NotAllowlisted(f"{account} not allowlisted for {token}")
                 if frm is not None:
                     bal = book.get(frm, 0)
@@ -347,13 +340,13 @@ class Registry:
             return False
         tos = [to for to, _ in legs]  # no per-leg iterator, unlike zip(*legs)
         qtys = [qty for _, qty in legs]
-        meta, known = book.meta, self.accounts
+        known = self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         balance = book.get(frm, 0)
-        if (total < 0 or min(qtys) < 0 or total > balance or meta.paused
+        if (total < 0 or min(qtys) < 0 or total > balance or book.paused
                 or frm not in known or not all(map(known.__contains__, tos))
-                or meta.allowlist_enabled and not (frm in meta.allowlist
-                                                   and meta.allowlist.issuperset(tos))):
+                or book.allowlist_enabled and not (frm in book.allowlist
+                                                   and book.allowlist.issuperset(tos))):
             return False
         pairs = self._pairs.get(frm)
         if pairs is None:
@@ -388,10 +381,10 @@ class Registry:
         book, known = self._balances.get(token), self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         if (book is None or book.listeners or book.authority != authority
-                or total < 0 or min(qtys, default=0) < 0 or (meta := book.meta).paused
+                or total < 0 or min(qtys, default=0) < 0 or book.paused
                 or len(set(ids)) < len(ids) or not known.keys().isdisjoint(ids)
-                or meta.allowlist_enabled
-                and not meta.allowlist.issuperset([a for a, qty in rows if qty])):
+                or book.allowlist_enabled
+                and not book.allowlist.issuperset([a for a, qty in rows if qty])):
             with self.transaction():
                 for account, qty in rows:
                     self.create_account(account)
@@ -479,9 +472,9 @@ class Registry:
         state = {
             "supply": {t: b.supply for t, b in self._balances.items()},
             "balances": {t: {a: v for a, v in b.items() if v} for t, b in self._balances.items()},
-            "tokens": {t: [m.kind.value, m.decimals, m.paused, m.allowlist_enabled,
-                           sorted(m.allowlist)]
-                       for t, m in sorted(self.tokens.items())},
+            "tokens": {t: [b.meta.kind.value, b.meta.decimals, b.paused, b.allowlist_enabled,
+                           sorted(b.allowlist)]
+                       for t, b in sorted(self._balances.items())},
             "accounts": dict(sorted((a, r.value) for a, r in self.accounts.items())),
         }
         blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -537,8 +530,9 @@ def replay_events(events: list) -> Registry:
     missing, repeated or out of order is rejected. Replay applies raw state
     transitions; authority checks were already enforced when the log was
     written. A malformed line (not an object, a field missing, a value of the
-    wrong type or out of range) raises ValueError("event <i>: ..."); a
-    well-formed op that the ledger refuses raises its EngineError.
+    wrong type or out of range, a field or type unlike the event its replay
+    logs) raises ValueError("event <i>: ..."); a well-formed op that the ledger
+    refuses raises its EngineError.
     """
     reg = Registry()
     for index, ev in enumerate(events):
@@ -557,21 +551,25 @@ def replay_events(events: list) -> Registry:
                 op, token, accounts, qty, meta = ev
             else:
                 raise ValueError(f"{type(ev).__name__} is not an event")
-            meta = dict(meta or ())  # a logged tuple of (key, value) pairs, or a parsed object
+            pairs = dict(meta or ())  # a logged tuple of (key, value) pairs, or a parsed object
             if op == "create_account":
-                reg.create_account(accounts[0], AccountRole(meta["role"]))
+                reg.create_account(accounts[0], AccountRole(pairs["role"]))
             elif op == "create_token":
-                reg.create_token(TokenMeta(token=token, kind=TokenKind(meta["kind"]),
-                                           unit_label=meta.get("unit_label", ""),
-                                           decimals=meta["decimals"]),
-                                 authority=meta["authority"])
+                reg.create_token(TokenMeta(token=token, kind=TokenKind(pairs["kind"]),
+                                           unit_label=pairs["unit_label"],
+                                           decimals=pairs["decimals"]),
+                                 authority=pairs["authority"])
             elif op in _ENDS:
                 frm, to = _ENDS[op](accounts)
                 reg.settle(((token, frm, to, qty),), reg._book(token).authority)
             elif op in _FLAGS:
-                reg._flag(op, token, accounts, meta["flag"])
+                reg._flag(op, token, accounts, pairs["flag"])
             else:
                 raise ValueError(f"unknown event op {op!r}")
+            logged = reg.events[-1]  # compared as text, where 1, 1.0 and True differ
+            if repr((*logged[:4], logged[4] and sorted(logged[4]))) != repr(
+                    (op, token, tuple(accounts), qty, meta and sorted(dict(meta).items()))):
+                raise ValueError(f"replays as {logged}")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             # a malformed line; an EngineError (an op the ledger refuses) propagates as is
             reason = f"no {exc}" if type(exc) is KeyError else exc

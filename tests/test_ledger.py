@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from twotier.errors import (
     Overflow,
     TokenPaused,
     Unauthorized,
+    UnknownAccount,
     UnknownToken,
 )
 from twotier.ledger import (
@@ -56,12 +58,11 @@ def test_create_composite_kind():
 
 
 def test_token_meta_flags_are_not_constructor_arguments():
-    # every flag value a token takes is a logged set_* event, so a token starts unflagged
+    # every flag value a token takes is a logged set_* event on the registry's book
     for flag in ({"paused": True}, {"allowlist_enabled": True}, {"allowlist": {"alice"}}):
         with pytest.raises(TypeError):
             TokenMeta(token="MWh", kind=TokenKind.ELEMENT, **flag)
-    meta = TokenMeta(token="MWh", kind=TokenKind.ELEMENT)
-    assert (meta.paused, meta.allowlist_enabled, meta.allowlist) == (False, False, set())
+    assert [f.name for f in fields(TokenMeta)] == ["token", "kind", "unit_label", "decimals"]
 
 
 def create_kwh(reg: Registry, authority=MINTER, **fields):
@@ -88,26 +89,15 @@ REFUSED = {
         "MWh", [("carol", 1), (5, 1)], MINTER)),
     "int-allowlist-account": ("account", lambda reg: reg.set_allowlist("MWh", 7, True)),
     "int-token": ("token", lambda reg: create_kwh(reg, token=5)),
-    # a description changed after its construction is checked again where it is logged
-    "mutated-decimals": ("decimals", lambda reg: reg.create_token(
-        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), decimals=True), MINTER)),
-    "mutated-token": ("token", lambda reg: reg.create_token(
-        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), token=5), MINTER)),
-    # a flag set on a description before create_token, which no event would log
-    "preset-paused": ("paused", lambda reg: reg.create_token(
-        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), paused=True), MINTER)),
-    "preset-allowlist_enabled": ("allowlist_enabled", lambda reg: reg.create_token(
-        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), allowlist_enabled=True),
-        MINTER)),
-    "preset-allowlist": ("allowlist", lambda reg: reg.create_token(
-        mutated(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), allowlist={"alice"}), MINTER)),
+    # only a frozen description, whose fields were checked when it was built
+    "tuple-meta": ("meta", lambda reg: reg.create_token(("kWh", TokenKind.ELEMENT), MINTER)),
+    "subclass-meta": ("meta", lambda reg: reg.create_token(
+        Described(token="kWh", kind=TokenKind.ELEMENT), MINTER)),
 }
 
 
-def mutated(meta: TokenMeta, **fields) -> TokenMeta:
-    for name, value in fields.items():
-        setattr(meta, name, value)
-    return meta
+class Described(TokenMeta):
+    """A TokenMeta subclass: `create_token` registers only exact descriptions."""
 
 
 def ledger_state(reg: Registry):
@@ -131,13 +121,14 @@ def test_each_registry_keeps_its_own_flags_of_a_shared_description():
     for reg in (first, second):
         reg.create_token(meta, MINTER)
         reg.create_account("alice")
-    first.set_paused("kWh", True)
+        reg.create_account("bob")
+        assert reg.meta("kWh") is meta  # the description itself, which holds no flag
     first.set_allowlist_enabled("kWh", True)
     first.set_allowlist("kWh", "alice", True)
-    for unflagged in (second.meta("kWh"), meta):
-        assert (unflagged.paused, unflagged.allowlist_enabled, unflagged.allowlist) == (
-            False, False, set())
-    assert second.meta("kWh") == meta  # the description's fields, with unset flags
+    second.mint("kWh", "bob", 5, MINTER)  # no allowlist there
+    with pytest.raises(NotAllowlisted):
+        first.mint("kWh", "bob", 5, MINTER)
+    first.set_paused("kWh", True)
     second.mint("kWh", "alice", 5, MINTER)  # not paused there
     with pytest.raises(TokenPaused):
         first.mint("kWh", "alice", 5, MINTER)
@@ -146,14 +137,18 @@ def test_each_registry_keeps_its_own_flags_of_a_shared_description():
 
 
 def test_a_description_changed_after_create_token_changes_nothing_in_the_registry():
-    meta = TokenMeta(token="kWh", kind=TokenKind.ELEMENT)
+    # a description is frozen, so `meta()`, the caller's own description, cannot pause a token
     reg = Registry()
-    reg.create_token(meta, MINTER)
+    reg.create_token(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), MINTER)
     reg.create_account("alice")
-    before = reg.state_hash()
-    mutated(meta, decimals=True, paused=True, allowlist_enabled=True)
-    assert reg.state_hash() == before
-    reg.mint("kWh", "alice", 5, MINTER)
+    before = ledger_state(reg)
+    changes = {"token": "MWh", "kind": TokenKind.COMPOSITE, "unit_label": "Wh", "decimals": 3,
+               "paused": True, "allowlist_enabled": True, "allowlist": {"alice"}}
+    for name, value in changes.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(reg.meta("kWh"), name, value)
+    assert ledger_state(reg) == before
+    reg.mint("kWh", "alice", 5, MINTER)  # not paused
     assert replay_events(reg.events).state_hash() == reg.state_hash()
 
 
@@ -426,6 +421,27 @@ def test_unlistened_batches_match_a_loop_of_transfer(frm, legs, paused, allowlis
 def test_a_batch_that_one_check_refuses_matches_a_loop_of_transfer(frm, legs, paused,
                                                                     allowlisted):
     _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, 60, False)
+
+
+# a call with a None account, which `settle` would take for the supply
+NONE_ACCOUNT = {
+    "transfer-from-None": lambda reg: reg.transfer("MWh", None, "alice", 5),
+    "transfer-to-None": lambda reg: reg.transfer("MWh", "alice", None, 5),
+    "transfers-from-None": lambda reg: reg.transfers("MWh", None, [("bob", 5)]),
+    "batch-from-None": lambda reg: reg.transfers("MWh", None, [("bob", 5), ("carol", 5)]),
+    "batch-to-None": lambda reg: reg.transfers("MWh", "alice", [("bob", 5), (None, 5)]),
+    # refused for the account before its amount, unlike a leg of `settle`
+    "transfer-from-None-negative": lambda reg: reg.transfer("MWh", None, "alice", -1),
+}
+
+
+@pytest.mark.parametrize("case", NONE_ACCOUNT)
+def test_a_none_account_in_a_transfer_is_refused_as_unknown(case):
+    reg, _ = _payer_registry(False, None, 60, False)
+    before = _ledger_state(reg)
+    with pytest.raises(UnknownAccount):
+        NONE_ACCOUNT[case](reg)
+    assert _ledger_state(reg) == before
 
 
 def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice, listening):
@@ -899,8 +915,15 @@ def test_rollback_undoes_non_move_state_and_reraises():
             raise Abort
     # every event of the block is gone, and with it the state it made
     assert (reg.state_hash(), list(reg.events), dict(reg.accounts), list(reg.tokens)) == before
-    meta = reg.meta("MWh")
-    assert (meta.paused, meta.allowlist_enabled, meta.allowlist) == (True, False, {"bob"})
+    with pytest.raises(TokenPaused):  # still paused
+        reg.transfer("MWh", "alice", "bob", 1)
+    reg.set_paused("MWh", False)
+    reg.transfer("MWh", "alice", "bob", 1)  # the allowlist is still off
+    reg.set_allowlist_enabled("MWh", True)
+    with pytest.raises(NotAllowlisted):  # alice is not on it...
+        reg.transfer("MWh", "alice", "bob", 1)
+    reg.set_allowlist("MWh", "alice", True)
+    reg.transfer("MWh", "alice", "bob", 1)  # ...and bob still is
 
 
 def test_keyboard_interrupt_in_a_nested_transaction_undoes_the_block_and_reraises():
@@ -1183,6 +1206,7 @@ MALFORMED = {
     "set_paused-without-meta": (5, '"meta":{"flag":true},', ""),
     "no-role": (1, '"role":"user"', ""),
     "no-authority": (0, '"authority":"minter",', ""),
+    "no-unit_label": (0, ',"unit_label":"MWh"', ""),
     "no-op": (3, '"op":"mint",', ""),
     "str-decimals": (0, '"decimals":0', '"decimals":"x"'),
     "bool-decimals": (0, '"decimals":0', '"decimals":true'),
@@ -1193,6 +1217,17 @@ MALFORMED = {
     "list-meta": (5, '"meta":{"flag":true}', '"meta":[["flag",true]]'),
     "list-line": (4, '{"accounts":["alice","bob"],"op":"transfer","qty":30,"seq":4,"token":"MWh"}',
                   '["transfer","MWh",["alice","bob"],30,null]'),
+    # a field the op does not read, which its replay would log otherwise
+    "accounts-on-mint": (3, '"accounts":["alice"]', '"accounts":["alice","bob"]'),
+    "qty-on-create_account": (1, '"qty":0', '"qty":99'),
+    "token-on-create_account": (1, '"token":""', '"token":"X"'),
+    "accounts-on-set_paused": (5, '"accounts":[]', '"accounts":["b"]'),
+    "qty-on-set_paused": (5, '"qty":0', '"qty":7'),
+    "accounts-on-create_token": (0, '"accounts":[]', '"accounts":["z"]'),
+    # equal as a value, of another type
+    "bool-qty-on-create_account": (1, '"qty":0', '"qty":false'),
+    "float-qty-on-set_paused": (5, '"qty":0', '"qty":0.0'),
+    "empty-meta-on-mint": (3, '"op":"mint"', '"meta":{},"op":"mint"'),
 }
 
 
@@ -1238,6 +1273,20 @@ def test_replay_rejects_a_live_record_that_is_not_an_exact_5_tuple(wrong):
     index = len(events) - 1
     events[index] = wrong(events[index])
     with pytest.raises(ValueError, match=f"^event {index}: ") as raised:
+        replay_events(events)
+    assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("index,edited", [
+    (1, ("create_account", "", ("alice",), False, (("role", "user"),))),  # qty 0 as a bool
+    (3, ("mint", "MWh", ("alice",), 100, ())),  # an empty meta, which a mint logs as None
+], ids=["bool-qty", "empty-meta"])
+def test_replay_rejects_a_live_event_unlike_the_one_its_replay_logs(index, edited):
+    reg = fresh()
+    reg.mint("MWh", "alice", 100, MINTER)
+    events = list(reg.events)
+    events[index] = edited
+    with pytest.raises(ValueError, match=f"^event {index}: replays as ") as raised:
         replay_events(events)
     assert type(raised.value) is ValueError
 
