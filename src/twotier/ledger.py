@@ -1,11 +1,12 @@
 """Authoritative token ledger: balances, supplies, mint/burn controls.
 
 All quantities are non-negative integers at each token's own decimal scale.
-No floating point enters this module. Every balance change is a leg of one
-`Registry.settle` call, which validates each leg fully before writing it and
-undoes the call's earlier legs when one fails, so a raised error never leaves a
-partial write behind. `transfers` and `open_accounts` write a batch that passes
-every check as a whole in one pass, and leave any other batch to the per-leg path.
+No floating point enters this module. A token's book holds exactly its nonzero balances.
+Every balance change is a leg of one `Registry.settle` call, which validates each leg
+fully before writing it and undoes the call's earlier legs when one fails, so a raised
+error never leaves a partial write behind. `transfers` and `open_accounts` write a batch
+that passes every check as a whole in one pass, and leave any other batch to the per-leg
+path.
 
 `Registry.events` logs each state transition as a plain 5-tuple
 `(op, token, accounts, qty, meta)`, whose `seq` is its index in the log and whose
@@ -86,6 +87,7 @@ _ROLE_META = {role: (("role", role.value),) for role in AccountRole}
 _FLAG_META = {flag: (("flag", flag),) for flag in (False, True)}
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 _STR_ONLY = frozenset((str,))  # the one account id type
+_FIELDS = frozenset(("accounts", "meta", "op", "qty", "seq", "token"))  # of a parsed line
 
 EXPORT_CHUNK = 1024  # events rendered per `Registry.export_chunks` list
 _json_meta = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -133,13 +135,12 @@ class TokenMeta:
 
 
 class _Book(dict):
-    """One token's account -> balance map, carrying its meta, minting authority, supply,
+    """One token's account -> nonzero balance map, carrying its minting authority, supply,
     flags and the fn(account, balance) listeners that run just before any balance change."""
-    __slots__ = ("meta", "authority", "supply", "listeners", "paused", "allowlist_enabled",
-                 "allowlist")
+    __slots__ = ("authority", "supply", "listeners", "paused", "allowlist_enabled", "allowlist")
 
-    def __init__(self, meta: TokenMeta, authority: str):
-        self.meta, self.authority, self.supply, self.listeners = meta, authority, 0, []
+    def __init__(self, authority: str):
+        self.authority, self.supply, self.listeners = authority, 0, []
         self.paused, self.allowlist_enabled, self.allowlist = False, False, set()
 
 
@@ -191,7 +192,7 @@ class Registry:
             raise DuplicateToken(meta.token)
         _typed("authority", authority, str)
         self.tokens[meta.token] = meta
-        self._balances[meta.token] = _Book(meta, authority)
+        self._balances[meta.token] = _Book(authority)
         self._log("create_token", token=meta.token, accounts=(), qty=0,
                   meta=(("kind", meta.kind.value), ("decimals", meta.decimals),
                         ("unit_label", meta.unit_label), ("authority", authority)))
@@ -204,7 +205,10 @@ class Registry:
             raise UnknownToken(token) from None
 
     def meta(self, token: str) -> TokenMeta:
-        return self._book(token).meta
+        try:
+            return self.tokens[token]
+        except KeyError:
+            raise UnknownToken(token) from None
 
     def set_paused(self, token: str, flag: bool):
         self._flag("set_paused", token, (), flag)
@@ -241,11 +245,10 @@ class Registry:
         return self._book(token).supply
 
     def holders(self, token: str) -> list[str]:
-        return [a for a, v in self._book(token).items() if v > 0]
+        return list(self._book(token))
 
     def balances(self, token: str) -> Mapping[str, int]:
-        """Read-only view of every balance entry of `token`, zero ones included (a rolled-back
-        `transaction()` may leave some, even of deleted accounts; `state_hash` ignores them)."""
+        """Read-only view of every nonzero balance of `token`."""
         return MappingProxyType(self._book(token))
 
     # --- mutations ---
@@ -278,12 +281,10 @@ class Registry:
         `frm=None` mints and `to=None` burns, under `authority`. Each leg runs its
         checks in one order (amount, token, accounts, authority for a mint or burn,
         pause, allowlist, balance), calls its token's listeners with each account's
-        balance before the write, then writes and logs. A failed leg undoes the
-        earlier ones, and every book they touched drops the entries they created.
+        balance before the write, then writes and logs. A failed leg undoes the earlier ones.
         """
         events, books, known = self.events, self._balances, self.accounts
         start = len(events)
-        sizes = {} if len(legs) > 1 else None  # token -> its book's size; a later leg can fail
         try:
             for token, frm, to, qty in legs:
                 if type(qty) is not int or qty < 0:
@@ -314,13 +315,10 @@ class Registry:
                         balance = book.get(account, 0)
                         for fn in book.listeners:
                             fn(account, balance)
-                if sizes is not None and token not in sizes:
-                    sizes[token] = len(book)
                 self._write(book, frm, to, qty)
                 events.append((op, token, accounts, qty, None))
         except BaseException:
             self._undo(start)
-            self._drop_entries(sizes or {})
             raise
 
     def _transfer_batch(self, token: str, frm, legs) -> bool:
@@ -332,8 +330,8 @@ class Registry:
         allowlisted, when the allowlist is on), and the sum of the amounts within
         `frm`'s balance. Each leg's own balance check would then pass, since the legs
         before it took out at most their sum, payees equal to `frm` included. `frm` is
-        debited once and the payees credited in leg order, so the book's keys come in
-        the per-leg path's order, and each event's accounts tuple is shared per pair.
+        debited once and the payees credited in leg order, and each event's accounts
+        tuple is shared per pair.
         """
         book = self._balances.get(token)
         if book is None or book.listeners:
@@ -356,7 +354,10 @@ class Registry:
         book[frm] = balance - total
         get = book.get
         for to, qty in legs:
-            book[to] = get(to, 0) + qty
+            if qty:
+                book[to] = get(to, 0) + qty
+        if not book[frm]:  # debited to 0 and not paid back by a leg of its own
+            del book[frm]
         self.events.extend(logged)
         return True
 
@@ -391,14 +392,14 @@ class Registry:
                     if type(qty) is not int or qty:
                         self.mint(token, account, qty, authority)
             return sum(qtys)
-        events, get, user = self.events, book.get, AccountRole.USER
+        events, user = self.events, AccountRole.USER
         role = _ROLE_META[user]
         for account, qty in rows:
             accounts = (account,)
             known[account] = user
             events.append(("create_account", "", accounts, 0, role))
             if qty:
-                book[account] = get(account, 0) + qty
+                book[account] = qty  # a new account has no entry
                 events.append(("mint", token, accounts, qty, None))
         book.supply += total
         return total
@@ -436,22 +437,18 @@ class Registry:
                 self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
 
-    def _drop_entries(self, sizes: dict[str, int]):
-        """Cut each token's book back to its size in `sizes`, undoing a failed `settle`."""
-        for token, size in sizes.items():
-            book = self._balances[token]
-            for account in list(book)[size:]:
-                del book[account]
-
     def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
-        """Move qty of book's token from frm to to, unchecked; None on either side is the supply."""
+        """Move qty of book's token from frm to to, unchecked; None on either side is the supply.
+        An entry the write leaves at 0 is deleted, and a credit of 0 creates none."""
         if frm is None:
             book.supply += qty
+        elif left := book.get(frm, 0) - qty:
+            book[frm] = left
         else:
-            book[frm] = book.get(frm, 0) - qty
+            book.pop(frm, None)
         if to is None:
             book.supply -= qty
-        else:
+        elif qty:
             book[to] = book.get(to, 0) + qty
 
     def _log(self, op: str, token: str, accounts: tuple, qty: int, meta: tuple | None = None):
@@ -460,21 +457,21 @@ class Registry:
     # --- snapshots / audit ---
 
     def audit(self):
-        """Raise InvariantViolation unless each token's balances are >= 0 and sum to its supply."""
+        """Raise InvariantViolation unless each token's balances are > 0 and sum to its supply."""
         for token, book in self._balances.items():
             total = sum(book.values())
-            if total != book.supply or min(book.values(), default=0) < 0:
+            if total != book.supply or min(book.values(), default=1) <= 0:
                 raise InvariantViolation(f"conservation: {token} balances sum to {total}, "
-                                         f"supply {book.supply}, or one is negative")
+                                         f"supply {book.supply}, or one is not positive")
 
     def state_hash(self) -> str:
         """Deterministic digest of balances, supplies and token flags."""
+        meta = self.tokens
         state = {
             "supply": {t: b.supply for t, b in self._balances.items()},
-            "balances": {t: {a: v for a, v in b.items() if v} for t, b in self._balances.items()},
-            "tokens": {t: [b.meta.kind.value, b.meta.decimals, b.paused, b.allowlist_enabled,
-                           sorted(b.allowlist)]
-                       for t, b in sorted(self._balances.items())},
+            "balances": {t: dict(b) for t, b in self._balances.items()},
+            "tokens": {t: [meta[t].kind.value, meta[t].decimals, b.paused, b.allowlist_enabled,
+                           sorted(b.allowlist)] for t, b in self._balances.items()},
             "accounts": dict(sorted((a, r.value) for a, r in self.accounts.items())),
         }
         blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -525,21 +522,22 @@ def replay_events(events: list) -> Registry:
 
     Takes the live event tuples of `Registry.events`, whose meta is a tuple of
     (key, value) pairs, or the dicts parsed from `events.jsonl`, whose meta is an
-    object.
-    A parsed line must carry its index as `seq`, so a log with a line
-    missing, repeated or out of order is rejected. Replay applies raw state
-    transitions; authority checks were already enforced when the log was
-    written. A malformed line (not an object, a field missing, a value of the
-    wrong type or out of range, a field or type unlike the event its replay
-    logs) raises ValueError("event <i>: ..."); a well-formed op that the ledger
-    refuses raises its EngineError.
+    object. A parsed line must carry its index as `seq`, an int, so a log with a line
+    missing, repeated or out of order is rejected, and no field but `accounts`,
+    `meta`, `op`, `qty`, `seq` and `token`. Replay applies raw state transitions;
+    authority checks were already enforced when the log was written. A malformed
+    line (not an object, a field missing, a value of the wrong type or out of range,
+    a field or type unlike the event its replay logs) raises ValueError("event <i>:
+    ..."); a well-formed op that the ledger refuses raises its EngineError.
     """
     reg = Registry()
     for index, ev in enumerate(events):
         try:
             if isinstance(ev, dict):
-                if ev.get("seq") != index:
+                if type(ev.get("seq")) is not int or ev["seq"] != index:
                     raise ValueError(f"seq {ev.get('seq')!r}, expected {index}")
+                if not ev.keys() <= _FIELDS:
+                    raise ValueError(f"unknown field {min(map(repr, ev.keys() - _FIELDS))}")
                 op, token, accounts, qty, meta = (ev["op"], ev["token"], ev["accounts"],
                                                   ev["qty"], ev.get("meta"))
                 if type(accounts) is not list or not all(

@@ -7,8 +7,9 @@ are drawn well-formed or of a type or value the ledger refuses. After every
 step the machine checks that a refused call changed nothing, that a transfer
 (which takes no authority) is never refused as unauthorized, that the live
 log and its parsed export replay to the same ledger and the same bytes, that
-`audit()` passes, and that every event is an exact tuple whose meta is None or
-a tuple of (key, value) pairs.
+`audit()` passes, that every book holds only positive balances of existing
+accounts, and that every event is an exact tuple whose meta is None or a tuple
+of (key, value) pairs.
 """
 
 import json
@@ -187,6 +188,13 @@ class LedgerMachine(RuleBasedStateMachine):
     @invariant()
     def the_ledger_audits(self):
         self.reg.audit()
+
+    @invariant()
+    def every_book_holds_only_positive_balances_of_existing_accounts(self):
+        reg = self.reg
+        for token in reg.tokens:
+            for account, balance in reg.balances(token).items():
+                assert account in reg.accounts and balance > 0
 
     @invariant()
     def every_event_is_an_exact_tuple_of_untracked_fields(self):
