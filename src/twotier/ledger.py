@@ -135,12 +135,12 @@ class TokenMeta:
 
 
 class _Book(dict):
-    """One token's account -> nonzero balance map, carrying its minting authority, supply,
-    flags and the fn(account, balance) listeners that run just before any balance change."""
-    __slots__ = ("authority", "supply", "listeners", "paused", "allowlist_enabled", "allowlist")
+    """One token's account -> nonzero balance map, carrying its minting authority, supply
+    and flags."""
+    __slots__ = ("authority", "supply", "paused", "allowlist_enabled", "allowlist")
 
     def __init__(self, authority: str):
-        self.authority, self.supply, self.listeners = authority, 0, []
+        self.authority, self.supply = authority, 0
         self.paused, self.allowlist_enabled, self.allowlist = False, False, set()
 
 
@@ -231,11 +231,6 @@ class Registry:
             setattr(book, op[len("set_"):], flag)  # set_paused -> paused, and so on
         self._log(op, token, accounts, 0, _FLAG_META[flag])
 
-    def add_balance_listener(self, token: str, fn):
-        """Register fn(account, balance) to run before any balance change of `token`,
-        with the account's balance before the change."""
-        self._book(token).listeners.append(fn)
-
     # --- queries ---
 
     def balance_of(self, token: str, account: str) -> int:
@@ -264,11 +259,10 @@ class Registry:
 
     def transfers(self, token: str, frm: str, payouts: list[tuple[str, int]]):
         """Transfer each (to, qty) of `payouts` from `frm`, in order, all or none, as one
-        `settle` of the legs. A batch of two or more legs on a token without balance
-        listeners that passes every check as a whole is written by `_transfer_batch`
-        instead; any other batch is refused as UnknownAccount when a leg has a None
-        account (the supply to `settle`), else left to `settle`, which raises the
-        failing leg's error."""
+        `settle` of the legs. A batch of two or more legs that passes every check as a
+        whole is written by `_transfer_batch` instead; any other batch is refused as
+        UnknownAccount when a leg has a None account (the supply to `settle`), else left
+        to `settle`, which raises the failing leg's error."""
         if len(payouts) > 1 and self._transfer_batch(token, frm, payouts):
             return
         if any(frm is None or to is None for to, _ in payouts):
@@ -280,8 +274,8 @@ class Registry:
 
         `frm=None` mints and `to=None` burns, under `authority`. Each leg runs its
         checks in one order (amount, token, accounts, authority for a mint or burn,
-        pause, allowlist, balance), calls its token's listeners with each account's
-        balance before the write, then writes and logs. A failed leg undoes the earlier ones.
+        pause, allowlist, balance), then writes and logs. A failed leg undoes the earlier
+        ones.
         """
         events, books, known = self.events, self._balances, self.accounts
         start = len(events)
@@ -310,11 +304,6 @@ class Registry:
                     if bal < qty:
                         raise InsufficientBalance(f"{op} {qty} of {token}, balance {bal}",
                                                   token=token, shortfall=qty - bal)
-                if book.listeners:
-                    for account in accounts:
-                        balance = book.get(account, 0)
-                        for fn in book.listeners:
-                            fn(account, balance)
                 self._write(book, frm, to, qty)
                 events.append((op, token, accounts, qty, None))
         except BaseException:
@@ -323,7 +312,7 @@ class Registry:
 
     def _transfer_batch(self, token: str, frm, legs) -> bool:
         """Write a transfer of `legs` out of `frm` in one pass, or return False having
-        changed nothing when the batch as a whole fails a check or has listeners to call.
+        changed nothing when the batch as a whole fails a check.
 
         The checks are the per-leg ones over the whole batch: every amount a plain int
         >= 0, a known token that is not paused, `frm` and every payee known (and
@@ -334,7 +323,7 @@ class Registry:
         tuple is shared per pair.
         """
         book = self._balances.get(token)
-        if book is None or book.listeners:
+        if book is None:
             return False
         tos = [to for to, _ in legs]  # no per-leg iterator, unlike zip(*legs)
         qtys = [qty for _, qty in legs]
@@ -369,9 +358,9 @@ class Registry:
         inside one `transaction()`: a zero row logs its `create_account` only. A batch
         that passes every check as a whole is written in one pass: every id new and
         none repeated, every amount a plain int >= 0, a known token minted by
-        `authority`, not paused and without listeners, and every funded account
-        allowlisted when the allowlist is on. Any failed check leaves the batch to
-        that loop, which raises the failing row's error and undoes the rows before it.
+        `authority` and not paused, and every funded account allowlisted when the
+        allowlist is on. Any failed check leaves the batch to that loop, which raises
+        the failing row's error and undoes the rows before it.
         An id that is not a str is refused first, with `create_account`'s ValueError.
         """
         ids = [account for account, _ in rows]  # unpacks every row before any write
@@ -381,7 +370,7 @@ class Registry:
                 _typed("account", account, str)
         book, known = self._balances.get(token), self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
-        if (book is None or book.listeners or book.authority != authority
+        if (book is None or book.authority != authority
                 or total < 0 or min(qtys, default=0) < 0 or book.paused
                 or len(set(ids)) < len(ids) or not known.keys().isdisjoint(ids)
                 or book.allowlist_enabled
@@ -416,10 +405,9 @@ class Registry:
     def _undo(self, start: int):
         """Invert every event logged since `start`, newest first, then drop them from the log.
 
-        The event log is the whole undo journal, and no balance listener runs. A
-        move is written back; a created account or token is deleted, after every
-        later event that used it; a flag takes back its last earlier value in the
-        log, or its default.
+        The event log is the whole undo journal. A move is written back; a created
+        account or token is deleted, after every later event that used it; a flag takes
+        back its last earlier value in the log, or its default.
         """
         events = self.events
         for i in range(len(events) - 1, start - 1, -1):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import settings
 
 from twotier.amm import AmmVenues
-from twotier.ledger import AccountRole, TokenKind, TokenMeta
+from twotier.ledger import _ENDS, AccountRole, TokenKind, TokenMeta
 from twotier.market import Market
 from twotier.pricing import NavReport, nav_report
-from twotier.yields import INDEX_SCALE
+from twotier.yields import INDEX_SCALE, YieldVault
 
 # `--hypothesis-profile=ci` runs the properties that take their example count from
 # the profile (the arbitrage detection searches, batched yield claims, and the ledger,
@@ -99,18 +99,95 @@ def seed_solar_pools(market: Market, w_premium_bps: int = 0, pool_fee_bps: int =
                               int(seed_w * w_price), funder)
 
 
-def reference_claim(vault, composite: str, account: str) -> int:
-    """One account's claim, settled and paid on its own: the reference for the batched
-    `YieldVault.claim(composite, *accounts)`."""
-    pool = vault.get(composite)
-    vault._settle(pool, account, vault.registry.balance_of(composite, account))
-    payout = pool.accrued_scaled.get(account, 0) // INDEX_SCALE
-    if payout == 0:
-        return 0
-    pool.accrued_scaled[account] -= payout * INDEX_SCALE
-    vault.registry.transfer(vault.numeraire, pool.account, account, payout)
-    pool.total_paid += payout
-    return payout
+class IndexModel:
+    """The lazy per-share bookkeeping of pro-rata yield, kept apart from the vault as the
+    reference for its payouts.
+
+    Per token, a cumulative index of numeraire per unit, scaled by INDEX_SCALE; per
+    (token, account), the entitlement settled so far and the index it was settled at.
+    `sync` replays the registry's events since its last call and settles both accounts
+    of each move at the balance before it, so an account is owed its settled part plus
+    balance * (index - its last index). Deposits and claims sync first, so call them
+    between ledger operations, not inside one.
+    """
+
+    def __init__(self, registry):
+        self.registry = registry
+        self.seen = 0     # events replayed
+        self.balances: dict[str, dict[str, int]] = {}  # token -> account -> replayed balance
+        self.index: dict[str, int] = {}
+        self.accrued: dict[tuple[str, str], int] = {}
+        self.last: dict[tuple[str, str], int] = {}
+
+    def owed_scaled(self, token: str, account: str) -> int:
+        key = token, account
+        return (self.accrued.get(key, 0) + self.balances.get(token, {}).get(account, 0)
+                * (self.index.get(token, 0) - self.last.get(key, 0)))
+
+    def _settle(self, token: str, account: str):
+        self.accrued[token, account] = self.owed_scaled(token, account)
+        self.last[token, account] = self.index.get(token, 0)
+
+    def sync(self):
+        events = self.registry.events
+        for op, token, accounts, qty, _ in events[self.seen:]:
+            if op in _ENDS:  # a move: mint, burn or transfer
+                book = self.balances.setdefault(token, {})
+                for account, change in zip(_ENDS[op](accounts), (-qty, qty)):
+                    if account is not None:
+                        self._settle(token, account)
+                        book[account] = book.get(account, 0) + change
+        self.seen = len(events)
+
+    def deposit(self, token: str, amount: int):
+        self.sync()
+        supply = sum(self.balances[token].values())
+        self.index[token] = self.index.get(token, 0) + amount * INDEX_SCALE // supply
+
+    def claimable(self, token: str, account: str) -> int:
+        self.sync()
+        return self.owed_scaled(token, account) // INDEX_SCALE
+
+    def claim(self, token: str, account: str) -> int:
+        """Settle `account` and take its whole payout out of the model; return it."""
+        self.sync()
+        self._settle(token, account)
+        payout = self.accrued[token, account] // INDEX_SCALE
+        self.accrued[token, account] -= payout * INDEX_SCALE
+        return payout
+
+
+_deposit_yield, _claim = YieldVault.deposit_yield, YieldVault.claim  # unpatched
+
+
+def check_claimable(model: IndexModel, vault, composite: str):
+    """Every account that has held `composite` can claim what `model` says it is owed."""
+    model.sync()
+    for account in model.balances.get(composite, ()):
+        assert vault.claimable(composite, account) == model.claimable(composite, account)
+
+
+def modelled_deposit(model: IndexModel, vault, composite: str, amount: int, payer: str):
+    """`YieldVault.deposit_yield`, then the same deposit in `model`, checked with
+    `check_claimable`."""
+    _deposit_yield(vault, composite, amount, payer)
+    model.deposit(composite, amount)
+    check_claimable(model, vault, composite)
+
+
+def modelled_claim(model: IndexModel, vault, composite: str, *accounts: str) -> int:
+    """`YieldVault.claim`, whose payout to each account, in order, must be `model`'s claim
+    of that account, and which leaves every account's claimable as `model` says."""
+    model.sync()
+    events, start = vault.registry.events, len(vault.registry.events)
+    paid = _claim(vault, composite, *accounts)
+    payouts = [(account, model.claim(composite, account)) for account in accounts]
+    pool = vault.get(composite).account
+    assert events[start:] == [("transfer", vault.numeraire, (pool, account), payout, None)
+                              for account, payout in payouts if payout]
+    assert paid == sum(payout for _, payout in payouts)
+    check_claimable(model, vault, composite)
+    return paid
 
 
 def credit_by_rows(oracle, element: str, rows: list[tuple[str, int]]):

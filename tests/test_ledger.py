@@ -246,37 +246,6 @@ def test_balance_of_examples():
     assert reg.balance_of("MWh", "alice") == 70
 
 
-def test_balance_listener_needs_a_known_token():
-    reg, seen = fresh(), []
-
-    def listener(account, balance):
-        seen.append((account, balance))
-
-    with pytest.raises(UnknownToken):
-        reg.add_balance_listener("kWh", listener)
-    # the rejected listener does not fire for a token created later under that name
-    reg.create_token(TokenMeta(token="kWh", kind=TokenKind.ELEMENT), authority=MINTER)
-    reg.mint("kWh", "alice", 1, MINTER)
-    reg.add_balance_listener("MWh", listener)
-    reg.mint("MWh", "bob", 1, MINTER)
-    assert seen == [("bob", 0)]
-
-
-def test_balance_listener_sees_each_balance_before_its_change():
-    reg, seen = fresh(), []
-    reg.mint("MWh", "alice", 50, MINTER)
-    reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
-    reg.transfer("MWh", "alice", "bob", 20)
-    reg.transfers("MWh", "alice", [("bob", 5), ("alice", 1)])
-    reg.burn("MWh", "bob", 25, MINTER)
-    assert seen == [("alice", 50), ("bob", 0), ("alice", 30), ("bob", 20),
-                    ("alice", 25), ("alice", 25), ("bob", 25)]
-    # a rolled-back leg was seen, and its undo calls no listener
-    with pytest.raises(InsufficientBalance):
-        reg.transfers("MWh", "alice", [("bob", 1), ("bob", 99)])
-    assert seen[7:] == [("alice", 25), ("bob", 0)] and reg.balance_of("MWh", "alice") == 25
-
-
 def test_negative_amount_rejected():
     reg = fresh()
     with pytest.raises(Overflow):
@@ -354,22 +323,18 @@ def test_conservation_property(ops):
         assert total == reg.total_supply("MWh")
 
 
-def _payer_registry(paused: bool, allowlisted, alice: int = 60, listening: bool = True):
-    """alice (`alice` units) and bob funded, carol empty, a listener logging accounts
-    when `listening`; `zed` is never created."""
+def _payer_registry(paused: bool, allowlisted, alice: int = 60):
+    """alice (`alice` units) and bob funded, carol empty; `zed` is never created."""
     reg = fresh()
     reg.create_account("carol")
     reg.mint("MWh", "alice", alice, MINTER)
     reg.mint("MWh", "bob", 5, MINTER)
-    seen = []
-    if listening:
-        reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
     if allowlisted is not None:
         reg.set_allowlist_enabled("MWh", True)
         for account in sorted(allowlisted):
             reg.set_allowlist("MWh", account, True)
     reg.set_paused("MWh", paused)
-    return reg, seen
+    return reg
 
 
 def _ledger_state(reg):
@@ -382,19 +347,17 @@ def _ledger_state(reg):
                                st.one_of(st.integers(-2, 40), st.just(True))), max_size=6),
        paused=st.sampled_from([False, False, False, True]),
        allowlisted=st.none() | st.sets(st.sampled_from(["alice", "bob", "carol"])),
-       alice=st.sampled_from([60, 60, 10 ** 6]),
-       listening=st.sampled_from([True, True, False]))
+       alice=st.sampled_from([60, 60, 10 ** 6]))
 # a batch the batched branch writes: legs to the payer itself, repeated payees, zero amounts
 @example(token="MWh", frm="alice", legs=[("bob", 0), ("alice", 40), ("bob", 7), ("carol", 0),
                                          ("bob", 3), ("alice", 1)],
-         paused=False, allowlisted=None, alice=10 ** 6, listening=False)
+         paused=False, allowlisted=None, alice=10 ** 6)
 @settings(max_examples=examples(300), deadline=None)
-def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted, alice,
-                                              listening):
-    _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice, listening)
+def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlisted, alice):
+    _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice)
 
 
-# Batches aimed at the batched branch: no listener, two or more legs, mostly known
+# Batches aimed at the batched branch: two or more legs, mostly known
 # accounts and valid amounts, and a failed check in a share of them.
 @given(frm=st.sampled_from(["alice", "alice", "bob", "zed"]),
        legs=st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol", "carol", "zed"]),
@@ -406,7 +369,7 @@ def test_transfers_matches_a_loop_of_transfer(token, frm, legs, paused, allowlis
        alice=st.sampled_from([60, 10 ** 6]))
 @settings(max_examples=examples(300), deadline=None)
 def test_unlistened_batches_match_a_loop_of_transfer(frm, legs, paused, allowlisted, alice):
-    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, alice, False)
+    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, alice)
 
 
 @pytest.mark.parametrize("frm,legs,paused,allowlisted", [
@@ -422,7 +385,7 @@ def test_unlistened_batches_match_a_loop_of_transfer(frm, legs, paused, allowlis
 ])
 def test_a_batch_that_one_check_refuses_matches_a_loop_of_transfer(frm, legs, paused,
                                                                     allowlisted):
-    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, 60, False)
+    _check_transfers_against_a_loop("MWh", frm, legs, paused, allowlisted, 60)
 
 
 # a call with a None account, which `settle` would take for the supply
@@ -439,17 +402,17 @@ NONE_ACCOUNT = {
 
 @pytest.mark.parametrize("case", NONE_ACCOUNT)
 def test_a_none_account_in_a_transfer_is_refused_as_unknown(case):
-    reg, _ = _payer_registry(False, None, 60, False)
+    reg = _payer_registry(False, None, 60)
     before = _ledger_state(reg)
     with pytest.raises(UnknownAccount):
         NONE_ACCOUNT[case](reg)
     assert _ledger_state(reg) == before
 
 
-def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice, listening):
+def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice):
     """`transfers` of `legs` writes, logs and raises what a loop of `transfer` does."""
-    batched, seen = _payer_registry(paused, allowlisted, alice, listening)
-    looped, seen_looped = _payer_registry(paused, allowlisted, alice, listening)
+    batched = _payer_registry(paused, allowlisted, alice)
+    looped = _payer_registry(paused, allowlisted, alice)
     before = _ledger_state(batched)
     book_before = dict(batched.balances("MWh"))
     error = None
@@ -473,20 +436,20 @@ def _check_transfers_against_a_loop(token, frm, legs, paused, allowlisted, alice
         assert _ledger_state(batched) == before
         # the same book: no entry is left for a payee the refused call credited
         assert dict(batched.balances("MWh")) == book_before
-    assert seen == seen_looped
 
 
 def test_a_checked_batch_shares_its_account_tuples():
     legs = [("bob", 7), ("carol", 0), ("bob", 3), ("alice", 2)]
-    batched, _ = _payer_registry(False, None, listening=False)
+    batched = _payer_registry(False, None)
     batched.transfers("MWh", "alice", legs)
     one, _, two, own = (accounts for _, _, accounts, _, _ in batched.events[-4:])
     assert one is two and one == ("alice", "bob") and own == ("alice", "alice")
     batched.transfers("MWh", "alice", legs)  # a later batch reuses the pair's tuple
     assert batched.events[-4][2] is one
-    # with a listener every leg takes the per-leg path, which logs its own tuple
-    looped, _ = _payer_registry(False, None)
-    looped.transfers("MWh", "alice", legs)
+    # a one-leg call takes the per-leg path, which logs its own tuple
+    looped = _payer_registry(False, None)
+    for to, qty in legs:
+        looped.transfer("MWh", "alice", to, qty)
     assert looped.events[-4][2] is not looped.events[-2][2]
     assert looped.events == batched.events[:len(looped.events)]
     # a malformed leg raises before anything is written
@@ -529,7 +492,7 @@ def test_a_wide_batch_leaves_no_tuple_iterator_for_the_collector():
 SETTLE_TOKENS = ("MWh", "kWh", "NUM", "W", "lp")
 
 
-def _settle_registry(fault, listening: bool):
+def _settle_registry(fault):
     """alice, pool and escrow hold every token but lp, alice and carol hold lp, sink
     holds nothing; `zed` is never created. `fault` is None, ("pause", token) or
     ("allowlist", token, the one account left off its allowlist)."""
@@ -544,18 +507,13 @@ def _settle_registry(fault, listening: bool):
             reg.mint(token, account, qty, MINTER)
     reg.mint("lp", "alice", 20, MINTER)
     reg.mint("lp", "carol", 20, MINTER)
-    seen = []
-    if listening:  # W stands for a composite, whose yield vault listens to its balances
-        for token in ("W", "MWh"):
-            reg.add_balance_listener(token, lambda account, balance, token=token:
-                                     seen.append((token, account, balance)))
     if fault is not None and fault[0] == "pause":
         reg.set_paused(fault[1], True)
     elif fault is not None:
         reg.set_allowlist_enabled(fault[1], True)
         for account in sorted(set(reg.accounts) - {fault[2]}):
             reg.set_allowlist(fault[1], account, True)
-    return reg, seen
+    return reg
 
 
 def _engine_legs(op: str, base: str, who: str, q) -> list[tuple]:
@@ -578,13 +536,13 @@ def _books(reg):
     return {t: dict(reg.balances(t)) for t in SETTLE_TOKENS}
 
 
-def _check_settle_against_calls(op, base, who, q, authority, fault, listening):
-    """One `settle` of an engine operation's legs writes, logs, calls the listeners and
-    raises what separate mint/burn/transfer calls inside one `transaction()` do, and a
-    refused one leaves every book as it was, with no entry for an account it credited."""
+def _check_settle_against_calls(op, base, who, q, authority, fault):
+    """One `settle` of an engine operation's legs writes, logs and raises what separate
+    mint/burn/transfer calls inside one `transaction()` do, and a refused one leaves every
+    book as it was, with no entry for an account it credited."""
     legs = _engine_legs(op, base, who, q)
-    settled, seen = _settle_registry(fault, listening)
-    called, seen_called = _settle_registry(fault, listening)
+    settled = _settle_registry(fault)
+    called = _settle_registry(fault)
     books_before = _books(settled)
     error = None
     try:
@@ -609,7 +567,6 @@ def _check_settle_against_calls(op, base, who, q, authority, fault, listening):
     assert _books(settled) == _books(called)
     assert settled.state_hash() == called.state_hash()
     assert settled.events == called.events
-    assert seen == seen_called
 
 
 SETTLE_FAULT = st.one_of(
@@ -626,12 +583,10 @@ SETTLE_FAULT = st.one_of(
        q=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 40), st.sampled_from([-1, True])),
                   min_size=5, max_size=5),
        authority=st.sampled_from([MINTER, MINTER, "impostor"]),
-       fault=SETTLE_FAULT,
-       listening=st.booleans())
+       fault=SETTLE_FAULT)
 @settings(max_examples=examples(300), deadline=None)
-def test_settle_matches_separate_calls_in_a_transaction(op, base, who, q, authority, fault,
-                                                        listening):
-    _check_settle_against_calls(op, base, who, q, authority, fault, listening)
+def test_settle_matches_separate_calls_in_a_transaction(op, base, who, q, authority, fault):
+    _check_settle_against_calls(op, base, who, q, authority, fault)
 
 
 # (op, base, who, amounts, fault): refused calls whose failing leg is on a later token
@@ -648,8 +603,7 @@ REFUSED_LATER = {
 @pytest.mark.parametrize("case", REFUSED_LATER)
 def test_a_refused_settle_undoes_every_book_it_touched(case):
     op, base, who, q, fault = REFUSED_LATER[case]
-    for listening in (False, True):
-        _check_settle_against_calls(op, base, who, q, MINTER, fault, listening)
+    _check_settle_against_calls(op, base, who, q, MINTER, fault)
 
 
 def test_a_rolled_back_block_leaves_no_entry_for_an_account_it_credited():
@@ -672,10 +626,10 @@ def test_a_rolled_back_block_leaves_no_entry_for_an_account_it_credited():
 NEW_IDS = ("carol", "dave", "erin", "ghost")  # ghost was created and credited, then rolled back
 
 
-def _genesis_registry(fault, listening: bool):
+def _genesis_registry(fault):
     """`fresh()` with alice holding 7 MWh, after a rolled-back block that created and
     credited `ghost`; `fault` is None, "pause" or ("allowlist", the one account left off
-    the allowlist). A listener logs MWh balances when `listening`."""
+    the allowlist)."""
     reg = fresh()
     reg.mint("MWh", "alice", 7, MINTER)
     with pytest.raises(Abort):
@@ -684,9 +638,6 @@ def _genesis_registry(fault, listening: bool):
             reg.mint("MWh", "ghost", 3, MINTER)
             raise Abort
     assert "ghost" not in reg.accounts and "ghost" not in reg.balances("MWh")
-    seen = []
-    if listening:
-        reg.add_balance_listener("MWh", lambda account, balance: seen.append((account, balance)))
     if fault == "pause":
         reg.set_paused("MWh", True)
     elif fault is not None:
@@ -694,7 +645,7 @@ def _genesis_registry(fault, listening: bool):
         for account in ("alice", "bob", *NEW_IDS):
             if account != fault[1]:
                 reg.set_allowlist("MWh", account, True)
-    return reg, seen
+    return reg
 
 
 def _open_by_loop(reg, token, rows, authority):
@@ -719,12 +670,11 @@ def _counting_create_account(reg) -> list:
     return calls
 
 
-def _check_open_accounts_against_a_loop(token, rows, authority, fault, listening):
-    """`open_accounts` writes, logs, returns and raises what the reference loop does, calls
-    the same listeners, and leaves the same book entries. Returns the number of
-    `create_account` calls it made."""
-    opened, seen = _genesis_registry(fault, listening)
-    looped, seen_looped = _genesis_registry(fault, listening)
+def _check_open_accounts_against_a_loop(token, rows, authority, fault):
+    """`open_accounts` writes, logs, returns and raises what the reference loop does, and
+    leaves the same book entries. Returns the number of `create_account` calls it made."""
+    opened = _genesis_registry(fault)
+    looped = _genesis_registry(fault)
     before = _ledger_state(opened), list(opened.accounts.items())
     calls = _counting_create_account(opened)
     error = None
@@ -746,7 +696,6 @@ def _check_open_accounts_against_a_loop(token, rows, authority, fault, listening
         assert (_ledger_state(opened), list(opened.accounts.items())) == before
     assert opened.events == looped.events
     assert dict(opened.balances("MWh")) == dict(looped.balances("MWh"))
-    assert seen == seen_looped
     return len(calls)
 
 
@@ -759,15 +708,13 @@ GENESIS_FAULT = st.one_of(st.none(), st.none(), st.just("pause"),
                                st.one_of(st.integers(0, 40), st.integers(0, 40),
                                          st.sampled_from([0, 0, -1, True]))), max_size=6),
        authority=st.sampled_from([MINTER, MINTER, "impostor"]),
-       fault=GENESIS_FAULT,
-       listening=st.sampled_from([False, False, True]))
+       fault=GENESIS_FAULT)
 @settings(max_examples=examples(300), deadline=None)
-def test_open_accounts_matches_a_loop_of_create_account_and_mint(token, rows, authority, fault,
-                                                                 listening):
-    _check_open_accounts_against_a_loop(token, rows, authority, fault, listening)
+def test_open_accounts_matches_a_loop_of_create_account_and_mint(token, rows, authority, fault):
+    _check_open_accounts_against_a_loop(token, rows, authority, fault)
 
 
-# Batches aimed at the one-pass branch: new ids, plain amounts, no listener, the minter's
+# Batches aimed at the one-pass branch: new ids, plain amounts, the minter's
 # key, and a pause or an allowlist fault in a share of them.
 @given(rows=st.lists(st.tuples(st.sampled_from(NEW_IDS), st.integers(0, 40)), min_size=1,
                      max_size=4, unique_by=lambda row: row[0]),
@@ -777,37 +724,36 @@ def test_open_accounts_matches_a_loop_of_create_account_and_mint(token, rows, au
 def test_a_batch_that_passes_every_check_is_written_in_one_pass(rows, fault):
     funded = {account for account, qty in rows if qty}
     one_pass = fault is None or fault != "pause" and fault[1] not in funded
-    calls = _check_open_accounts_against_a_loop("MWh", rows, MINTER, fault, False)
+    calls = _check_open_accounts_against_a_loop("MWh", rows, MINTER, fault)
     assert (calls == 0) == one_pass  # a batch that passes every check never reaches the loop
 
 
 # batches the whole-batch check must leave to the per-row loop: (rows, token, authority,
-# fault, listening), one per check
+# fault), one per check
 LEFT_TO_THE_LOOP = {
-    "known-id": ([("carol", 1), ("alice", 1)], "MWh", MINTER, None, False),
-    "repeated-id": ([("carol", 1), ("dave", 1), ("carol", 1)], "MWh", MINTER, None, False),
-    "negative": ([("carol", 1), ("dave", -1)], "MWh", MINTER, None, False),
-    "not-an-int": ([("carol", 1), ("dave", True)], "MWh", MINTER, None, False),
-    "unknown-token": ([("carol", 1)], "kWh", MINTER, None, False),
-    "wrong-authority": ([("carol", 0), ("dave", 1)], "MWh", "impostor", None, False),
-    "paused": ([("carol", 0), ("dave", 1)], "MWh", MINTER, "pause", False),
-    "not-allowlisted": ([("carol", 1), ("dave", 1)], "MWh", MINTER, ("allowlist", "dave"), False),
-    "listener": ([("ghost", 2), ("carol", 0), ("dave", 1)], "MWh", MINTER, None, True),
+    "known-id": ([("carol", 1), ("alice", 1)], "MWh", MINTER, None),
+    "repeated-id": ([("carol", 1), ("dave", 1), ("carol", 1)], "MWh", MINTER, None),
+    "negative": ([("carol", 1), ("dave", -1)], "MWh", MINTER, None),
+    "not-an-int": ([("carol", 1), ("dave", True)], "MWh", MINTER, None),
+    "unknown-token": ([("carol", 1)], "kWh", MINTER, None),
+    "wrong-authority": ([("carol", 0), ("dave", 1)], "MWh", "impostor", None),
+    "paused": ([("carol", 0), ("dave", 1)], "MWh", MINTER, "pause"),
+    "not-allowlisted": ([("carol", 1), ("dave", 1)], "MWh", MINTER, ("allowlist", "dave")),
     # zero rows need no minting rights: the loop mints nothing and succeeds
-    "zero-rows-wrong-authority": ([("carol", 0), ("dave", 0)], "MWh", "impostor", None, False),
-    "zero-rows-paused": ([("carol", 0)], "MWh", MINTER, "pause", False),
-    "zero-rows-unknown-token": ([("carol", 0)], "kWh", MINTER, None, False),
+    "zero-rows-wrong-authority": ([("carol", 0), ("dave", 0)], "MWh", "impostor", None),
+    "zero-rows-paused": ([("carol", 0)], "MWh", MINTER, "pause"),
+    "zero-rows-unknown-token": ([("carol", 0)], "kWh", MINTER, None),
 }
 
 
 @pytest.mark.parametrize("case", LEFT_TO_THE_LOOP)
 def test_a_batch_that_one_check_refuses_matches_the_loop(case):
-    rows, token, authority, fault, listening = LEFT_TO_THE_LOOP[case]
-    assert _check_open_accounts_against_a_loop(token, rows, authority, fault, listening) > 0
+    rows, token, authority, fault = LEFT_TO_THE_LOOP[case]
+    assert _check_open_accounts_against_a_loop(token, rows, authority, fault) > 0
 
 
 def test_a_malformed_row_raises_before_anything_is_written():
-    reg, _ = _genesis_registry(None, False)
+    reg = _genesis_registry(None)
     state = _ledger_state(reg), list(reg.accounts.items())
     with pytest.raises(ValueError):
         reg.open_accounts("MWh", [("carol", 1), ("dave", 2, 3)], MINTER)
@@ -815,7 +761,7 @@ def test_a_malformed_row_raises_before_anything_is_written():
 
 
 def test_opened_accounts_replay_and_roll_back():
-    reg, _ = _genesis_registry(None, False)
+    reg = _genesis_registry(None)
     before = _ledger_state(reg), list(reg.accounts.items())
     with pytest.raises(Abort):
         with reg.transaction():

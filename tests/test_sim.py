@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotier
-from conftest import credit_by_rows, mint_by_rows, record_snapshots, reference_claim, scenario_gen
+from conftest import (
+    IndexModel,
+    credit_by_rows,
+    mint_by_rows,
+    modelled_claim,
+    modelled_deposit,
+    record_snapshots,
+    scenario_gen,
+)
 from twotier import sim
 from twotier.cli import main as cli_main
 from twotier.composite import CompositeEngine
@@ -545,13 +553,23 @@ def two_asset_doc():
 
 
 def test_two_asset_auto_claims_pay_what_sequential_claims_pay(monkeypatch):
+    models = {}  # vault -> the index model its deposits and claims are checked against
+
+    def model_of(vault):
+        return models.setdefault(vault, IndexModel(vault.registry))
+
+    monkeypatch.setattr(YieldVault, "deposit_yield", lambda vault, *args:
+                        modelled_deposit(model_of(vault), vault, *args))
+    monkeypatch.setattr(YieldVault, "claim", lambda vault, composite, *accounts:
+                        modelled_claim(model_of(vault), vault, composite, *accounts))
     batched = run(parse_config(two_asset_doc()))  # each epoch ends in Market.audit()
 
     def sequential(vault, composite, *accounts):
-        return sum(reference_claim(vault, composite, acct) for acct in accounts)
+        return sum(modelled_claim(model_of(vault), vault, composite, acct) for acct in accounts)
 
     monkeypatch.setattr(YieldVault, "claim", sequential)
     looped = run(parse_config(two_asset_doc()))
+    assert len(models) == 2
     for cid in ("W", "V"):
         pool = batched.market.yields.get(cid)
         assert pool.total_paid == looped.market.yields.get(cid).total_paid > 0
@@ -649,11 +667,7 @@ def test_genesis_is_one_settle_per_element_and_per_asset_and_matches_a_loop_of_r
                                                   for _, oe in cfg.oracle.elements) + rows
     assert market.registry.events == reference.registry.events
     assert market.registry.state_hash() == reference.registry.state_hash()
-    pool, reference_pool = market.yields.get(cid), reference.yields.get(cid)
-    # the yield listener ran for every genesis holder
-    assert pool.last_index.keys() >= {account for account, _ in cfg.assets[0].genesis_mint}
-    for field in ("last_index", "accrued_scaled"):
-        assert list(getattr(pool, field).items()) == list(getattr(reference_pool, field).items())
+    assert market.yields.pools == reference.yields.pools
     assert market.oracle.production == reference.oracle.production
     market.audit()
 
@@ -735,6 +749,23 @@ def test_mid_run_corruption_raises_at_its_epoch(monkeypatch, corrupt):
     with pytest.raises(InvariantViolation) as exc:
         run(parse_config(solar_doc()))
     assert str(exc.value).startswith("epoch 3 "), str(exc.value)
+
+
+def test_a_deposit_that_skips_a_holder_fails_the_audit_at_its_epoch(monkeypatch):
+    deposit = YieldVault.deposit_yield
+
+    def skipping(vault, composite, amount, payer):
+        # a mutant of the accrual loop: one holder's share is taken back out
+        supply = vault.registry.total_supply(composite)
+        deposit(vault, composite, amount, payer)
+        holder, balance = next(iter(vault.registry.balances(composite).items()))
+        vault.get(composite).accrued_scaled[holder] -= balance * (amount * INDEX_SCALE // supply)
+
+    monkeypatch.setattr(YieldVault, "deposit_yield", skipping)
+    with pytest.raises(InvariantViolation) as exc:
+        run(parse_config(solar_doc()))  # its first deposit is in epoch 20
+    assert str(exc.value).startswith("epoch 20 "), str(exc.value)
+    assert "vault solvency: W_SOLAR holds 1200000" in str(exc.value)
 
 
 def test_mid_run_corruption_exits_2(monkeypatch, tmp_path, capsys):

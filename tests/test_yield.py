@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_solar_market, reference_claim
-from twotier.errors import NotAllowlisted, TokenPaused, UnknownToken, ZeroSupply
+from conftest import IndexModel, make_solar_market, modelled_claim, modelled_deposit
+from twotier.errors import (
+    NotAllowlisted,
+    TokenPaused,
+    UnknownAccount,
+    UnknownAsset,
+    UnknownToken,
+    ZeroSupply,
+)
 from twotier.yields import INDEX_SCALE
 
 
@@ -67,7 +74,7 @@ def test_claim_is_idempotent():
 
 def vault_and_ledger(market, cid):
     pool = market.yields.get(cid)
-    return (dict(pool.accrued_scaled), dict(pool.last_index), pool.total_paid,
+    return (dict(pool.accrued_scaled), pool.total_paid,
             market.yields.undistributed_scaled(cid), market.registry.state_hash(),
             list(market.registry.export_events()))
 
@@ -87,6 +94,20 @@ def test_a_failed_claim_keeps_every_entitlement(accounts):
     market.audit()
     assert market.yields.claim(cid, *accounts) == 500 * len({"a", "b"} & set(accounts))
     market.audit()
+
+
+def test_a_claim_for_an_unknown_account_writes_nothing():
+    market, cid = yield_market({"a": 50, "b": 50})
+    market.yields.deposit_yield(cid, 1000, "payer")
+    before = vault_and_ledger(market, cid)
+    with pytest.raises(UnknownAccount) as raised:
+        market.yields.claim(cid, "a", "typo", "b", "typo2")
+    assert raised.value.args == ("typo",)  # the first unknown claimant
+    assert vault_and_ledger(market, cid) == before
+    with pytest.raises(UnknownAsset):  # an unknown asset is named first
+        market.yields.claim("W_MOON", "typo")
+    market.audit()
+    assert market.yields.claim(cid, "a", "b") == 1000
 
 
 def test_a_failed_register_asset_registers_nothing_and_a_retry_succeeds():
@@ -129,59 +150,21 @@ def test_buying_after_deposit_earns_nothing_retroactively():
     assert market.yields.claim(cid, "a") == 600
 
 
-def replay_entitlement(events, initial_balances):
-    """Independent oracle: exact per-account entitlement from first principles.
-
-    Replays balance history and, for each deposit, advances a cumulative
-    per-share index by floor(deposit * SCALE / supply); each account earns
-    balance * index-delta while it holds, settled on every balance change.
-    """
-    balances = dict(initial_balances)
-    entitlement: dict[str, int] = {}
-    index = 0
-    last: dict[str, int] = {}
-
-    def settle(acct):
-        entitlement[acct] = (entitlement.get(acct, 0)
-                             + balances.get(acct, 0) * (index - last.get(acct, 0)))
-        last[acct] = index
-
-    for kind, payload in events:
-        if kind == "transfer":
-            src, dst, qty = payload
-            settle(src)
-            settle(dst)
-            balances[src] = balances.get(src, 0) - qty
-            balances[dst] = balances.get(dst, 0) + qty
-        else:
-            amount = payload
-            supply = sum(balances.values())
-            index += amount * INDEX_SCALE // supply
-    for acct in balances:
-        settle(acct)
-    return {acct: v // INDEX_SCALE for acct, v in entitlement.items()}
-
-
 def test_random_history_matches_replay_oracle(rng):
     accounts = ["a", "b", "c", "d"]
     market, cid = yield_market({acct: 1000 for acct in accounts})
-    events = []
+    model = IndexModel(market.registry)  # settles each account from the ledger's log
     for _ in range(300):
         if rng.random() < 0.3:
-            amount = rng.randint(1, 10 ** 6)
-            market.yields.deposit_yield(cid, amount, "payer")
-            events.append(("deposit", amount))
+            modelled_deposit(model, market.yields, cid, rng.randint(1, 10 ** 6), "payer")
         else:
             src, dst = rng.sample(accounts, 2)
             bal = market.registry.balance_of(cid, src)
             if bal == 0:
                 continue
-            qty = rng.randint(1, bal)
-            market.registry.transfer(cid, src, dst, qty)
-            events.append(("transfer", (src, dst, qty)))
-    expected = replay_entitlement(events, {acct: 1000 for acct in accounts})
+            market.registry.transfer(cid, src, dst, rng.randint(1, bal))
     for acct in accounts:
-        assert market.yields.claimable(cid, acct) == expected.get(acct, 0)
+        assert market.yields.claimable(cid, acct) == model.claimable(cid, acct)
 
 
 def test_solvency_and_exact_scaled_conservation(rng):
@@ -235,11 +218,13 @@ def test_batched_claim_matches_sequential_claims(holdings, steps):
         market.registry.ensure_account("e")
         markets.append(market)
     batched, looped = markets
+    # each market's payouts and claimables are checked against an index model of its own
+    models = [IndexModel(market.registry) for market in markets]
     num = batched.numeraire
     for step in steps:
         if step[0] == "deposit":
-            for market in markets:
-                market.yields.deposit_yield(cid, step[1], "payer")
+            for market, model in zip(markets, models):
+                modelled_deposit(model, market.yields, cid, step[1], "payer")
             continue
         if step[0] == "move":
             _, src, dst, pct = step
@@ -260,8 +245,9 @@ def test_batched_claim_matches_sequential_claims(holdings, steps):
                 batched.yields.claim(cid, *accounts)
             assert vault_and_ledger(batched, cid) == before
         else:
-            paid = batched.yields.claim(cid, *accounts)
-            assert paid == sum(reference_claim(looped.yields, cid, acct) for acct in accounts)
+            paid = modelled_claim(models[0], batched.yields, cid, *accounts)
+            assert paid == sum(modelled_claim(models[1], looped.yields, cid, acct)
+                               for acct in accounts)
         if step[0] == "claim_off_list":
             for market in markets:
                 market.registry.set_allowlist_enabled(num, False)
