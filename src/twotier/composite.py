@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     CompositeAlreadyBound,
@@ -124,23 +125,27 @@ class CompositeEngine:
         # exact escrow requirement for a given composite supply
         return ceil_div(per_unit * supply, asset.unit)
 
-    def _mint_schedule(self, asset: AssetDefinition,
-                       s: int) -> Callable[[int], list[tuple[str, int, int]]]:
-        """`moves(q)`: (element, deposit, fee) owed to create q units at composite supply s.
-
-        The backing at s and the fee denominator are computed once, so sizing
-        many q against one supply pays only the terms that depend on q.
-        """
-        fee_den = BPS * asset.unit
-        terms = [(element, a, a * asset.mint_fee_bps, self._backing(asset, s, a))
+    def _mint_terms(self, asset: AssetDefinition, s: int) -> list[tuple[str, int, int, int]]:
+        """(element, per-unit amount, amount times the mint fee bps, backing at s) per
+        element: what `_mint_owed` needs at supply s that does not depend on q."""
+        return [(element, a, a * asset.mint_fee_bps, self._backing(asset, s, a))
                 for element, a in asset.composition]
 
-        def moves(q: int) -> list[tuple[str, int, int]]:
-            return [(element, self._backing(asset, s + q, a) - backing,
-                     ceil_div(q * a_fee, fee_den))
-                    for element, a, a_fee, backing in terms]
+    def _mint_owed(self, asset: AssetDefinition, s: int, terms: list[tuple[str, int, int, int]],
+                   q: int) -> list[tuple[str, int, int]]:
+        """(element, deposit, fee) owed to create q units at composite supply s, from
+        `_mint_terms(asset, s)`: the one home of the deposit and fee formula."""
+        fee_den = BPS * asset.unit
+        return [(element, self._backing(asset, s + q, a) - backing, ceil_div(q * a_fee, fee_den))
+                for element, a, a_fee, backing in terms]
 
-        return moves
+    def _mint_schedule(self, asset: AssetDefinition,
+                       s: int) -> Callable[[int], list[tuple[str, int, int]]]:
+        """`moves(q)`: `_mint_owed` at composite supply s, for sizing many q.
+
+        The backing at s is computed once, so each q pays only the terms that depend on it.
+        """
+        return partial(self._mint_owed, asset, s, self._mint_terms(asset, s))
 
     def _redeem_schedule(self, asset: AssetDefinition,
                          s: int) -> Callable[[int], list[tuple[str, int, int]]]:
@@ -166,7 +171,7 @@ class CompositeEngine:
         """(element, deposit, fee) owed to create q units at composite supply s."""
         if check_amount(q) == 0:
             raise ZeroQuantity(asset.composite)
-        return self._mint_schedule(asset, s)(q)
+        return self._mint_owed(asset, s, self._mint_terms(asset, s), q)
 
     def _redeem_moves(self, asset: AssetDefinition, s: int, q: int) -> list[tuple[str, int, int]]:
         """(element, payout, fee + residue) released by burning q units of supply s.

@@ -26,9 +26,9 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cache
+from itertools import repeat
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .amm import SwapDirection
 from .arbitrage import detect_arbitrage, execute_plan
@@ -37,6 +37,9 @@ from .ledger import BPS, MAX_DECIMALS, TokenKind, TokenMeta
 from .market import Market
 from .oracle import OraclePolicy
 from .pricing import nav_report
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FRACTION_DIGITS = 12
 _FRACTION_SCALE = 10 ** FRACTION_DIGITS
@@ -65,8 +68,14 @@ def frac_str(num: int, den: int) -> str:
 # the cycle collector untracks those, so a config of many accounts adds nothing
 # for a full collection to walk, and `build_market` passes them straight to the
 # batch calls.
+# Their lists, and the `auto_claim` ids, are `_table`s: a list of two or more
+# rows is read a column at a time, by the `column` each field's reader carries,
+# so there is no second schema. A column only accepts; any row it cannot vouch
+# for sends the whole list to the row-by-row walk, which raises that row's error
+# with its path.
 
-_REQUIRED = object()
+_REQUIRED = object()   # every column refuses it, so a missing key falls back
+_INT_OR_TEXT = frozenset((int, str))
 
 
 def _row(read, default=_REQUIRED):
@@ -74,7 +83,9 @@ def _row(read, default=_REQUIRED):
 
 
 def _num(lo=0, hi=float("inf"), kind=int):
-    """A `kind` (int or float) in [lo, hi] or its string; no bools, NaN, or floats for ints."""
+    """A `kind` (int or float) in [lo, hi] or its string; no bools, NaN, or floats for ints.
+
+    An int reader's column: ints or strings only, each parsed, then one range check."""
     rejected, what = ((bool, float), "an integer") if kind is int else (bool, "a number")
 
     def read(raw, walk):
@@ -85,6 +96,15 @@ def _num(lo=0, hi=float("inf"), kind=int):
         if value is None or not lo <= value <= hi:  # NaN fails the comparison
             raise ParseError(f"expected {what} in [{lo}, {hi}], got {raw!r}")
         return value
+
+    def column(raws, walk, declared):
+        if not _INT_OR_TEXT.issuperset(map(type, raws)):
+            return None
+        values = list(map(int, raws))  # ValueError on text int() refuses: `_table` falls back
+        return values if lo <= min(values) and max(values) <= hi else None
+
+    if kind is int:
+        read.column = column
     return read
 
 
@@ -107,7 +127,10 @@ _text = _check(None, lambda v: isinstance(v, str), "is not a string")
 
 
 def _new(space, *also, of=None):
-    """A fresh id, unique in `space`, also recorded in `also`; no ':' (engine ids use it)."""
+    """A fresh id, unique in `space`, also recorded in `also`; no ':' (engine ids use it).
+
+    Without `of`, its column: strings, none empty or with ':', unique in the column and in
+    `space`; the ids go to `declared`, for `_table` to record once every column passed."""
     def read(raw, walk):
         ident = raw if of is None else of(raw, walk)
         if not isinstance(ident, str) or not ident or ":" in ident:
@@ -117,15 +140,33 @@ def _new(space, *also, of=None):
         for s in (space, *also):
             walk.ids[s].add(ident)
         return ident
+
+    def column(raws, walk, declared):  # join's TypeError on a non-str entry: `_table` falls back
+        if ":" in "".join(raws):
+            return None
+        idents = set(raws)
+        if len(idents) < len(raws) or "" in idents or not idents.isdisjoint(walk.ids[space]):
+            return None
+        declared.append(((space, *also), idents))
+        return raws
+
+    if of is None:
+        read.column = column
     return read
 
 
+@cache
 def _ref(space):
-    """The id of something already declared in `space`."""
+    """The id of something already declared in `space`; its column is one subset check."""
     def read(raw, walk):
         if not isinstance(raw, str) or raw not in walk.ids[space]:
             raise UnknownReference(f"unknown {space} {raw!r}")
         return raw
+
+    def column(raws, walk, declared):  # TypeError on an unhashable entry: `_table` falls back
+        return list(raws) if walk.ids[space].issuperset(raws) else None
+
+    read.column = column
     return read
 
 
@@ -148,12 +189,53 @@ def _each(read_value, read_key=None):
     return read
 
 
+def _table(read):
+    """A list of `read` values, read a column at a time by `read.column` when it has more
+    than one entry. A one-entry list, or one that a column refuses, is read entry by
+    entry by `_each(read)`, the reference, which raises the failing entry's error.
+
+    The ids a column declares are recorded only after every column has passed; the
+    values are those the reference returns."""
+    each = _each(read)
+
+    def table(raw, walk):
+        if type(raw) is list and len(raw) > 1:
+            declared = []
+            try:
+                values = read.column(raw, walk, declared)
+            except (TypeError, ValueError):  # an unhashable entry, or text that is no int
+                values = None
+            if values is not None:
+                for spaces, idents in declared:
+                    for space in spaces:
+                        walk.ids[space] |= idents
+                return values
+        return each(raw, walk)
+    return table
+
+
 @cache
 def _object(cls, as_tuple=False, **rows):
     """Reads a JSON object into `cls`, or with `as_tuple` into the exact tuple of its
-    values in field order, one row per field (`rows` override)."""
+    values in field order, one row per field (`rows` override).
+
+    A tuple reader whose fields all have columns has a column too: every row a dict
+    of known keys, each field's column read with a missing key as its default, and
+    the rows zipped back. New ids in one space come from at most one field."""
     meta = {f.name: f.metadata for f in fields(cls)} | {k: r.metadata for k, r in rows.items()}
     table = [(name, m["read"], m["default"]) for name, m in meta.items()]
+
+    def column(raws, walk, declared):  # dict.get's TypeError on a non-dict row: falls back
+        if not meta.keys() >= set().union(*raws):
+            return None
+        columns = []
+        for name, reader, default in table:
+            values = reader.column(list(map(dict.get, raws, repeat(name), repeat(default))),
+                                   walk, declared)
+            if values is None:
+                return None
+            columns.append(values)
+        return list(zip(*columns))
 
     def read(raw, walk):
         if not isinstance(raw, dict):
@@ -173,6 +255,9 @@ def _object(cls, as_tuple=False, **rows):
             raise
         walk.objects.pop()
         return tuple(values.values()) if as_tuple else cls(*values.values())  # in field order
+
+    if as_tuple and all(hasattr(reader, "column") for _, reader, _ in table):
+        read.column = column
     return read
 
 
@@ -241,7 +326,7 @@ class AssetSpec:
     redeem_fee_bps: int = _row(_num(0, BPS), 0)
     decimals: int = _row(_DECIMALS, 0)
     unit_label: str = _row(_text, "")
-    genesis_mint: list[tuple[str, int]] = _row(_each(_object(GenesisMint, as_tuple=True)), [])
+    genesis_mint: list[tuple[str, int]] = _row(_table(_object(GenesisMint, as_tuple=True)), [])
 
 
 @dataclass
@@ -264,7 +349,7 @@ class OracleElementSpec:
     sources: list[str] = _row(_sources, [])
     per_epoch: int | list[int] = _row(_per_epoch, 0)
     mint_to: str | None = _row(_ref("account"), None)
-    genesis: list[tuple[str, int]] = _row(_each(_object(GenesisCredit, as_tuple=True)), [])
+    genesis: list[tuple[str, int]] = _row(_table(_object(GenesisCredit, as_tuple=True)), [])
 
 
 @dataclass
@@ -307,14 +392,14 @@ class ScenarioConfig:
     epochs: int = _row(_AMOUNT, 0)
     numeraire: NumeraireSpec = _row(_object(NumeraireSpec), {})
     tokens: list[TokenSpec] = _row(_each(_object(TokenSpec)), [])
-    accounts: list[tuple[str, int]] = _row(_each(_object(AccountSpec, as_tuple=True)), [])
+    accounts: list[tuple[str, int]] = _row(_table(_object(AccountSpec, as_tuple=True)), [])
     assets: list[AssetSpec] = _row(_each(_object(AssetSpec)), [])
     oracle: OracleSpec = _row(_object(OracleSpec), {})
     pools: list[PoolSpec] = _row(_each(_object(PoolSpec)), [])
     agents: list[Agent.Spec] = _row(_each(_agent), [])
     shocks: list[ShockSpec] = _row(_each(_object(ShockSpec)), [])
     yield_schedule: list[YieldEventSpec] = _row(_each(_object(YieldEventSpec)), [])
-    auto_claim: list[str] = _row(_each(_ref("account")), [])
+    auto_claim: list[str] = _row(_table(_ref("account")), [])
 
 
 def parse_config(doc) -> ScenarioConfig:
@@ -577,6 +662,8 @@ def _metrics_row(cfg: ScenarioConfig, market: Market, epoch: int,
 
 
 def run(cfg: ScenarioConfig) -> SimResult:
+    import numpy as np  # only a run draws: validate, report and routes never load numpy
+
     market = build_market(cfg)
     market.audit()
 

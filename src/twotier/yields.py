@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnknownAccount, UnknownAsset, ZeroSupply
+from .errors import Unauthorized, UnknownAccount, UnknownAsset, ZeroSupply
 from .ledger import AccountRole, Registry, check_amount
 
 INDEX_SCALE = 10 ** 18
@@ -49,11 +49,18 @@ class YieldVault:
     # --- operations ---
 
     def deposit_yield(self, composite: str, amount: int, payer: str):
+        """Move `amount` numeraire from `payer` into the pool and credit every holder.
+
+        A yield pool's account, this pool's or another's, cannot pay: it holds what
+        its own holders are owed. It is refused as Unauthorized before anything is
+        written."""
         pool = self.get(composite)
         check_amount(amount)
         supply = self.registry.total_supply(composite)
         if supply == 0:
             raise ZeroSupply(composite)
+        if self.registry.accounts.get(payer) is AccountRole.YIELD_POOL:
+            raise Unauthorized(f"{payer!r} is a yield pool's account and cannot pay yield")
         self.registry.transfer(self.numeraire, payer, pool.account, amount)
         increment = amount * INDEX_SCALE // supply
         if increment:

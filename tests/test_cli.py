@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,27 @@ def solar_copy(tmp_path):
     path = tmp_path / "solar.json"
     path.write_text(Path(SOLAR).read_text())
     return str(path)
+
+
+def test_only_run_loads_numpy(tmp_path):
+    """`import twotier.cli`, `validate`, `report` and `routes` leave numpy unloaded; `run`
+    loads it for its random streams. A fresh interpreter, since this one has numpy."""
+    script = f"""
+import contextlib, io, sys
+from twotier.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["validate", {SOLAR!r}]) == 0
+    assert main(["report", {SOLAR!r}]) == 0
+    assert main(["routes", {SOLAR!r}, "--asset", "W_SOLAR", "--side", "acquire", "--qty", "100"]) == 0
+    assert "numpy" not in sys.modules, "numpy loaded before run"
+    assert main(["run", {SOLAR!r}, "--out", {str(tmp_path)!r}]) == 0
+    assert "numpy" in sys.modules
+"""
+    src = str(Path(twotier.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_validate_ok(capsys):

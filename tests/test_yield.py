@@ -4,15 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IndexModel, make_solar_market, modelled_claim, modelled_deposit
+from conftest import (
+    IndexModel,
+    grant_elements,
+    make_solar_market,
+    modelled_claim,
+    modelled_deposit,
+)
 from twotier.errors import (
     NotAllowlisted,
     TokenPaused,
+    Unauthorized,
     UnknownAccount,
     UnknownAsset,
     UnknownToken,
     ZeroSupply,
 )
+from twotier.ledger import TokenKind, TokenMeta
 from twotier.yields import INDEX_SCALE
 
 
@@ -24,7 +32,6 @@ def yield_market(holdings: dict[str, int]):
     market.fund_numeraire("payer", 10 ** 15)
     total = sum(holdings.values())
     market.registry.ensure_account("seed-holder")
-    from conftest import grant_elements
     grant_elements(market, "seed-holder",
                    {"energy": total * 100, "land": total * 1000,
                     "carbon": total * 100})
@@ -108,6 +115,22 @@ def test_a_claim_for_an_unknown_account_writes_nothing():
         market.yields.claim("W_MOON", "typo")
     market.audit()
     assert market.yields.claim(cid, "a", "b") == 1000
+
+
+@pytest.mark.parametrize("payer", ["yield:W_SOLAR", "yield:W_TWO"])
+def test_a_yield_pool_cannot_pay_yield(payer):
+    """Its own pool or another asset's: either holds what that pool's holders are owed."""
+    market, cid = yield_market({"a": 50, "b": 50})
+    market.define_asset(TokenMeta(token="W_TWO", kind=TokenKind.COMPOSITE), [("energy", 1)])
+    grant_elements(market, "a", {"energy": 10})
+    market.composites.mint_composite("W_TWO", "a", 10)
+    for composite in (cid, "W_TWO"):
+        market.yields.deposit_yield(composite, 1000, "payer")
+    before = [vault_and_ledger(market, composite) for composite in (cid, "W_TWO")]
+    with pytest.raises(Unauthorized, match=f"^'{payer}' is a yield pool's account"):
+        market.yields.deposit_yield(cid, 300, payer)
+    assert [vault_and_ledger(market, composite) for composite in (cid, "W_TWO")] == before
+    market.audit()
 
 
 def test_a_failed_register_asset_registers_nothing_and_a_retry_succeeds():
