@@ -36,14 +36,6 @@ class Unauthorized(LedgerError):
     pass
 
 
-class TokenPaused(LedgerError):
-    pass
-
-
-class NotAllowlisted(LedgerError):
-    pass
-
-
 class InsufficientBalance(LedgerError):
     def __init__(self, msg="", token=None, shortfall=0):
         super().__init__(msg)

@@ -12,7 +12,7 @@ path.
 `(op, token, accounts, qty, meta)`, whose `seq` is its index in the log and whose
 `accounts` is a tuple of account ids (a list in `events.jsonl`). A `meta` is None
 or a tuple of `(key, value)` pairs, e.g. `(("role", "user"),)` (an object in
-`events.jsonl`), and every key and value is a str, int or bool. An event is an exact
+`events.jsonl`), and every key and value is a str or int. An event is an exact
 tuple, not a tuple subclass, because the cycle collector untracks only exact tuples
 none of whose members it tracks: every event leaves the collector's lists once a
 collection has found its accounts and meta untracked, so a full collection walks
@@ -36,9 +36,7 @@ from .errors import (
     DuplicateToken,
     InsufficientBalance,
     InvariantViolation,
-    NotAllowlisted,
     Overflow,
-    TokenPaused,
     Unauthorized,
     UnknownAccount,
     UnknownToken,
@@ -81,10 +79,7 @@ def check_amount(qty) -> int:
 # move op -> (frm, to) from its logged accounts; None stands for the supply
 _ENDS = {"mint": lambda acc: (None, acc[0]), "burn": lambda acc: (acc[0], None),
          "transfer": lambda acc: (acc[0], acc[1])}
-_FLAGS = ("set_paused", "set_allowlist_enabled", "set_allowlist")  # the ops `_flag` writes
-# the shared metas of create_account and of the ops of `_FLAGS`
-_ROLE_META = {role: (("role", role.value),) for role in AccountRole}
-_FLAG_META = {flag: (("flag", flag),) for flag in (False, True)}
+_ROLE_META = {role: (("role", role.value),) for role in AccountRole}  # create_account's metas
 _INT_ONLY = frozenset((int,))  # the amount types a batched transfer writes unchecked
 _STR_ONLY = frozenset((str,))  # the one account id type
 _FIELDS = frozenset(("accounts", "meta", "op", "qty", "seq", "token"))  # of a parsed line
@@ -118,8 +113,7 @@ class _Memo(dict):
 
 @dataclass(frozen=True)
 class TokenMeta:
-    """A token's description, fixed once constructed. It holds no flags: the registry
-    that creates the token keeps them on its book, changed only by logged `set_*` ops."""
+    """A token's description, fixed once constructed."""
     token: str
     kind: TokenKind
     unit_label: str = ""
@@ -135,13 +129,12 @@ class TokenMeta:
 
 
 class _Book(dict):
-    """One token's account -> nonzero balance map, carrying its minting authority, supply
-    and flags."""
-    __slots__ = ("authority", "supply", "paused", "allowlist_enabled", "allowlist")
+    """One token's account -> nonzero balance map, carrying its minting authority and
+    supply."""
+    __slots__ = ("authority", "supply")
 
     def __init__(self, authority: str):
         self.authority, self.supply = authority, 0
-        self.paused, self.allowlist_enabled, self.allowlist = False, False, set()
 
 
 class Registry:
@@ -153,9 +146,9 @@ class Registry:
     exactly (see `replay_events`). Each field of a logged event has one type,
     checked where it enters and before anything is written: a str account id,
     a token's str name, `TokenKind`, int decimals and str unit label (by the
-    frozen `TokenMeta`), its str authority, an account's `AccountRole` and a bool
-    flag. Any other type is refused with a ValueError naming the field. A token's
-    flags are kept on its book, and `meta()` returns the registered description.
+    frozen `TokenMeta`), its str authority and an account's `AccountRole`. Any other
+    type is refused with a ValueError naming the field, and `meta()` returns the
+    registered description.
     """
 
     def __init__(self):
@@ -186,7 +179,7 @@ class Registry:
 
     def create_token(self, meta: TokenMeta, authority: str) -> str:
         """Register the description `meta`, exactly a `TokenMeta`, as a new token minted
-        by `authority`, with its flags unset."""
+        by `authority`."""
         _typed("meta", meta, TokenMeta)
         if meta.token in self.tokens:
             raise DuplicateToken(meta.token)
@@ -209,27 +202,6 @@ class Registry:
             return self.tokens[token]
         except KeyError:
             raise UnknownToken(token) from None
-
-    def set_paused(self, token: str, flag: bool):
-        self._flag("set_paused", token, (), flag)
-
-    def set_allowlist_enabled(self, token: str, flag: bool):
-        self._flag("set_allowlist_enabled", token, (), flag)
-
-    def set_allowlist(self, token: str, account: str, flag: bool):
-        self._flag("set_allowlist", token, (account,), flag)
-
-    def _flag(self, op: str, token: str, accounts, flag):
-        """The one flag writer and its log entry, for each op of `_FLAGS`; set_allowlist
-        sets the entry of `accounts[0]`, and the other ops take no account."""
-        _typed("flag", flag, bool)
-        book = self._book(token)
-        accounts = (_typed("account", accounts[0], str),) if op == "set_allowlist" else ()
-        if accounts:
-            (book.allowlist.add if flag else book.allowlist.discard)(accounts[0])
-        else:
-            setattr(book, op[len("set_"):], flag)  # set_paused -> paused, and so on
-        self._log(op, token, accounts, 0, _FLAG_META[flag])
 
     # --- queries ---
 
@@ -274,8 +246,7 @@ class Registry:
 
         `frm=None` mints and `to=None` burns, under `authority`. Each leg runs its
         checks in one order (amount, token, accounts, authority for a mint or burn,
-        pause, allowlist, balance), then writes and logs. A failed leg undoes the earlier
-        ones.
+        balance), then writes and logs. A failed leg undoes the earlier ones.
         """
         events, books, known = self.events, self._balances, self.accounts
         start = len(events)
@@ -293,12 +264,6 @@ class Registry:
                         raise UnknownAccount(account)
                 if op != "transfer" and book.authority != authority:
                     raise Unauthorized(f"{authority!r} is not the minter of {token}")
-                if book.paused:
-                    raise TokenPaused(token)
-                if book.allowlist_enabled:
-                    for account in accounts:
-                        if account not in book.allowlist:
-                            raise NotAllowlisted(f"{account} not allowlisted for {token}")
                 if frm is not None:
                     bal = book.get(frm, 0)
                     if bal < qty:
@@ -315,12 +280,11 @@ class Registry:
         changed nothing when the batch as a whole fails a check.
 
         The checks are the per-leg ones over the whole batch: every amount a plain int
-        >= 0, a known token that is not paused, `frm` and every payee known (and
-        allowlisted, when the allowlist is on), and the sum of the amounts within
-        `frm`'s balance. Each leg's own balance check would then pass, since the legs
-        before it took out at most their sum, payees equal to `frm` included. `frm` is
-        debited once and the payees credited in leg order, and each event's accounts
-        tuple is shared per pair.
+        >= 0, a known token, `frm` and every payee known, and the sum of the amounts
+        within `frm`'s balance. Each leg's own balance check would then pass, since the
+        legs before it took out at most their sum, payees equal to `frm` included.
+        `frm` is debited once and the payees credited in leg order, and each event's
+        accounts tuple is shared per pair.
         """
         book = self._balances.get(token)
         if book is None:
@@ -330,10 +294,8 @@ class Registry:
         known = self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         balance = book.get(frm, 0)
-        if (total < 0 or min(qtys) < 0 or total > balance or book.paused
-                or frm not in known or not all(map(known.__contains__, tos))
-                or book.allowlist_enabled and not (frm in book.allowlist
-                                                   and book.allowlist.issuperset(tos))):
+        if (total < 0 or min(qtys) < 0 or total > balance
+                or frm not in known or not all(map(known.__contains__, tos))):
             return False
         pairs = self._pairs.get(frm)
         if pairs is None:
@@ -357,9 +319,8 @@ class Registry:
         The log is that of a loop of `create_account` and, for a nonzero qty, `mint`
         inside one `transaction()`: a zero row logs its `create_account` only. A batch
         that passes every check as a whole is written in one pass: every id new and
-        none repeated, every amount a plain int >= 0, a known token minted by
-        `authority` and not paused, and every funded account allowlisted when the
-        allowlist is on. Any failed check leaves the batch to that loop, which raises
+        none repeated, every amount a plain int >= 0, and a known token minted by
+        `authority`. Any failed check leaves the batch to that loop, which raises
         the failing row's error and undoes the rows before it.
         An id that is not a str is refused first, with `create_account`'s ValueError.
         """
@@ -371,10 +332,8 @@ class Registry:
         book, known = self._balances.get(token), self.accounts
         total = sum(qtys) if _INT_ONLY.issuperset(map(type, qtys)) else -1
         if (book is None or book.authority != authority
-                or total < 0 or min(qtys, default=0) < 0 or book.paused
-                or len(set(ids)) < len(ids) or not known.keys().isdisjoint(ids)
-                or book.allowlist_enabled
-                and not book.allowlist.issuperset([a for a, qty in rows if qty])):
+                or total < 0 or min(qtys, default=0) < 0
+                or len(set(ids)) < len(ids) or not known.keys().isdisjoint(ids)):
             with self.transaction():
                 for account, qty in rows:
                     self.create_account(account)
@@ -406,23 +365,18 @@ class Registry:
         """Invert every event logged since `start`, newest first, then drop them from the log.
 
         The event log is the whole undo journal. A move is written back; a created
-        account or token is deleted, after every later event that used it; a flag takes
-        back its last earlier value in the log, or its default.
+        account or token is deleted, after every later event that used it.
         """
         events = self.events
         for i in range(len(events) - 1, start - 1, -1):
-            op, token, accounts, qty, _ = ev = events[i]
+            op, token, accounts, qty, _ = events[i]
             if op in _ENDS:
                 frm, to = _ENDS[op](accounts)
                 self._write(self._balances[token], to, frm, qty)
             elif op == "create_account":
                 del self.accounts[accounts[0]]
-            elif op == "create_token":
+            else:  # create_token
                 del self.tokens[token], self._balances[token]
-            else:
-                prior = (events[j][4][0][1] for j in range(i - 1, -1, -1)  # (("flag", value),)
-                         if events[j][:3] == ev[:3])
-                self._flag(op, token, accounts, next(prior, False))  # its event is dropped below
         del events[start:]
 
     def _write(self, book: _Book, frm: str | None, to: str | None, qty: int):
@@ -453,13 +407,12 @@ class Registry:
                                          f"supply {book.supply}, or one is not positive")
 
     def state_hash(self) -> str:
-        """Deterministic digest of balances, supplies and token flags."""
-        meta = self.tokens
+        """Deterministic digest of balances, supplies, token kinds and decimals, and
+        account roles."""
         state = {
             "supply": {t: b.supply for t, b in self._balances.items()},
             "balances": {t: dict(b) for t, b in self._balances.items()},
-            "tokens": {t: [meta[t].kind.value, meta[t].decimals, b.paused, b.allowlist_enabled,
-                           sorted(b.allowlist)] for t, b in self._balances.items()},
+            "tokens": {t: [m.kind.value, m.decimals] for t, m in self.tokens.items()},
             "accounts": dict(sorted((a, r.value) for a, r in self.accounts.items())),
         }
         blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -548,8 +501,6 @@ def replay_events(events: list) -> Registry:
             elif op in _ENDS:
                 frm, to = _ENDS[op](accounts)
                 reg.settle(((token, frm, to, qty),), reg._book(token).authority)
-            elif op in _FLAGS:
-                reg._flag(op, token, accounts, pairs["flag"])
             else:
                 raise ValueError(f"unknown event op {op!r}")
             logged = reg.events[-1]  # compared as text, where 1, 1.0 and True differ

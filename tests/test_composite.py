@@ -14,7 +14,6 @@ from twotier.errors import (
     InsufficientBalance,
     InvariantViolation,
     Overflow,
-    TokenPaused,
     UnknownAccount,
     UnknownElement,
     ZeroQuantity,
@@ -147,30 +146,28 @@ def test_mint_insufficient_reports_shortfall():
     assert exc.value.shortfall == 1
 
 
-# (granted elements, pause energy, error, message, shortfall) of a refused 10-unit mint with
-# a 10 bps fee, which owes 1000 + 1 energy, 10000 + 10 land and 1000 + 1 carbon
+# (granted elements, error, message, shortfall) of a refused 10-unit mint with a 10 bps
+# fee, which owes 1000 + 1 energy, 10000 + 10 land and 1000 + 1 carbon
 MINT_REFUSALS = {
     # the deposit leg itself is short: the shortfall leaves out the fee
-    "deposit-short": ({"energy": 999, "land": 10010, "carbon": 1001}, False, InsufficientBalance,
+    "deposit-short": ({"energy": 999, "land": 10010, "carbon": 1001}, InsufficientBalance,
                       "transfer 1000 of energy, balance 999", 1),
-    "fee-short": ({"energy": 1000, "land": 10010, "carbon": 1001}, False, InsufficientBalance,
+    "fee-short": ({"energy": 1000, "land": 10010, "carbon": 1001}, InsufficientBalance,
                   "transfer 1 of energy, balance 0", 1),
-    "later-element-short": ({"energy": 1001, "land": 10009, "carbon": 1001}, False,
+    "later-element-short": ({"energy": 1001, "land": 10009, "carbon": 1001},
                             InsufficientBalance, "transfer 10 of land, balance 9", 1),
-    # the first failing leg raises: a paused first element wins over a later shortfall
-    "paused-first-element": ({"energy": 1001, "land": 5, "carbon": 1001}, True, TokenPaused,
-                             "energy", None),
+    # the first failing leg raises: a short first element wins over a larger later shortfall
+    "short-first-element": ({"energy": 999, "land": 5, "carbon": 1001}, InsufficientBalance,
+                            "transfer 1000 of energy, balance 999", 1),
 }
 
 
 @pytest.mark.parametrize("case", MINT_REFUSALS)
 def test_a_refused_mint_raises_its_first_failing_legs_ledger_error(case):
-    granted, pause, error, message, shortfall = MINT_REFUSALS[case]
+    granted, error, message, shortfall = MINT_REFUSALS[case]
     market, cid = make_solar_market(mint_fee_bps=10)
     grant_elements(market, "ap", granted)
     reg = market.registry
-    if pause:
-        reg.set_paused("energy", True)
     before = (reg.state_hash(), list(reg.events), dict(reg.balances("energy")))
     with pytest.raises(error) as raised:
         market.composites.mint_composite(cid, "ap", 10)
@@ -187,22 +184,21 @@ def test_a_mint_by_an_unknown_caller_raises_unknown_account():
     assert market.registry.events == before
 
 
-# (caller, units of W moved to it first or None, pause W, q, error, message, shortfall) of a
-# refused redeem at supply 10, held by "ap"
+# (caller, units of W moved to it first or None, q, error, message, shortfall) of a refused
+# redeem at supply 10, held by "ap"
 REDEEM_REFUSALS = {
     # past the supply there is no schedule to price, and the engine says so itself
-    "beyond-supply": ("ap", None, False, 11, InsufficientBalance,
+    "beyond-supply": ("ap", None, 11, InsufficientBalance,
                       "redeem W_SOLAR: need 11 composite, supply 10", 1),
     # otherwise the burn leg raises the ledger's own error, with its own cause
-    "unknown-caller": ("nobody", None, False, 1, UnknownAccount, "nobody", None),
-    "paused-short-caller": ("bob", 1, True, 3, TokenPaused, "W_SOLAR", None),
-    "short-caller": ("bob", 1, False, 3, InsufficientBalance, "burn 3 of W_SOLAR, balance 1", 2),
+    "unknown-caller": ("nobody", None, 1, UnknownAccount, "nobody", None),
+    "short-caller": ("bob", 1, 3, InsufficientBalance, "burn 3 of W_SOLAR, balance 1", 2),
 }
 
 
 @pytest.mark.parametrize("case", REDEEM_REFUSALS)
 def test_a_refused_redeem_raises_its_burn_legs_ledger_error(case):
-    caller, held, pause, q, error, message, shortfall = REDEEM_REFUSALS[case]
+    caller, held, q, error, message, shortfall = REDEEM_REFUSALS[case]
     market, cid = make_solar_market()
     grant_elements(market, "ap", {"energy": 1000, "land": 10000, "carbon": 1000})
     market.composites.mint_composite(cid, "ap", 10)
@@ -210,8 +206,6 @@ def test_a_refused_redeem_raises_its_burn_legs_ledger_error(case):
     if held is not None:
         reg.create_account(caller)
         reg.transfer(cid, "ap", caller, held)
-    if pause:
-        reg.set_paused(cid, True)
     before = (reg.state_hash(), list(reg.events), dict(reg.balances(cid)))
     with pytest.raises(error) as raised:
         market.composites.redeem_composite(cid, caller, q)
@@ -330,20 +324,21 @@ def _ledger_state(reg):
             [dict(reg.balances(e)) for e, _ in SOLAR_COMPOSITION])
 
 
-# "bp" can pay for a few units only, and "nobody" has no account
+# "bp" can pay for a few units only, "nobody" has no account, and a short "ap" keeps 5 land
 @given(rows=st.lists(st.tuples(st.sampled_from(["ap", "ap", "bp", "nobody"]),
                                st.one_of(st.integers(1, 8), st.integers(0, 400))), max_size=6),
        mint_fee=st.integers(0, 200), decimals=st.integers(0, 3),
-       pause=st.sampled_from([False, False, False, True]))
+       short=st.sampled_from([False, False, False, True]))
 @settings(max_examples=examples(150), deadline=None)
-def test_mint_composites_matches_a_loop_of_one_row_mints(rows, mint_fee, decimals, pause):
+def test_mint_composites_matches_a_loop_of_one_row_mints(rows, mint_fee, decimals, short):
     markets = [make_solar_market(mint_fee, composite_decimals=decimals)[0] for _ in range(2)]
     for market in markets:
         grant_elements(market, "ap", {"energy": 10 ** 9, "land": 10 ** 10, "carbon": 10 ** 9})
         grant_elements(market, "bp", {"energy": 500, "land": 5000, "carbon": 500})
         market.composites.mint_composite("W_SOLAR", "ap", 3)  # a batch starts at any supply
-        if pause:
-            market.registry.set_paused("land", True)
+        if short:
+            reg = market.registry
+            reg.burn("land", "ap", reg.balance_of("land", "ap") - 5, market.oracle.AUTHORITY)
     batched, looped = markets
     error, receipts = None, []
     try:

@@ -15,7 +15,7 @@ from twotier.errors import (
     Overflow,
     UnknownElement,
 )
-from twotier.ledger import BPS, check_amount
+from twotier.ledger import BPS, TokenKind, TokenMeta, check_amount
 from twotier.market import Market
 from twotier.oracle import Attestation, EpochResult, OraclePolicy, median_int
 
@@ -186,41 +186,43 @@ def test_outlier_robustness(base, jitter, adversarial):
 
 # --- genesis credits ----------------------------------------------------------------
 
-def totals(oracle) -> tuple[int, int]:
-    prod = oracle.production.get("energy")
+def totals(oracle, element: str = "energy") -> tuple[int, int]:
+    prod = oracle.production.get(element)
     return (prod.cumulative_accepted, prod.cumulative_minted) if prod else (0, 0)
 
 
-# "nobody" has no account
+# "nobody" has no account, and the element "foreign" has a minter other than the oracle
 @given(rows=st.lists(st.tuples(st.sampled_from(["issuer", "issuer", "bob", "nobody"]),
                                st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
                                          st.sampled_from([-1, True, 1.0]))), max_size=6),
-       pause=st.sampled_from([False, False, False, True]))
+       element=st.sampled_from(["energy", "energy", "energy", "foreign"]))
 @settings(max_examples=examples(300), deadline=None)
-def test_credit_genesis_matches_a_loop_of_record_and_mint(rows, pause):
+def test_credit_genesis_matches_a_loop_of_record_and_mint(rows, element):
     markets = [fresh() for _ in range(2)]
     for market in markets:
         market.registry.create_account("bob")
-        market.registry.set_paused("energy", pause)
+        market.registry.create_token(TokenMeta(token="foreign", kind=TokenKind.ELEMENT),
+                                     authority="elsewhere")
     batched, looped = markets
     error = None
     try:
         for _, amount in rows:  # every amount is checked before any leg is written
             check_amount(amount)
-        credit_by_rows(looped.oracle, "energy", rows)
+        credit_by_rows(looped.oracle, element, rows)
     except EngineError as exc:
         error = exc
     reg = batched.registry
-    before = list(reg.events), reg.state_hash(), totals(batched.oracle)
+    before = list(reg.events), reg.state_hash(), totals(batched.oracle, element)
     if error is None:
-        batched.oracle.credit_genesis("energy", rows)
-        assert (list(reg.events), reg.state_hash(), totals(batched.oracle)) == (
-            looped.registry.events, looped.registry.state_hash(), totals(looped.oracle))
+        batched.oracle.credit_genesis(element, rows)
+        assert (list(reg.events), reg.state_hash(), totals(batched.oracle, element)) == (
+            looped.registry.events, looped.registry.state_hash(),
+            totals(looped.oracle, element))
     else:  # the failing row's own error, nothing written and no total moved
         with pytest.raises(type(error)) as raised:
-            batched.oracle.credit_genesis("energy", rows)
+            batched.oracle.credit_genesis(element, rows)
         assert str(raised.value) == str(error)
-        assert (list(reg.events), reg.state_hash(), totals(batched.oracle)) == before
+        assert (list(reg.events), reg.state_hash(), totals(batched.oracle, element)) == before
     batched.audit()
 
 
