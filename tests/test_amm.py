@@ -66,8 +66,10 @@ POOL_SHORTS = {"transfer 100 of energy, balance 99": "energy",
     ("lp", InsufficientBalance, "transfer 100 of energy, balance 60"),
     ("poor", InsufficientBalance, "transfer 80 of NUM, balance 30"),
     ("nobody", UnknownAccount, "nobody"),
-    ("rich", InsufficientBalance, "transfer 100 of energy, balance 99"),  # a short base
-    ("rich", InsufficientBalance, "transfer 80 of NUM, balance 79"),  # a short numeraire
+    pytest.param("rich", InsufficientBalance, "transfer 100 of energy, balance 99",
+                 id="rich-short-base"),
+    pytest.param("rich", InsufficientBalance, "transfer 80 of NUM, balance 79",
+                 id="rich-short-NUM"),
 ])
 def test_a_failed_create_pool_registers_nothing_and_a_retry_succeeds(provider, error, message):
     market = Market(numeraire="NUM", numeraire_decimals=0)
